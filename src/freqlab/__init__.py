@@ -61,7 +61,6 @@ from .maximal import (
 from .signal import (
     FORMAT_MAGIC,
     IntegerInterval,
-    Rational,
     Signal,
     SignalFormatError,
     dump_signal,

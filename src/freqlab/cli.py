@@ -50,6 +50,20 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _int(text: str) -> int:
+    try:
+        return parse_strict_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _threads(text: str) -> int:
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _grid(text: str) -> list[int]:
     try:
         values = [parse_strict_int(part) for part in text.split(",") if part]
@@ -73,14 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--signal", help="signal file (unilinear)")
     p_eval.add_argument("--f", dest="first", help="left signal file (bilinear)")
     p_eval.add_argument("--g", dest="second", help="right signal file (bilinear)")
-    p_eval.add_argument("--n", type=int, required=True)
+    p_eval.add_argument("--n", type=_int, required=True)
 
     p_profile = sub.add_parser("profile", help="scan a range of points to CSV")
     p_profile.add_argument("--signal", required=True)
-    p_profile.add_argument("--from", dest="start", type=int, required=True)
-    p_profile.add_argument("--to", dest="stop", type=int, required=True)
+    p_profile.add_argument("--from", dest="start", type=_int, required=True)
+    p_profile.add_argument("--to", dest="stop", type=_int, required=True)
     p_profile.add_argument("--out")
-    p_profile.add_argument("--threads", type=int, default=1)
+    p_profile.add_argument("--threads", type=_threads, default=1)
 
     p_level = sub.add_parser("levelset", help="census CSV over an N grid")
     p_level.add_argument("--signal", required=True)
@@ -89,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_level.add_argument("--epsilon", type=_rational, default=Fraction(1))
     p_level.add_argument("--N-grid", dest="n_grid", type=_grid, required=True)
     p_level.add_argument("--out")
-    p_level.add_argument("--threads", type=int, default=1)
+    p_level.add_argument("--threads", type=_threads, default=1)
 
     p_cover = sub.add_parser("covering", help="greedy disjoint selection report")
     p_cover.add_argument("--input", required=True)
@@ -98,19 +112,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a built-in family signal file")
     p_gen.add_argument("--family", required=True)
     p_gen.add_argument("--epsilon", type=_rational)
-    p_gen.add_argument("--cutoff", type=int)
-    p_gen.add_argument("--C", dest="size", type=int, help="spike size (spike_pair)")
-    p_gen.add_argument("--C-min", dest="size_min", type=int, help="smallest block (composite_jump)")
-    p_gen.add_argument("--C-max", dest="size_max", type=int, help="largest block (composite_jump)")
-    p_gen.add_argument("--precision", type=int, default=128, help="dyadic value bits")
+    p_gen.add_argument("--cutoff", type=_int)
+    p_gen.add_argument("--C", dest="size", type=_int, help="spike size (spike_pair)")
+    p_gen.add_argument("--C-min", dest="size_min", type=_int, help="smallest block (composite_jump)")
+    p_gen.add_argument("--C-max", dest="size_max", type=_int, help="largest block (composite_jump)")
+    p_gen.add_argument("--precision", type=_int, default=128, help="dyadic value bits")
     p_gen.add_argument("--out", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument(
         "--suite", required=True, choices=sorted(verify_mod.SUITES) + ["all"]
     )
-    p_verify.add_argument("--trials", type=int)
-    p_verify.add_argument("--seed", type=int, default=1)
+    p_verify.add_argument("--trials", type=_int)
+    p_verify.add_argument("--seed", type=_int, default=1)
 
     return parser
 

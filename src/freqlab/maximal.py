@@ -15,22 +15,32 @@ radius is the *frequency* of f at n.
 The attaining-set search never walks radii one by one.  Between two
 radii that pull a new support point into the window the numerator is
 constant and 1/(2r+1) strictly decreases, so an attaining radius is
-either 0 or a distance |s - n| to a support point.  `analyze` walks
-those candidate distances outward from n, accumulating the window sum
-incrementally in rescaled integers, compares averages by integer cross
-multiplication, and stops early once ||f||_1 / (2r+1) can no longer beat
-the current best.  `analyze_brute_force` deliberately ignores all of
-that and sweeps every radius; it exists so the clever path can be
-checked against an independent one.
+either 0 or a distance |s - n| to a support point.
+
+One kernel, `_candidate_walk`, does every such search.  For each n of
+a span it walks the candidate distances outward from n, merging the
+nearest unvisited support point on either side into a window sum of
+rescaled integers, compares averages by integer cross multiplication
+(so ties are exact and all of them are kept), and stops once
+||f||_1 / (2r+1), which bounds every average from r outward, is
+strictly below the best.  That stop always comes: an exhausted side
+sits at a distance beyond every support point, and before both sides
+are exhausted all of ||f||_1 has been averaged at a smaller radius.
+`analyze` is the kernel at one n; the scans run it over chunks of a
+span, serially or on a process pool.  `analyze_brute_force` sweeps
+every radius instead, as an independent check.
 
 The bilinear variants replace the window sum by
-sum over k in [-r, r] of |f(n - k) g(n + k)|; here the candidate radii
-are the |k| for which both mirrored positions lie in the supports.
+sum over k in [-r, r] of |f(n - k) g(n + k)|.  The window at radius r
+holds exactly the terms with |k| <= r, so the bilinear search is the
+kernel on a one-sided support: distance d carries the terms for k = d
+and k = -d, and the candidate radii are 0 and those d.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,34 +117,57 @@ def candidate_radii(f: Signal, n: int) -> list[int]:
     return sorted({0} | {abs(s - n) for s in f.indices})
 
 
-def _walk(f: Signal, n: int):
-    """Candidate-radius walk state: yields (r, acc) with acc the scaled
-    window sum over [n - r, n + r], visiting r = 0 and then each support
-    distance outward."""
-    idx = f.indices
-    sv = f.scaled_values
+def _candidate_walk(idx, sv, l1: int, lo: int, hi: int):
+    """The exact candidate-radius walk at every n in [lo, hi], in order.
+
+    `idx` and `sv` are sorted support indices and their positive scaled
+    values, `l1` their sum.  Yields (best_num, best_w, ties) per n: the
+    maximal value is best_num / (scale * best_w) and `ties` lists every
+    attaining radius in increasing order, so ties[0] is the frequency.
+    """
     size = len(idx)
-    j = bisect_left(idx, n)
-    i = j - 1
-    acc = 0
-    if j < size and idx[j] == n:
-        acc = sv[j]
-        j += 1
-    yield 0, acc
-    while i >= 0 or j < size:
-        dl = n - idx[i] if i >= 0 else None
-        dr = idx[j] - n if j < size else None
-        if dr is None or (dl is not None and dl <= dr):
-            r = dl
-        else:
-            r = dr
-        if dl == r:
-            acc += sv[i]
-            i -= 1
-        if dr == r:
-            acc += sv[j]
+    # Beyond every support distance from any n in [lo, hi]; the prune
+    # stops the walk before an exhausted side is ever taken as a radius.
+    far = max(hi, idx[-1]) - min(lo, idx[0]) + 1
+    nxt = bisect_left(idx, lo)
+    for n in range(lo, hi + 1):
+        i = nxt - 1
+        j = nxt
+        if j < size and idx[j] == n:
+            best_num = sv[j]
             j += 1
-        yield r, acc
+            nxt = j
+        else:
+            best_num = 0
+        acc = best_num
+        best_w = 1
+        bound = l1  # l1 * best_w
+        ties = [0]
+        dl = n - idx[i] if i >= 0 else far
+        dr = idx[j] - n if j < size else far
+        while True:
+            r = dl if dl < dr else dr
+            w = 2 * r + 1
+            rhs = best_num * w
+            if bound < rhs:  # l1 / w < best: no radius from r outward attains
+                break
+            if dl == r:
+                acc += sv[i]
+                i -= 1
+                dl = n - idx[i] if i >= 0 else far
+            if dr == r:
+                acc += sv[j]
+                j += 1
+                dr = idx[j] - n if j < size else far
+            lhs = acc * best_w
+            if lhs > rhs:
+                best_num = acc
+                best_w = w
+                bound = l1 * w
+                ties = [r]
+            elif lhs == rhs:
+                ties.append(r)
+        yield best_num, best_w, ties
 
 
 def analyze(f: Signal, n: int) -> FrequencyResult:
@@ -145,41 +178,10 @@ def analyze(f: Signal, n: int) -> FrequencyResult:
     """
     if f.is_zero:
         return FrequencyResult(Fraction(0), None, 0, zero_signal=True)
-    l1 = f.scaled_l1
-    best_num = 0
-    best_w = 1
-    ties: list[int] = [0]
-    walk = _walk(f, n)
-    for r, acc in walk:
-        w = 2 * r + 1
-        # Everything from r outward is bounded by ||f||_1 / (2r+1);
-        # once that is strictly below the current best, stop.
-        if l1 * best_w < best_num * w:
-            break
-        lhs = acc * best_w
-        rhs = best_num * w
-        if lhs > rhs:
-            best_num, best_w, ties = acc, w, [r]
-        elif lhs == rhs and r != 0:
-            ties.append(r)
+    best_num, best_w, ties = next(_candidate_walk(f.indices, f.scaled_values, f.scaled_l1, n, n))
     return FrequencyResult(
         Fraction(best_num, f.scale * best_w), tuple(ties), ties[0], zero_signal=False
     )
-
-
-def _frequency_only(f: Signal, n: int) -> int:
-    """Least attaining radius at n without building Fractions (hot path)."""
-    l1 = f.scaled_l1
-    best_num = 0
-    best_w = 1
-    best_r = 0
-    for r, acc in _walk(f, n):
-        w = 2 * r + 1
-        if l1 * best_w < best_num * w:
-            break
-        if acc * best_w > best_num * w:
-            best_num, best_w, best_r = acc, w, r
-    return best_r
 
 
 def analyze_brute_force(f: Signal, n: int) -> FrequencyResult:
@@ -252,26 +254,32 @@ def frequency_profile(
     """
     if f.is_zero:
         return [(n, Fraction(0), 0) for n in range(span.lo, span.hi + 1)]
-
-    def rows(lo: int, hi: int) -> list[tuple[int, Fraction, int]]:
-        out = []
-        for n in range(lo, hi + 1):
-            res = analyze(f, n)
-            out.append((n, res.maximal_value, res.frequency))
-        return out
-
-    return _chunked_scan(f, span, rows, _profile_chunk, threads)
+    return _scan(f, span, threads, profile=True)
 
 
 def frequency_values(f: Signal, span: IntegerInterval, threads: int = 1) -> list[int]:
     """Frequencies only, for census scans; same chunking as `frequency_profile`."""
     if f.is_zero:
         return [0] * span.length
+    return _scan(f, span, threads, profile=False)
 
-    def rows(lo: int, hi: int) -> list[int]:
-        return [_frequency_only(f, n) for n in range(lo, hi + 1)]
 
-    return _chunked_scan(f, span, rows, _frequency_chunk, threads)
+def _pool_size(threads: int, chunks: int) -> int:
+    """Worker processes for a scan: at most the threads asked for, the
+    cores present, and the chunks there are to hand out."""
+    return min(threads, os.cpu_count() or 1, chunks)
+
+
+def _rows(f: Signal, lo: int, hi: int, profile: bool) -> list:
+    """Scan rows for n in [lo, hi]: (n, M, F) when profiling, else F."""
+    walk = _candidate_walk(f.indices, f.scaled_values, f.scaled_l1, lo, hi)
+    if not profile:
+        return [ties[0] for _, _, ties in walk]
+    scale = f.scale
+    return [
+        (n, Fraction(num, scale * w), ties[0])
+        for n, (num, w, ties) in zip(range(lo, hi + 1), walk)
+    ]
 
 
 _worker_signal: Signal | None = None
@@ -282,31 +290,25 @@ def _init_worker(sig: Signal) -> None:
     _worker_signal = sig
 
 
-def _profile_chunk(bounds: tuple[int, int]):
-    lo, hi = bounds
-    out = []
-    for n in range(lo, hi + 1):
-        res = analyze(_worker_signal, n)
-        out.append((n, res.maximal_value, res.frequency))
-    return out
+def _worker_rows(task: tuple[int, int, bool]) -> list:
+    return _rows(_worker_signal, *task)
 
 
-def _frequency_chunk(bounds: tuple[int, int]):
-    lo, hi = bounds
-    return [_frequency_only(_worker_signal, n) for n in range(lo, hi + 1)]
-
-
-def _chunked_scan(f, span, serial_rows, chunk_fn, threads):
+def _scan(f: Signal, span: IntegerInterval, threads: int, profile: bool) -> list:
     total = span.length
-    if threads <= 1 or total < 2048:
-        return serial_rows(span.lo, span.hi)
-    chunk = max(1024, -(-total // (threads * 8)))
-    bounds = [
-        (lo, min(lo + chunk - 1, span.hi)) for lo in range(span.lo, span.hi + 1, chunk)
-    ]
+    workers = 1
+    if threads > 1 and total >= 2048:
+        chunk = max(1024, -(-total // (threads * 8)))
+        tasks = [
+            (lo, min(lo + chunk - 1, span.hi), profile)
+            for lo in range(span.lo, span.hi + 1, chunk)
+        ]
+        workers = _pool_size(threads, len(tasks))
+    if workers <= 1:
+        return _rows(f, span.lo, span.hi, profile)
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(threads, initializer=_init_worker, initargs=(f,)) as pool:
-        pieces = pool.map(chunk_fn, bounds)
+    with ctx.Pool(workers, initializer=_init_worker, initargs=(f,)) as pool:
+        pieces = pool.map(_worker_rows, tasks)
     return [row for piece in pieces for row in piece]
 
 
@@ -353,24 +355,12 @@ def bilinear_analyze(f: Signal, g: Signal, n: int) -> BilinearFrequencyResult:
     terms = _bilinear_terms(f, g, n)
     if not terms:
         return BilinearFrequencyResult(Fraction(0), None, 0, degenerate=True)
-    total = sum(terms.values())
-    best_num = terms.get(0, 0)
-    best_w = 1
-    ties = [0]
-    acc = best_num
-    for d in sorted(terms):
-        if d == 0:
-            continue
-        w = 2 * d + 1
-        if total * best_w < best_num * w:
-            break
-        acc += terms[d]
-        lhs = acc * best_w
-        rhs = best_num * w
-        if lhs > rhs:
-            best_num, best_w, ties = acc, w, [d]
-        elif lhs == rhs:
-            ties.append(d)
+    # The walk sees only distances from its centre, so the one-sided
+    # support (distance d carrying terms[d]) is walked from 0.
+    dists = sorted(terms)
+    best_num, best_w, ties = next(
+        _candidate_walk(dists, [terms[d] for d in dists], sum(terms.values()), 0, 0)
+    )
     return BilinearFrequencyResult(
         Fraction(best_num, f.scale * g.scale * best_w), tuple(ties), ties[0]
     )

@@ -13,11 +13,11 @@ representation is a sorted sparse table with cached prefix sums rather
 than a dense array.  A window sum over an index interval costs two
 binary searches.
 
-Besides the public Fraction-valued prefix sums, a Signal caches an
-integer rescaling of its values (numerators over the least common
-denominator).  The search loops in `freqlab.maximal` compare averages by
-integer cross multiplication of these scaled sums, which keeps exact
-ties exact while avoiding per-step Fraction normalization.
+A Signal caches an integer rescaling of its values (numerators over
+the least common denominator) and the prefix sums of that rescaling.
+The search loops in `freqlab.maximal` compare averages by integer cross
+multiplication of these scaled sums, which keeps exact ties exact while
+avoiding per-step Fraction normalization.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
-
-Rational = Fraction
 
 FORMAT_MAGIC = "#freqlab-signal v1"
 
@@ -121,7 +119,6 @@ class Signal:
     __slots__ = (
         "indices",
         "values",
-        "prefix",
         "l1_norm",
         "scale",
         "scaled_values",
@@ -148,13 +145,7 @@ class Signal:
         self.indices: tuple[int, ...] = tuple(i for i, _ in cleaned)
         self.values: tuple[Fraction, ...] = tuple(v for _, v in cleaned)
 
-        prefix: list[Fraction] = []
-        running = Fraction(0)
-        for v in self.values:
-            running += v
-            prefix.append(running)
-        self.prefix: tuple[Fraction, ...] = tuple(prefix)
-        self.l1_norm: Fraction = running
+        self.l1_norm: Fraction = sum(self.values, Fraction(0))
 
         # Integer rescaling over the least common denominator.
         scale = math.lcm(*(v.denominator for v in self.values)) if self.values else 1

@@ -203,6 +203,45 @@ class TestEvalUsage:
         assert err.value.code == 2
 
 
+class TestStrictIntegerFlags:
+    COMMANDS = [
+        ["eval", "--signal", "SIG", "--n", "X"],
+        ["profile", "--signal", "SIG", "--from", "X", "--to", "5"],
+        ["profile", "--signal", "SIG", "--from", "0", "--to", "X"],
+        ["profile", "--signal", "SIG", "--from", "0", "--to", "5", "--threads", "X"],
+        ["levelset", "--signal", "SIG", "--C", "2", "--N-grid", "10", "--threads", "X"],
+        ["gen", "--family", "squares_power", "--epsilon", "1/4", "--cutoff", "X", "--out", "o"],
+        ["gen", "--family", "spike_pair", "--C", "X", "--out", "o"],
+        ["gen", "--family", "composite_jump", "--C-min", "X", "--C-max", "5", "--out", "o"],
+        ["gen", "--family", "composite_jump", "--C-min", "4", "--C-max", "X", "--out", "o"],
+        ["gen", "--family", "spike_pair", "--C", "3", "--precision", "X", "--out", "o"],
+        ["verify", "--suite", "oracle", "--trials", "X"],
+        ["verify", "--suite", "oracle", "--seed", "X"],
+    ]
+
+    @staticmethod
+    def fill(argv, signal, text):
+        return [signal if a == "SIG" else text if a == "X" else a for a in argv]
+
+    @pytest.mark.parametrize(
+        "argv", COMMANDS, ids=lambda argv: f"{argv[0]}{argv[argv.index('X') - 1]}"
+    )
+    @pytest.mark.parametrize("text", ["1_000", "\u0661\u0662"], ids=["underscore", "arabic-indic"])
+    def test_lax_integer_spelling_is_usage_error(self, argv, text, delta_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(self.fill(argv, delta_file, text))
+        assert err.value.code == 2
+        assert f"not a decimal integer: {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", COMMANDS[3:5], ids=["profile", "levelset"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, argv, threads, delta_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(self.fill(argv, delta_file, threads))
+        assert err.value.code == 2
+        assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_small_suites_pass(self, capsys):
         assert main(["verify", "--suite", "variational"]) == 0

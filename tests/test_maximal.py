@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from freqlab.families import spike_pair
 from freqlab.maximal import (
+    _pool_size,
     analyze,
     analyze_brute_force,
     average,
@@ -170,6 +172,19 @@ class TestFrequencyProfile:
         parallel = frequency_profile(f, span, threads=2)
         assert serial == parallel
         assert frequency_values(f, span, threads=2) == [fr for _, _, fr in serial]
+
+
+class TestPoolSize:
+    def test_capped_by_threads_cores_and_chunks(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _pool_size(1, 16) == 1
+        assert _pool_size(2, 16) == 2
+        assert _pool_size(10**9, 16) == 2
+        assert _pool_size(10**9, 1) == 1
+
+    def test_unknown_core_count_means_one_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_size(8, 16) == 1
 
 
 class TestHalfMassRadius:

@@ -1,0 +1,75 @@
+"""Property tests of the exact kernel against the brute-force oracles.
+
+`derandomize=True` makes every run draw the same examples, so these
+tests are as deterministic as the rest of the suite.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from freqlab.maximal import (
+    _candidate_walk,
+    analyze,
+    analyze_brute_force,
+    bilinear_analyze,
+    bilinear_analyze_brute_force,
+)
+from freqlab.signal import Signal, dump_signal, parse_signal
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+# Few distinct small values on a narrow index range make equal averages
+# at several radii (ties) common.
+values = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3)
+signals = st.dictionaries(st.integers(-30, 30), values, min_size=1, max_size=12).map(
+    lambda table: Signal.from_pairs(table.items())
+)
+# Centres reach well past the support hull on both sides.
+centres = st.integers(-60, 60)
+
+PLATEAU = Signal.from_pairs([(i, 1) for i in range(-2, 3)])
+STEP = Signal.from_pairs([(0, 1), (1, 2)])
+
+
+def _walk_span(f, lo, hi):
+    return list(_candidate_walk(f.indices, f.scaled_values, f.scaled_l1, lo, hi))
+
+
+@DETERMINISTIC
+@given(signals, centres, st.integers(0, 30), st.integers(0, 30))
+@example(PLATEAU, -3, 6, 3)  # radii (0, 1, 2) tie at n = 0
+@example(STEP, -1, 3, 1)  # radii (0, 1) tie at n = 0
+def test_kernel_over_span_matches_brute_force(f, lo, width, cut):
+    hi = lo + width
+    walked = _walk_span(f, lo, hi)
+    assert len(walked) == width + 1
+    for n, (num, w, ties) in zip(range(lo, hi + 1), walked):
+        slow = analyze_brute_force(f, n)
+        assert Fraction(num, f.scale * w) == slow.maximal_value
+        assert tuple(ties) == slow.extremal_radii
+        assert analyze(f, n) == slow
+    # A scan walks its span in chunks; a split anywhere gives the same rows.
+    cut = lo + cut % (width + 1)
+    assert _walk_span(f, lo, cut - 1) + _walk_span(f, cut, hi) == walked
+
+
+@DETERMINISTIC
+@given(signals, signals, centres)
+@example(PLATEAU, PLATEAU, 0)
+@example(STEP, STEP, 0)
+def test_bilinear_analyze_matches_brute_force(f, g, n):
+    assert bilinear_analyze(f, g, n) == bilinear_analyze_brute_force(f, g, n)
+
+
+@DETERMINISTIC
+@given(
+    st.dictionaries(
+        st.integers(-(4**105), 4**105),
+        st.fractions(max_denominator=10**40),
+        max_size=20,
+    ).map(lambda table: Signal.from_pairs(table.items()))
+)
+def test_dump_parse_round_trip(f):
+    assert parse_signal(dump_signal(f)) == f

@@ -92,7 +92,7 @@ class TestFromPairs:
 
     def test_prefix_aligned_with_entries(self):
         f = Signal.from_pairs([(1, F(1, 2)), (3, F(1, 4))])
-        assert f.prefix == (F(1, 2), F(3, 4))
+        assert [f.window_sum(IntegerInterval(1, i)) for i in f.indices] == [F(1, 2), F(3, 4)]
         assert f.scaled_values == (2, 1)
         assert f.scale == 4
 
