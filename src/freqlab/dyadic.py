@@ -8,6 +8,15 @@ the formula is evaluated in mpmath's interval context: the working
 precision is doubled until both endpoints of the enclosure share the
 same floor (or ceiling), which certifies the rounded integer.
 
+A build may return several enclosures that share intermediate results
+(`stretched_log` encloses m and ln(m) once for an index and a weight).
+They are certified together: the precision doubles until every one of
+them rounds to a single integer, and the certified values do not depend
+on the precision at which that happens.  Endpoints are rounded straight
+from mpmath's (sign, mantissa, exponent) form, m * 2**e, by an integer
+shift: floor(m * 2**e) is m >> -e for e < 0 (Python's shift floors
+negative m too) and m << e otherwise, and ceil(x) is -floor(-x).
+
 Certification can only fail to converge when the target value is
 exactly an integer, which the family formulas never produce; if the
 precision cap is reached anyway, a PrecisionError is raised instead of
@@ -16,9 +25,8 @@ guessing.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from mpmath import iv
 
@@ -34,21 +42,29 @@ class _NonFinite(Exception):
     pass
 
 
-def _tuple_to_fraction(raw) -> Fraction:
+def _mantissa_exponent(raw) -> tuple[int, int]:
+    """(m, e) with m * 2**e the value of an mpmath (sign, man, exp, bc) tuple."""
     sign, man, exp, _ = raw
-    man = int(man)
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise _NonFinite  # inf/nan endpoint
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
+    if not man and exp:  # mpmath's inf, -inf and nan: zero mantissa, tag exponent
+        raise _NonFinite
+    man = int(man)  # an mpz under mpmath's gmpy backend
+    return (-man if sign else man), exp
+
+
+def floor_dyadic(m: int, e: int) -> int:
+    """floor(m * 2**e), exact, by an integer shift."""
+    return m >> -e if e < 0 else m << e
+
+
+def ceil_dyadic(m: int, e: int) -> int:
+    """ceil(m * 2**e), exact, by an integer shift."""
+    return -floor_dyadic(-m, e)
 
 
 def enclosure_endpoints(x) -> tuple[Fraction, Fraction]:
     """Exact rational endpoints of an mpmath interval value."""
-    lo_raw, hi_raw = x._mpi_
-    return _tuple_to_fraction(lo_raw), _tuple_to_fraction(hi_raw)
+    lo, hi = (_mantissa_exponent(raw) for raw in x._mpi_)
+    return Fraction(lo[0]) * Fraction(2) ** lo[1], Fraction(hi[0]) * Fraction(2) ** hi[1]
 
 
 def iv_fraction(q: Fraction):
@@ -56,27 +72,38 @@ def iv_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def _certify(
-    build: Callable[[], object],
-    pick: Callable[[Fraction], int],
-    start_precision: int,
-    max_precision: int,
-) -> int:
+def certify(
+    build: Callable[[], Sequence[object]],
+    picks: Sequence[Callable[[int, int], int]],
+    start_precision: int = DEFAULT_START_PRECISION,
+    max_precision: int = MAX_PRECISION,
+) -> tuple[int, ...]:
+    """Certified roundings of every enclosure build() returns.
+
+    `build` returns one enclosure per entry of `picks` (`floor_dyadic`
+    or `ceil_dyadic`) and is re-evaluated under increasing interval
+    precision until, for each enclosure, its pick gives both endpoints
+    the same integer.  An infinite endpoint also doubles the precision.
+    """
     precision = start_precision
     while precision <= max_precision:
         saved = iv.prec
         try:
             iv.prec = precision
-            enclosure = build()
-            lo, hi = enclosure_endpoints(enclosure)
+            ends = [[_mantissa_exponent(raw) for raw in x._mpi_] for x in build()]
         except _NonFinite:
             precision *= 2
             continue
         finally:
             iv.prec = saved
-        a, b = pick(lo), pick(hi)
-        if a == b:
-            return a
+        rounded = []
+        for pick, (lo, hi) in zip(picks, ends):
+            value = pick(*lo)
+            if value != pick(*hi):
+                break
+            rounded.append(value)
+        else:
+            return tuple(rounded)
         precision *= 2
     raise PrecisionError(
         f"enclosure still straddles an integer at {max_precision} bits; "
@@ -94,7 +121,7 @@ def certified_floor(
     `build` is re-evaluated under increasing interval precision until
     both endpoints agree on the floor.
     """
-    return _certify(build, math.floor, start_precision, max_precision)
+    return certify(lambda: (build(),), (floor_dyadic,), start_precision, max_precision)[0]
 
 
 def certified_ceil(
@@ -103,4 +130,4 @@ def certified_ceil(
     max_precision: int = MAX_PRECISION,
 ) -> int:
     """Ceiling counterpart of `certified_floor`."""
-    return _certify(build, math.ceil, start_precision, max_precision)
+    return certify(lambda: (build(),), (ceil_dyadic,), start_precision, max_precision)[0]

@@ -10,7 +10,8 @@ Five generators, all returning exact sparse `Signal` values:
   m**2 for 10 <= m <= cutoff; values are certified dyadic floors.
 * ``stretched_log(eps, cutoff)``: the same values placed at the indices
   ceil(m * ln(m)**(1+eps)); both the index ceilings and the values are
-  certified by interval arithmetic.
+  certified by interval arithmetic, together, from one build per m that
+  encloses m and ln(m) once (see `freqlab.dyadic`).
 * ``spike_pair(size)``: 1 at the origin flanked by two spikes of height
   2*size at distance 3*size; the least maximizing radius jumps by more
   than `size` between n = 0 and n = 1.
@@ -30,7 +31,15 @@ from fractions import Fraction
 
 from mpmath import iv
 
-from .dyadic import certified_ceil, certified_floor, iv_fraction
+from .dyadic import (
+    DEFAULT_START_PRECISION,
+    ceil_dyadic,
+    certified_ceil,
+    certified_floor,
+    certify,
+    floor_dyadic,
+    iv_fraction,
+)
 from .signal import Signal
 
 FAMILIES = (
@@ -187,21 +196,32 @@ def squares_power(
     return Signal.from_pairs(pairs)
 
 
-def _log_weight_floor(m: int, exponent: Fraction, precision_bits: int) -> Fraction:
-    """Certified dyadic floor of 1 / (m * ln(m)**exponent)."""
+def _log_weight(x, log_x, exponent: Fraction, precision_bits: int):
+    """Enclosure of 2**precision_bits / (m * ln(m)**exponent), given x = m
+    and log_x = ln(m)."""
+    scale = iv.mpf(1 << precision_bits)  # power of two, exact at any precision
+    return scale / (x * log_x ** iv_fraction(exponent))
 
-    def build():
-        x = iv.mpf(m)
-        scale = iv.mpf(1 << precision_bits)  # power of two, exact at any precision
-        return scale / (x * iv.log(x) ** iv_fraction(exponent))
 
-    scaled = certified_floor(build, start_precision=precision_bits + 64)
+def _weight_value(scaled: int, m: int, exponent: Fraction, precision_bits: int) -> Fraction:
+    """The dyadic value scaled / 2**precision_bits, rejecting an underflow to 0."""
     if scaled == 0:
         raise ValueError(
             f"1/({m} * ln({m})**{exponent}) underflows {precision_bits} dyadic bits; "
             "raise precision_bits"
         )
     return Fraction(scaled, 1 << precision_bits)
+
+
+def _log_weight_floor(m: int, exponent: Fraction, precision_bits: int) -> Fraction:
+    """Certified dyadic floor of 1 / (m * ln(m)**exponent)."""
+
+    def build():
+        x = iv.mpf(m)
+        return _log_weight(x, iv.log(x), exponent, precision_bits)
+
+    scaled = certified_floor(build, start_precision=precision_bits + 64)
+    return _weight_value(scaled, m, exponent, precision_bits)
 
 
 def squares_log(epsilon: Fraction, cutoff: int, precision_bits: int = 128) -> Signal:
@@ -230,27 +250,50 @@ def stretched_index(m: int, epsilon: Fraction) -> int:
     return certified_ceil(build)
 
 
+def _stretched_member(
+    m: int, index_exponent: Fraction, value_exponent: Fraction, precision_bits: int
+) -> tuple[int, Fraction]:
+    """Certified ceil(m * ln(m)**index_exponent) and dyadic floor of
+    1 / (m * ln(m)**value_exponent), from one build that encloses m and
+    ln(m) once."""
+
+    def build():
+        x = iv.mpf(m)
+        log_x = iv.log(x)
+        return (
+            x * log_x ** iv_fraction(index_exponent),
+            _log_weight(x, log_x, value_exponent, precision_bits),
+        )
+
+    # Alone, the value would start at precision_bits + 64, the index at the default.
+    start = max(DEFAULT_START_PRECISION, precision_bits + 64)
+    index, scaled = certify(build, (ceil_dyadic, floor_dyadic), start_precision=start)
+    return index, _weight_value(scaled, m, value_exponent, precision_bits)
+
+
 def stretched_log(epsilon: Fraction, cutoff: int, precision_bits: int = 128) -> Signal:
     """Value 1/(m * ln(m)**(1 + eps/2)) at index ceil(m * ln(m)**(1 + eps)).
 
-    Index ceilings are certified by interval arithmetic; should two
+    Index ceilings and values are certified by interval arithmetic, both
+    from one build per m that encloses m and ln(m) once; should two
     distinct m ever land on the same index the collision is rejected
     rather than silently merged.
     """
     epsilon = _check_positive_epsilon(epsilon)
     if cutoff < _MIN_LOG_INDEX:
         raise ValueError(f"cutoff must be at least {_MIN_LOG_INDEX}; support would be empty")
+    index_exponent = 1 + epsilon
     value_exponent = 1 + epsilon / 2
     pairs = []
     previous = None
     for m in range(_MIN_LOG_INDEX, cutoff + 1):
-        index = stretched_index(m, epsilon)
+        index, value = _stretched_member(m, index_exponent, value_exponent, precision_bits)
         if previous is not None and index <= previous:
             raise ValueError(
                 f"index collision: m={m} lands on {index}, not past {previous}"
             )
         previous = index
-        pairs.append((index, _log_weight_floor(m, value_exponent, precision_bits)))
+        pairs.append((index, value))
     return Signal.from_pairs(pairs)
 
 

@@ -77,8 +77,7 @@ class LevelSetCensus:
     the one selected by `LevelParams.threshold_kind`), `counts_band`
     fills ``count_S``.  `densities` are exact count / N fractions for
     whichever census was chosen as the density source; `log_densities`
-    are the decimal diagnostic strings.  Member sets are retained only
-    on request.
+    are the decimal diagnostic strings.
     """
 
     n_grid: tuple[int, ...]
@@ -86,8 +85,6 @@ class LevelSetCensus:
     counts_band: tuple[int, ...]
     densities: tuple[Fraction, ...]
     log_densities: tuple[str, ...]
-    members_sublinear: tuple[frozenset[int], ...] | None = None
-    members_band: tuple[frozenset[int], ...] | None = None
 
 
 def _scan(f: Signal, n_max: int, threads: int) -> list[int]:
@@ -170,7 +167,6 @@ def density_curves(
     params: LevelParams,
     n_grid: list[int],
     threads: int = 1,
-    retain_members: bool = False,
     density_source: str = "sublinear",
 ) -> LevelSetCensus:
     """Counts and density diagnostics for every N in an increasing grid.
@@ -198,7 +194,6 @@ def density_curves(
 
     counts_sub, counts_band = [], []
     densities, log_densities = [], []
-    kept_sub, kept_band = [], []
     for n_value in n_grid:
         c_sub = window_count(sub_members, n_value)
         c_band = window_count(band_members, n_value)
@@ -207,21 +202,12 @@ def density_curves(
         source = c_sub if density_source == "sublinear" else c_band
         densities.append(Fraction(source, n_value))
         log_densities.append(log_density_string(source, n_value, params.epsilon))
-        if retain_members:
-            kept_sub.append(
-                frozenset(m for m in sub_members if -n_value <= m <= n_value)
-            )
-            kept_band.append(
-                frozenset(m for m in band_members if -n_value <= m <= n_value)
-            )
     return LevelSetCensus(
         n_grid=tuple(n_grid),
         counts_sublinear=tuple(counts_sub),
         counts_band=tuple(counts_band),
         densities=tuple(densities),
         log_densities=tuple(log_densities),
-        members_sublinear=tuple(kept_sub) if retain_members else None,
-        members_band=tuple(kept_band) if retain_members else None,
     )
 
 

@@ -34,14 +34,20 @@ The bilinear variants replace the window sum by
 sum over k in [-r, r] of |f(n - k) g(n + k)|.  The window at radius r
 holds exactly the terms with |k| <= r, so the bilinear search is the
 kernel on a one-sided support: distance d carries the terms for k = d
-and k = -d, and the candidate radii are 0 and those d.
+and k = -d, and the candidate radii are 0 and those d.  The terms are
+assembled within the hulls: a pair s = n - k, t = n + k has s + t = 2n,
+so only f's support inside [2n - g.hi, 2n - g.lo] and g's inside
+[2n - f.hi, 2n - f.lo] can pair.  The shorter of those two slices,
+mirrored through n, is intersected with the other signal's index set in
+one set operation, and only the pairs found are multiplied.
+`bilinear_average` sums the same terms up to its radius.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -315,33 +321,34 @@ def _scan(f: Signal, span: IntegerInterval, threads: int, profile: bool) -> list
 def bilinear_average(f: Signal, g: Signal, n: int, r: int) -> Fraction:
     """(1/(2r+1)) * sum over k in [-r, r] of |f(n - k) g(n + k)|, exact.
 
-    Only k with n - k in the support of f can contribute, so the sum
-    runs over the f-support inside [n - r, n + r] and checks the
-    mirrored position in g.
+    The window at radius r holds exactly the product terms with |k| <= r.
     """
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {r}")
-    lo = bisect_left(f.indices, n - r)
-    total = 0
-    for pos in range(lo, len(f.indices)):
-        s = f.indices[pos]
-        if s > n + r:
-            break
-        mirrored = g.scaled_value_at(2 * n - s)
-        if mirrored:
-            total += f.scaled_values[pos] * mirrored
+    total = sum(v for d, v in _bilinear_terms(f, g, n).items() if d <= r)
     return Fraction(total, f.scale * g.scale * (2 * r + 1))
 
 
 def _bilinear_terms(f: Signal, g: Signal, n: int) -> dict[int, int]:
-    """Scaled product terms keyed by |k|, for k with f(n-k) and g(n+k) both set."""
+    """Scaled product terms keyed by |k|, for k with f(n-k) and g(n+k) both set.
+
+    Assembled within the hulls, as the module docstring describes.
+    """
+    if f.is_zero or g.is_zero:
+        return {}
+    two_n = 2 * n
+    fi, gi = f.indices, g.indices
+    f_slice = fi[bisect_left(fi, two_n - gi[-1]) : bisect_right(fi, two_n - gi[0])]
+    g_slice = gi[bisect_left(gi, two_n - fi[-1]) : bisect_right(gi, two_n - fi[0])]
+    if len(f_slice) <= len(g_slice):
+        paired = (two_n - t for t in g.position.keys() & map(two_n.__sub__, f_slice))
+    else:
+        paired = f.position.keys() & map(two_n.__sub__, g_slice)
+    f_pos, f_sv, g_pos, g_sv = f.position, f.scaled_values, g.position, g.scaled_values
     terms: dict[int, int] = {}
-    for pos, s in enumerate(f.indices):
-        k = n - s
-        mirrored = g.scaled_value_at(n + k)
-        if mirrored:
-            d = abs(k)
-            terms[d] = terms.get(d, 0) + f.scaled_values[pos] * mirrored
+    for s in paired:
+        d = abs(n - s)
+        terms[d] = terms.get(d, 0) + f_sv[f_pos[s]] * g_sv[g_pos[two_n - s]]
     return terms
 
 

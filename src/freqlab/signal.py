@@ -124,7 +124,7 @@ class Signal:
         "scaled_values",
         "_scaled_prefix",
         "scaled_l1",
-        "_position",
+        "position",
     )
 
     def __init__(self, pairs: Iterable[tuple[int, Fraction | int]] = ()):
@@ -160,7 +160,8 @@ class Signal:
             scaled_prefix.append(acc)
         self._scaled_prefix: tuple[int, ...] = tuple(scaled_prefix)
         self.scaled_l1: int = acc
-        self._position: dict[int, int] = {i: k for k, i in enumerate(self.indices)}
+        # index -> its position in `indices`; its keys are the support as a set
+        self.position: dict[int, int] = {i: k for k, i in enumerate(self.indices)}
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, Fraction | int]]) -> "Signal":
@@ -203,11 +204,11 @@ class Signal:
 
     def value_at(self, index: int) -> Fraction:
         """|f(index)|, zero off the support."""
-        pos = self._position.get(index)
+        pos = self.position.get(index)
         return self.values[pos] if pos is not None else Fraction(0)
 
     def scaled_value_at(self, index: int) -> int:
-        pos = self._position.get(index)
+        pos = self.position.get(index)
         return self.scaled_values[pos] if pos is not None else 0
 
     def support_hull(self) -> IntegerInterval | None:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from freqlab.families import (
     stretched_index,
     stretched_log,
 )
+from freqlab.signal import dump_signal
 
 
 def F(n, d=1):
@@ -201,6 +203,32 @@ class TestGeneratorSpec:
         assert "family: squares_power" in lines
         assert "epsilon: 1/4" in lines
         assert any("dyadic floor" in line for line in lines)
+
+
+class TestGoldenDigests:
+    """SHA-256 of `dump_signal` output, pinned so that any change to the
+    certified generation path must reproduce every byte."""
+
+    @pytest.mark.parametrize(
+        "make,digest",
+        [
+            (
+                lambda: stretched_log(F(1), 1000),
+                "83da24a82c54b18fa6f81c739bb68582d6758209c4abc4a9cb2d8f3fa30bae90",
+            ),
+            (  # a non-integer index exponent, 4/3
+                lambda: stretched_log(F(1, 3), 400),
+                "03b75825c7cf9d4d9d02e7b20b2f1a608a316015945f39c30971ed3d26013c1b",
+            ),
+            (
+                lambda: squares_log(F(1, 2), 400),
+                "f16f796948f1fbf0ac25486bdd8410b7c26cb63d55d7af6e711babdd5a317397",
+            ),
+        ],
+        ids=["stretched_log-1-1000", "stretched_log-1/3-400", "squares_log-1/2-400"],
+    )
+    def test_dump_digest(self, make, digest):
+        assert hashlib.sha256(dump_signal(make()).encode("ascii")).hexdigest() == digest
 
 
 class TestCertifiedRounding:

@@ -136,10 +136,12 @@ class TestDensityCurves:
         with pytest.raises(ValueError):
             density_curves(DELTA, TWO, [0, 10])
 
-    def test_members_retained_on_request(self):
-        census = density_curves(DELTA, TWO, [5, 10], retain_members=True)
-        assert census.members_sublinear == (frozenset({0}), frozenset({0}))
-        assert census.members_band == (frozenset({0}), frozenset({0}))
+    def test_counts_are_census_set_sizes(self):
+        census = density_curves(DELTA, TWO, [5, 10])
+        for i, n_value in enumerate(census.n_grid):
+            assert census_sublinear(DELTA, TWO, n_value) == {0}
+            assert census_band(DELTA, TWO, n_value) == {0}
+            assert (census.counts_sublinear[i], census.counts_band[i]) == (1, 1)
 
     def test_band_density_source(self):
         f = squares_power(F(1), 12)

@@ -15,6 +15,7 @@ from freqlab.maximal import (
     analyze_brute_force,
     bilinear_analyze,
     bilinear_analyze_brute_force,
+    bilinear_average,
 )
 from freqlab.signal import Signal, dump_signal, parse_signal
 
@@ -28,9 +29,22 @@ signals = st.dictionaries(st.integers(-30, 30), values, min_size=1, max_size=12)
 )
 # Centres reach well past the support hull on both sides.
 centres = st.integers(-60, 60)
+# Possibly empty signals of up to 40 points, shifted by up to 80: two of
+# them have hulls that overlap, nest or miss each other, and differ in size.
+shifted = st.builds(
+    lambda table, offset: Signal.from_pairs((i + offset, v) for i, v in table.items()),
+    st.dictionaries(st.integers(-30, 30), values, max_size=40),
+    st.integers(-80, 80),
+)
+# Beyond every shifted hull on both sides.
+wide_centres = st.integers(-130, 130)
 
 PLATEAU = Signal.from_pairs([(i, 1) for i in range(-2, 3)])
 STEP = Signal.from_pairs([(0, 1), (1, 2)])
+WIDE = Signal.from_pairs([(i, 1 + i % 3) for i in range(-20, 21)])
+SPREAD = Signal.from_pairs([(-20, 1), (20, 2)])  # WIDE's hull, two points
+FAR = Signal.from_pairs([(i + 100, 1) for i in range(-2, 3)])
+ZERO = Signal.from_pairs([])
 
 
 def _walk_span(f, lo, hi):
@@ -56,11 +70,29 @@ def test_kernel_over_span_matches_brute_force(f, lo, width, cut):
 
 
 @DETERMINISTIC
-@given(signals, signals, centres)
+@given(shifted, shifted, wide_centres)
 @example(PLATEAU, PLATEAU, 0)
 @example(STEP, STEP, 0)
+@example(SPREAD, WIDE, 0)  # f's slice is the shorter one
+@example(WIDE, SPREAD, 0)  # g's slice is the shorter one
+@example(PLATEAU, FAR, 0)  # disjoint hulls, no pair sums to 2n
+@example(PLATEAU, FAR, 50)  # disjoint hulls, pairs about their midpoint
+@example(PLATEAU, WIDE, 125)  # centre beyond both hulls
+@example(ZERO, PLATEAU, 0)
+@example(PLATEAU, ZERO, 0)
 def test_bilinear_analyze_matches_brute_force(f, g, n):
     assert bilinear_analyze(f, g, n) == bilinear_analyze_brute_force(f, g, n)
+
+
+@DETERMINISTIC
+@given(shifted, shifted, wide_centres, st.integers(0, 150))
+@example(PLATEAU, FAR, 50, 49)  # the pairs at k = +-50 sit just outside
+@example(ZERO, PLATEAU, 0, 3)
+def test_bilinear_average_is_the_direct_window_sum(f, g, n, r):
+    direct = sum(
+        (f.value_at(n - k) * g.value_at(n + k) for k in range(-r, r + 1)), Fraction(0)
+    )
+    assert bilinear_average(f, g, n, r) == direct / (2 * r + 1)
 
 
 @DETERMINISTIC
