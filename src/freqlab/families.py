@@ -196,6 +196,11 @@ def squares_power(
     return Signal.from_pairs(pairs)
 
 
+def _stretched_index_enclosure(x, log_x, exponent: Fraction):
+    """Enclosure of m * ln(m)**exponent, given x = m and log_x = ln(m)."""
+    return x * log_x ** iv_fraction(exponent)
+
+
 def _log_weight(x, log_x, exponent: Fraction, precision_bits: int):
     """Enclosure of 2**precision_bits / (m * ln(m)**exponent), given x = m
     and log_x = ln(m)."""
@@ -245,7 +250,7 @@ def stretched_index(m: int, epsilon: Fraction) -> int:
 
     def build():
         x = iv.mpf(m)
-        return x * iv.log(x) ** iv_fraction(1 + epsilon)
+        return _stretched_index_enclosure(x, iv.log(x), 1 + epsilon)
 
     return certified_ceil(build)
 
@@ -261,7 +266,7 @@ def _stretched_member(
         x = iv.mpf(m)
         log_x = iv.log(x)
         return (
-            x * log_x ** iv_fraction(index_exponent),
+            _stretched_index_enclosure(x, log_x, index_exponent),
             _log_weight(x, log_x, value_exponent, precision_bits),
         )
 

@@ -36,10 +36,9 @@ holds exactly the terms with |k| <= r, so the bilinear search is the
 kernel on a one-sided support: distance d carries the terms for k = d
 and k = -d, and the candidate radii are 0 and those d.  The terms are
 assembled within the hulls: a pair s = n - k, t = n + k has s + t = 2n,
-so only f's support inside [2n - g.hi, 2n - g.lo] and g's inside
-[2n - f.hi, 2n - f.lo] can pair.  The shorter of those two slices,
-mirrored through n, is intersected with the other signal's index set in
-one set operation, and only the pairs found are multiplied.
+so only f's support inside [2n - g.hi, 2n - g.lo] can pair.  That slice,
+mirrored through n, is intersected with g's index set in one set
+operation, and only the pairs found are multiplied.
 `bilinear_average` sums the same terms up to its radius.
 """
 
@@ -339,16 +338,11 @@ def _bilinear_terms(f: Signal, g: Signal, n: int) -> dict[int, int]:
     two_n = 2 * n
     fi, gi = f.indices, g.indices
     f_slice = fi[bisect_left(fi, two_n - gi[-1]) : bisect_right(fi, two_n - gi[0])]
-    g_slice = gi[bisect_left(gi, two_n - fi[-1]) : bisect_right(gi, two_n - fi[0])]
-    if len(f_slice) <= len(g_slice):
-        paired = (two_n - t for t in g.position.keys() & map(two_n.__sub__, f_slice))
-    else:
-        paired = f.position.keys() & map(two_n.__sub__, g_slice)
     f_pos, f_sv, g_pos, g_sv = f.position, f.scaled_values, g.position, g.scaled_values
     terms: dict[int, int] = {}
-    for s in paired:
-        d = abs(n - s)
-        terms[d] = terms.get(d, 0) + f_sv[f_pos[s]] * g_sv[g_pos[two_n - s]]
+    for t in g_pos.keys() & map(two_n.__sub__, f_slice):
+        d = abs(t - n)
+        terms[d] = terms.get(d, 0) + f_sv[f_pos[two_n - t]] * g_sv[g_pos[t]]
     return terms
 
 

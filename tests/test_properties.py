@@ -73,8 +73,8 @@ def test_kernel_over_span_matches_brute_force(f, lo, width, cut):
 @given(shifted, shifted, wide_centres)
 @example(PLATEAU, PLATEAU, 0)
 @example(STEP, STEP, 0)
-@example(SPREAD, WIDE, 0)  # f's slice is the shorter one
-@example(WIDE, SPREAD, 0)  # g's slice is the shorter one
+@example(SPREAD, WIDE, 0)  # f sparser than g
+@example(WIDE, SPREAD, 0)  # g sparser than f
 @example(PLATEAU, FAR, 0)  # disjoint hulls, no pair sums to 2n
 @example(PLATEAU, FAR, 50)  # disjoint hulls, pairs about their midpoint
 @example(PLATEAU, WIDE, 125)  # centre beyond both hulls
