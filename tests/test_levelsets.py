@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from freqlab.levelsets import (
 )
 from freqlab.maximal import analyze, analyze_brute_force
 from freqlab.signal import Signal
+from freqlab.verify import random_signal
 
 
 def F(n, d=1):
@@ -158,6 +161,34 @@ class TestDensityCurves:
         assert lines[0] == CENSUS_CSV_HEADER
         assert lines[1].startswith("10,1,1,1,10,")
         assert len(lines) == 3
+
+
+class TestByteIdentity:
+    # CSV digests and (count_K, count_S) measured before the census passes
+    # were merged into one; the modes map onto the older knobs as
+    # K = (linear, sublinear), S = (linear, band), theta-zero = (zero, sublinear).
+    PINNED = {
+        "K": ("linear", "sublinear",
+              "83f1c47a5d7d11fa91a454561a4fdf321043e6756765bb35616e8b675a92b2a0",
+              (31, 432, 758)),
+        "S": ("linear", "band",
+              "53fd1382faaadcc3299308cabf054232cce3252452e28e6dbdb9cf7a7c189b14",
+              (31, 432, 758)),
+        "theta-zero": ("zero", "sublinear",
+                       "28498ba6da959adfe6c9feed32b0fe74040bb30e5a4261f6d965bbd0ee87c56c",
+                       (2, 16, 16)),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PINNED))
+    def test_census_csv_digest(self, mode):
+        kind, source, digest, counts = self.PINNED[mode]
+        f = random_signal(random.Random(4), max_points=40, index_span=300)
+        census = density_curves(
+            f, LevelParams(F(3, 2), F(1, 4), kind), [50, 300, 1000], density_source=source
+        )
+        assert census.counts_sublinear == counts
+        assert census.counts_band == (22, 60, 336)
+        assert hashlib.sha256(census_csv(census).encode("ascii")).hexdigest() == digest
 
 
 class TestLogDensityString:
