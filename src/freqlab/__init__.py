@@ -29,7 +29,6 @@ from .families import (
     spike_pair,
     squares_log,
     squares_power,
-    stretched_index,
     stretched_log,
 )
 from .levelsets import (
@@ -39,7 +38,6 @@ from .levelsets import (
     census_band,
     census_csv,
     census_sublinear,
-    census_threshold,
     density_curves,
     log_density_string,
 )
@@ -52,7 +50,6 @@ from .maximal import (
     bilinear_analyze,
     bilinear_analyze_brute_force,
     bilinear_average,
-    candidate_radii,
     frequency_profile,
     frequency_values,
     half_mass_radius,

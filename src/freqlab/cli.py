@@ -25,22 +25,20 @@ from fractions import Fraction
 from . import verify as verify_mod
 from .covering import greedy_disjoint, read_intervals, triple
 from .families import GeneratorSpec, generate, metadata_lines
-from .levelsets import LevelParams, census_csv, density_curves
+from .levelsets import LEVELSET_MODES, LevelParams, census_csv, density_curves
 from .maximal import analyze, bilinear_analyze, frequency_profile
 from .signal import (
     IntegerInterval,
     SignalFormatError,
+    dump_signal,
     parse_rational,
     parse_strict_int,
     read_signal,
-    write_signal,
 )
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
-
-LEVELSET_MODES = ("K", "S", "theta-zero")
 
 
 def _rational(text: str) -> Fraction:
@@ -57,7 +55,7 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _threads(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -94,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--from", dest="start", type=_int, required=True)
     p_profile.add_argument("--to", dest="stop", type=_int, required=True)
     p_profile.add_argument("--out")
-    p_profile.add_argument("--threads", type=_threads, default=1)
+    p_profile.add_argument("--threads", type=_positive_int, default=1)
 
     p_level = sub.add_parser("levelset", help="census CSV over an N grid")
     p_level.add_argument("--signal", required=True)
@@ -103,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_level.add_argument("--epsilon", type=_rational, default=Fraction(1))
     p_level.add_argument("--N-grid", dest="n_grid", type=_grid, required=True)
     p_level.add_argument("--out")
-    p_level.add_argument("--threads", type=_threads, default=1)
+    p_level.add_argument("--threads", type=_positive_int, default=1)
 
     p_cover = sub.add_parser("covering", help="greedy disjoint selection report")
     p_cover.add_argument("--input", required=True)
@@ -123,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", required=True, choices=sorted(verify_mod.SUITES) + ["all"]
     )
-    p_verify.add_argument("--trials", type=_int)
+    p_verify.add_argument("--trials", type=_positive_int)
     p_verify.add_argument("--seed", type=_int, default=1)
 
     return parser
@@ -138,11 +136,15 @@ def _load_signal(path):
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="ascii", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {out_path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
 
 
 def _format_radii(result) -> str:
@@ -182,15 +184,12 @@ def _cmd_profile(args, parser) -> int:
 
 
 def _cmd_levelset(args, parser) -> int:
-    if args.ratio <= 1:
-        parser.error(f"--C must exceed 1, got {args.ratio}")
+    try:
+        params = LevelParams(args.ratio, args.epsilon, args.mode)
+    except ValueError as exc:
+        parser.error(str(exc))
     f = _load_signal(args.signal)
-    kind = "zero" if args.mode == "theta-zero" else "linear"
-    params = LevelParams(args.ratio, args.epsilon, kind)
-    source = "band" if args.mode == "S" else "sublinear"
-    census = density_curves(
-        f, params, args.n_grid, threads=args.threads, density_source=source
-    )
+    census = density_curves(f, params, args.n_grid, threads=args.threads)
     _emit(census_csv(census), args.out)
     return EXIT_OK
 
@@ -245,7 +244,7 @@ def _cmd_gen(args, parser) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    write_signal(signal, args.out, metadata_lines(spec))
+    _emit(dump_signal(signal, metadata_lines(spec)), args.out)
     return EXIT_OK
 
 

@@ -61,12 +61,6 @@ def ceil_dyadic(m: int, e: int) -> int:
     return -floor_dyadic(-m, e)
 
 
-def enclosure_endpoints(x) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of an mpmath interval value."""
-    lo, hi = (_mantissa_exponent(raw) for raw in x._mpi_)
-    return Fraction(lo[0]) * Fraction(2) ** lo[1], Fraction(hi[0]) * Fraction(2) ** hi[1]
-
-
 def iv_fraction(q: Fraction):
     """Enclosure of an exact rational in the current interval context."""
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
@@ -122,12 +116,3 @@ def certified_floor(
     both endpoints agree on the floor.
     """
     return certify(lambda: (build(),), (floor_dyadic,), start_precision, max_precision)[0]
-
-
-def certified_ceil(
-    build: Callable[[], object],
-    start_precision: int = DEFAULT_START_PRECISION,
-    max_precision: int = MAX_PRECISION,
-) -> int:
-    """Ceiling counterpart of `certified_floor`."""
-    return certify(lambda: (build(),), (ceil_dyadic,), start_precision, max_precision)[0]

@@ -34,7 +34,6 @@ from mpmath import iv
 from .dyadic import (
     DEFAULT_START_PRECISION,
     ceil_dyadic,
-    certified_ceil,
     certified_floor,
     certify,
     floor_dyadic,
@@ -196,11 +195,6 @@ def squares_power(
     return Signal.from_pairs(pairs)
 
 
-def _stretched_index_enclosure(x, log_x, exponent: Fraction):
-    """Enclosure of m * ln(m)**exponent, given x = m and log_x = ln(m)."""
-    return x * log_x ** iv_fraction(exponent)
-
-
 def _log_weight(x, log_x, exponent: Fraction, precision_bits: int):
     """Enclosure of 2**precision_bits / (m * ln(m)**exponent), given x = m
     and log_x = ln(m)."""
@@ -241,20 +235,6 @@ def squares_log(epsilon: Fraction, cutoff: int, precision_bits: int = 128) -> Si
     )
 
 
-def stretched_index(m: int, epsilon: Fraction) -> int:
-    """Certified ceil(m * ln(m)**(1 + eps)).
-
-    >>> stretched_index(10, Fraction(1))
-    54
-    """
-
-    def build():
-        x = iv.mpf(m)
-        return _stretched_index_enclosure(x, iv.log(x), 1 + epsilon)
-
-    return certified_ceil(build)
-
-
 def _stretched_member(
     m: int, index_exponent: Fraction, value_exponent: Fraction, precision_bits: int
 ) -> tuple[int, Fraction]:
@@ -266,11 +246,11 @@ def _stretched_member(
         x = iv.mpf(m)
         log_x = iv.log(x)
         return (
-            _stretched_index_enclosure(x, log_x, index_exponent),
+            x * log_x ** iv_fraction(index_exponent),
             _log_weight(x, log_x, value_exponent, precision_bits),
         )
 
-    # Alone, the value would start at precision_bits + 64, the index at the default.
+    # The value needs precision_bits + 64 bits to start, the index no more than the default.
     start = max(DEFAULT_START_PRECISION, precision_bits + 64)
     index, scaled = certify(build, (ceil_dyadic, floor_dyadic), start_precision=start)
     return index, _weight_value(scaled, m, value_exponent, precision_bits)
@@ -283,6 +263,9 @@ def stretched_log(epsilon: Fraction, cutoff: int, precision_bits: int = 128) -> 
     from one build per m that encloses m and ln(m) once; should two
     distinct m ever land on the same index the collision is rejected
     rather than silently merged.
+
+    >>> stretched_log(Fraction(1), 10).indices  # ceil(10 * ln(10)**2 = 53.02...)
+    (54,)
     """
     epsilon = _check_positive_epsilon(epsilon)
     if cutoff < _MIN_LOG_INDEX:

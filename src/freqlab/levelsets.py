@@ -7,7 +7,12 @@ threshold tied to |n|:
 
 * sublinear census: F(n) <= |n| / C          (CSV column ``count_K``)
 * band census:      |n| / (2C) <= F(n) <= |n| / C   (column ``count_S``)
-* zero-threshold census: F(n) = 0
+
+`LevelParams.mode` is one of `LEVELSET_MODES`.  Under "K" and "S" the
+``count_K`` column is the sublinear census; under "theta-zero" it is the
+zero-threshold census F(n) = 0, a subset of the sublinear one.  The band
+census is the same in every mode.  The density columns follow
+``count_S`` under "S" and ``count_K`` otherwise.
 
 All membership tests cross-multiply integers (C = p/q gives
 p * F(n) <= q * |n|), so censuses are exact.  Densities count / N are
@@ -33,7 +38,7 @@ from .dyadic import certified_floor, iv_fraction
 from .maximal import frequency_values
 from .signal import IntegerInterval, Signal
 
-THRESHOLD_KINDS = ("linear", "zero")
+LEVELSET_MODES = ("K", "S", "theta-zero")
 
 _LOG_DENSITY_BITS = 64
 _LOG_DENSITY_DIGITS = 20
@@ -43,18 +48,17 @@ CENSUS_CSV_HEADER = "N,count_K,count_S,density_num,density_den,log_density"
 
 @dataclass(frozen=True)
 class LevelParams:
-    """Slope and diagnostic parameters for the censuses.
+    """Slope, diagnostic weight and mode of a census.
 
     `ratio` is the comparison slope C and must exceed 1.  `epsilon`
     only weights the logarithm in the diagnostic ratio; it never enters
-    a membership decision.  `threshold_kind` selects the threshold for
-    the sublinear census: "linear" is floor(|n| / C), "zero" demands
-    F(n) = 0 outright.
+    a membership decision.  `mode` is one of `LEVELSET_MODES` (see the
+    module docstring).
     """
 
     ratio: Fraction
     epsilon: Fraction = Fraction(1)
-    threshold_kind: str = "linear"
+    mode: str = "K"
 
     def __post_init__(self):
         object.__setattr__(self, "ratio", Fraction(self.ratio))
@@ -63,21 +67,19 @@ class LevelParams:
             raise ValueError(f"ratio must exceed 1, got {self.ratio}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.threshold_kind not in THRESHOLD_KINDS:
-            raise ValueError(
-                f"threshold_kind must be one of {THRESHOLD_KINDS}, got {self.threshold_kind!r}"
-            )
+        if self.mode not in LEVELSET_MODES:
+            raise ValueError(f"mode must be one of {LEVELSET_MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
 class LevelSetCensus:
     """Counts, densities, and diagnostics on an increasing grid of N values.
 
-    `counts_sublinear` fills the ``count_K`` CSV column (its census is
-    the one selected by `LevelParams.threshold_kind`), `counts_band`
-    fills ``count_S``.  `densities` are exact count / N fractions for
-    whichever census was chosen as the density source; `log_densities`
-    are the decimal diagnostic strings.
+    `counts_sublinear` fills the ``count_K`` CSV column and
+    `counts_band` fills ``count_S``.  `densities` are exact count / N
+    fractions of ``count_S`` under mode "S" and of ``count_K``
+    otherwise; `log_densities` are the decimal diagnostic strings of
+    the same counts.
     """
 
     n_grid: tuple[int, ...]
@@ -87,55 +89,43 @@ class LevelSetCensus:
     log_densities: tuple[str, ...]
 
 
-def _scan(f: Signal, n_max: int, threads: int) -> list[int]:
-    """Frequencies for n = -n_max .. n_max (index i holds n = i - n_max)."""
-    return frequency_values(f, IntegerInterval(-n_max, n_max), threads=threads)
-
-
-def _sublinear_members(freqs: list[int], n_max: int, params: LevelParams) -> list[int]:
+def _census(
+    f: Signal, params: LevelParams, n_max: int, threads: int
+) -> tuple[list[int], list[int]]:
+    """Sorted count_K and count_S members in [-n_max, n_max], from one scan."""
     p = params.ratio.numerator
     q = params.ratio.denominator
-    if params.threshold_kind == "zero":
-        return [i - n_max for i, fr in enumerate(freqs) if fr == 0]
-    return [i - n_max for i, fr in enumerate(freqs) if p * fr <= q * abs(i - n_max)]
-
-
-def _band_members(freqs: list[int], n_max: int, params: LevelParams) -> list[int]:
-    p = params.ratio.numerator
-    q = params.ratio.denominator
-    return [
-        i - n_max
-        for i, fr in enumerate(freqs)
-        if q * abs(i - n_max) <= 2 * p * fr and p * fr <= q * abs(i - n_max)
-    ]
+    zero = params.mode == "theta-zero"
+    members_k, members_s = [], []
+    freqs = frequency_values(f, IntegerInterval(-n_max, n_max), threads=threads)
+    for n, fr in enumerate(freqs, -n_max):
+        bound = q * abs(n)
+        if p * fr <= bound:
+            if fr == 0 or not zero:
+                members_k.append(n)
+            if bound <= 2 * p * fr:
+                members_s.append(n)
+    return members_k, members_s
 
 
 def census_sublinear(
     f: Signal, params: LevelParams, n_max: int, threads: int = 1
 ) -> set[int]:
-    """{n : |n| <= n_max and F(n) <= |n| / ratio}, decided exactly.
+    """The count_K set of `params.mode` over |n| <= n_max, decided exactly.
 
-    The zero signal has F identically 0, so every point belongs.
+    That is {n : F(n) <= |n| / ratio}, or {n : F(n) = 0} under
+    "theta-zero".  The zero signal has F identically 0, so every point
+    belongs.
+
+    >>> census_sublinear(Signal.from_pairs([(0, 1)]), LevelParams(2), 100)
+    {0}
     """
-    linear = LevelParams(params.ratio, params.epsilon, "linear")
-    return set(_sublinear_members(_scan(f, n_max, threads), n_max, linear))
+    return set(_census(f, params, n_max, threads)[0])
 
 
 def census_band(f: Signal, params: LevelParams, n_max: int, threads: int = 1) -> set[int]:
     """{n : |n| <= n_max and |n|/(2*ratio) <= F(n) <= |n|/ratio}, exact."""
-    return set(_band_members(_scan(f, n_max, threads), n_max, params))
-
-
-def census_threshold(
-    f: Signal, params: LevelParams, n_max: int, threads: int = 1
-) -> set[int]:
-    """Sublinear census under the selected threshold kind.
-
-    "linear" coincides with `census_sublinear` (for integer frequencies,
-    F <= floor(|n|/C) and F <= |n|/C agree); "zero" keeps only the
-    points with frequency exactly 0.
-    """
-    return set(_sublinear_members(_scan(f, n_max, threads), n_max, params))
+    return set(_census(f, params, n_max, threads)[1])
 
 
 def log_density_string(count: int, n_value: int, epsilon: Fraction) -> str:
@@ -163,17 +153,13 @@ def log_density_string(count: int, n_value: int, epsilon: Fraction) -> str:
 
 
 def density_curves(
-    f: Signal,
-    params: LevelParams,
-    n_grid: list[int],
-    threads: int = 1,
-    density_source: str = "sublinear",
+    f: Signal, params: LevelParams, n_grid: list[int], threads: int = 1
 ) -> LevelSetCensus:
     """Counts and density diagnostics for every N in an increasing grid.
 
     A single frequency scan up to max(n_grid) feeds all grid points.
-    `density_source` picks which census the density and log-density
-    columns track: "sublinear" (the default) or "band".
+    The density and log-density columns track ``count_S`` under mode
+    "S" and ``count_K`` otherwise.
     """
     if not n_grid:
         raise ValueError("empty N grid")
@@ -181,31 +167,26 @@ def density_curves(
         raise ValueError("grid values must be positive")
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    if density_source not in ("sublinear", "band"):
-        raise ValueError(f"density_source must be 'sublinear' or 'band', got {density_source!r}")
 
-    n_max = n_grid[-1]
-    freqs = _scan(f, n_max, threads)
-    sub_members = _sublinear_members(freqs, n_max, params)
-    band_members = _band_members(freqs, n_max, params)
+    members_k, members_s = _census(f, params, n_grid[-1], threads)
 
     def window_count(members: list[int], n_value: int) -> int:
         return bisect_right(members, n_value) - bisect_left(members, -n_value)
 
-    counts_sub, counts_band = [], []
+    counts_k, counts_s = [], []
     densities, log_densities = [], []
     for n_value in n_grid:
-        c_sub = window_count(sub_members, n_value)
-        c_band = window_count(band_members, n_value)
-        counts_sub.append(c_sub)
-        counts_band.append(c_band)
-        source = c_sub if density_source == "sublinear" else c_band
+        c_k = window_count(members_k, n_value)
+        c_s = window_count(members_s, n_value)
+        counts_k.append(c_k)
+        counts_s.append(c_s)
+        source = c_s if params.mode == "S" else c_k
         densities.append(Fraction(source, n_value))
         log_densities.append(log_density_string(source, n_value, params.epsilon))
     return LevelSetCensus(
         n_grid=tuple(n_grid),
-        counts_sublinear=tuple(counts_sub),
-        counts_band=tuple(counts_band),
+        counts_sublinear=tuple(counts_k),
+        counts_band=tuple(counts_s),
         densities=tuple(densities),
         log_densities=tuple(log_densities),
     )

@@ -109,19 +109,6 @@ def radius_bound(f: Signal, n: int) -> int:
     return max(abs(n - hull.lo), abs(n - hull.hi))
 
 
-def candidate_radii(f: Signal, n: int) -> list[int]:
-    """Sorted radii at which the average at n can attain its supremum.
-
-    These are 0 together with the distances from n to the support
-    points.  Between consecutive candidates the window content is
-    unchanged while 2r+1 grows, so the average strictly decreases;
-    hence the attaining set is contained in this list.
-    """
-    if f.is_zero:
-        raise ValueError("zero signal: every radius is a candidate")
-    return sorted({0} | {abs(s - n) for s in f.indices})
-
-
 def _candidate_walk(idx, sv, l1: int, lo: int, hi: int):
     """The exact candidate-radius walk at every n in [lo, hi], in order.
 

@@ -98,12 +98,6 @@ class IntegerInterval:
         """Number of integers in the interval."""
         return self.hi - self.lo + 1
 
-    def contains(self, n: int) -> bool:
-        return self.lo <= n <= self.hi
-
-    def intersects(self, other: "IntegerInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 

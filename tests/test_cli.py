@@ -121,6 +121,13 @@ class TestLevelset:
                   "--C", "1/1", "--N-grid", "10"])
         assert err.value.code == 2
 
+    def test_epsilon_zero_rejected(self, delta_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["levelset", "--signal", delta_file, "--C", "2/1",
+                  "--epsilon", "0", "--N-grid", "10"])
+        assert err.value.code == 2
+        assert "epsilon must be positive, got 0" in capsys.readouterr().err
+
     def test_decimal_ratio_rejected(self, delta_file):
         with pytest.raises(SystemExit) as err:
             main(["levelset", "--signal", delta_file, "--mode", "K",
@@ -189,6 +196,27 @@ class TestGen:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestUnwritableOut:
+    COMMANDS = {
+        "profile": ["profile", "--signal", "SIG", "--from", "0", "--to", "2"],
+        "levelset": ["levelset", "--signal", "SIG", "--C", "2", "--N-grid", "10"],
+        "covering": ["covering", "--input", "INTERVALS"],
+        "gen": ["gen", "--family", "spike_pair", "--C", "100"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_directory_is_usage_error(self, command, tmp_path, delta_file, capsys):
+        intervals = tmp_path / "intervals.txt"
+        intervals.write_text("0 9\n")
+        out = tmp_path / "missing" / "x"
+        argv = [delta_file if a == "SIG" else str(intervals) if a == "INTERVALS" else a
+                for a in self.COMMANDS[command]]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(out)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
 
 
 class TestEvalUsage:
@@ -264,6 +292,13 @@ class TestVerify:
         replay = tmp_path / "freqlab-replay-rigged.sig"
         assert replay.exists()
         assert replay.read_text().startswith("#freqlab-signal v1")
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_usage_error(self, trials, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "oracle", "--trials", trials])
+        assert err.value.code == 2
+        assert f"argument --trials: must be at least 1, got {trials}" in capsys.readouterr().err
 
     def test_trials_and_seed_forwarded(self, capsys):
         assert main(["verify", "--suite", "oracle", "--trials", "5", "--seed", "7"]) == 0

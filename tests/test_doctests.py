@@ -2,6 +2,7 @@ import doctest
 
 import freqlab.covering
 import freqlab.families
+import freqlab.levelsets
 import freqlab.maximal
 import freqlab.signal
 
@@ -12,6 +13,7 @@ def test_module_doctests():
         freqlab.maximal,
         freqlab.covering,
         freqlab.families,
+        freqlab.levelsets,
     ):
         failures, _ = doctest.testmod(module)
         assert failures == 0, module.__name__

@@ -12,7 +12,6 @@ from freqlab.dyadic import (
     PrecisionError,
     _mantissa_exponent,
     ceil_dyadic,
-    certified_ceil,
     certified_floor,
     certify,
     floor_dyadic,
@@ -82,5 +81,5 @@ def test_shared_build_certifies_all_at_the_doubled_precision():
     assert certify(build, (ceil_dyadic, floor_dyadic), start_precision=192) == (24, 2)
     # only the second enclosure straddles at 192 bits; both certify at 384
     assert seen == [192, 384]
-    assert certified_ceil(ten_log_ten, start_precision=192) == 24
+    assert certify(lambda: (ten_log_ten(),), (ceil_dyadic,), start_precision=192) == (24,)
     assert certified_floor(just_below_three, start_precision=192) == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 
-from freqlab.dyadic import PrecisionError, certified_ceil, certified_floor, enclosure_endpoints
+from freqlab.dyadic import PrecisionError, ceil_dyadic, certified_floor, certify
 from freqlab.families import (
     GeneratorSpec,
     composite_jump,
@@ -16,7 +16,6 @@ from freqlab.families import (
     spike_pair,
     squares_log,
     squares_power,
-    stretched_index,
     stretched_log,
 )
 from freqlab.signal import dump_signal
@@ -116,10 +115,11 @@ class TestSquaresLog:
             iv.prec = 400
             x = iv.mpf(10)
             target = iv.mpf(1 << bits) / (x * iv.log(x) ** (iv.mpf(3) / iv.mpf(2)))
-            lo, hi = enclosure_endpoints(target)
+            # interval comparisons are True only when certain, else False or None
+            certain = (iv.mpf(t) <= target, target < iv.mpf(t + 1))
         finally:
             iv.prec = saved
-        assert t <= lo and hi < t + 1
+        assert certain == (True, True)
 
     def test_more_bits_never_decrease_values(self):
         low = squares_log(F(1), 15, precision_bits=64)
@@ -131,7 +131,7 @@ class TestSquaresLog:
 class TestStretchedLog:
     def test_first_index(self):
         # 10 * ln(10)**2 = 53.0189..., so the ceiling is 54
-        assert stretched_index(10, F(1)) == 54
+        assert stretched_log(F(1), 10).indices == (54,)
 
     def test_cutoff_validated(self):
         with pytest.raises(ValueError):
@@ -237,7 +237,7 @@ class TestCertifiedRounding:
             return iv.mpf(10) * iv.log(iv.mpf(10))
 
         assert certified_floor(build) == 23   # 10 ln 10 = 23.0258...
-        assert certified_ceil(build) == 24
+        assert certify(lambda: (build(),), (ceil_dyadic,)) == (24,)
 
     def test_exact_value_representable(self):
         assert certified_floor(lambda: iv.mpf(12)) == 12

@@ -7,11 +7,11 @@ import pytest
 from freqlab.families import spike_pair, squares_power, stretched_log
 from freqlab.levelsets import (
     CENSUS_CSV_HEADER,
+    LEVELSET_MODES,
     LevelParams,
     census_band,
     census_csv,
     census_sublinear,
-    census_threshold,
     density_curves,
     log_density_string,
 )
@@ -27,6 +27,7 @@ def F(n, d=1):
 DELTA = Signal.from_pairs([(0, 1)])
 ZERO = Signal.from_pairs([])
 TWO = LevelParams(F(2))
+THETA_ZERO = LevelParams(F(2), mode="theta-zero")
 
 
 class TestLevelParams:
@@ -40,9 +41,10 @@ class TestLevelParams:
         with pytest.raises(ValueError):
             LevelParams(F(2), F(0))
 
-    def test_threshold_kind_checked(self):
+    @pytest.mark.parametrize("mode", ["cubic", "linear", "k"])
+    def test_mode_checked(self, mode):
         with pytest.raises(ValueError):
-            LevelParams(F(2), threshold_kind="cubic")
+            LevelParams(F(2), mode=mode)
 
 
 class TestSublinearCensus:
@@ -97,24 +99,22 @@ class TestBandCensus:
         assert abs(member) <= 2 * 2 * fr and 2 * fr <= abs(member)
 
 
-class TestThresholdCensus:
+class TestThetaZeroMode:
     def test_zero_threshold_delta(self):
-        params = LevelParams(F(2), threshold_kind="zero")
-        assert census_threshold(DELTA, params, 10) == {0}
+        assert census_sublinear(DELTA, THETA_ZERO, 10) == {0}
 
     def test_zero_threshold_zero_signal(self):
-        params = LevelParams(F(2), threshold_kind="zero")
-        assert census_threshold(ZERO, params, 5) == set(range(-5, 6))
+        assert census_sublinear(ZERO, THETA_ZERO, 5) == set(range(-5, 6))
 
-    def test_linear_kind_matches_sublinear(self):
+    def test_K_and_S_share_the_linear_census(self):
         f = squares_power(F(1), 12)
-        linear = LevelParams(F(3, 2), threshold_kind="linear")
-        assert census_threshold(f, linear, 100) == census_sublinear(f, linear, 100)
+        linear = census_sublinear(f, LevelParams(F(3, 2), mode="K"), 100)
+        assert census_sublinear(f, LevelParams(F(3, 2), mode="S"), 100) == linear
+        assert census_sublinear(f, LevelParams(F(3, 2), mode="theta-zero"), 100) <= linear
 
     def test_stretched_support_has_zero_frequency(self):
         f = stretched_log(F(1, 2), 60)
-        params = LevelParams(F(2), threshold_kind="zero")
-        members = census_threshold(f, params, f.indices[-1])
+        members = census_sublinear(f, THETA_ZERO, f.indices[-1])
         assert set(f.indices) <= members
         for n in f.indices[::10]:
             assert analyze(f, n).frequency == 0
@@ -146,9 +146,9 @@ class TestDensityCurves:
             assert census_band(DELTA, TWO, n_value) == {0}
             assert (census.counts_sublinear[i], census.counts_band[i]) == (1, 1)
 
-    def test_band_density_source(self):
+    def test_S_mode_density_tracks_band(self):
         f = squares_power(F(1), 12)
-        census = density_curves(f, TWO, [20, 40], density_source="band")
+        census = density_curves(f, LevelParams(F(2), mode="S"), [20, 40])
         assert census.densities == (
             F(census.counts_band[0], 20),
             F(census.counts_band[1], 40),
@@ -163,29 +163,56 @@ class TestDensityCurves:
         assert len(lines) == 3
 
 
+class TestCensusOracle:
+    """Both censuses and the density columns against the definitions,
+    evaluated point by point with the exhaustive radius sweep."""
+
+    CASES = [random_signal(random.Random(seed), max_points=12, index_span=60)
+             for seed in range(4)]
+    CASES += [ZERO, Signal.from_pairs([(-7, 3)])]
+
+    @pytest.mark.parametrize("f", CASES, ids=[f"random{s}" for s in range(4)] + ["zero", "shifted"])
+    @pytest.mark.parametrize("ratio", [F(2), F(3, 2)])
+    def test_definitions(self, f, ratio):
+        n_max, grid = 80, [7, 30, 80]
+        freq = {n: analyze_brute_force(f, n).frequency for n in range(-n_max, n_max + 1)}
+        band = {n for n, fr in freq.items() if abs(n) / (2 * ratio) <= fr <= abs(n) / ratio}
+
+        def grid_counts(members):
+            return tuple(sum(abs(n) <= N for n in members) for N in grid)
+
+        for mode in LEVELSET_MODES:
+            params = LevelParams(ratio, mode=mode)
+            if mode == "theta-zero":
+                count_k = {n for n, fr in freq.items() if fr == 0}
+            else:
+                count_k = {n for n, fr in freq.items() if fr <= abs(n) / ratio}
+            assert census_sublinear(f, params, n_max) == count_k
+            assert census_band(f, params, n_max) == band
+            census = density_curves(f, params, grid)
+            assert census.counts_sublinear == grid_counts(count_k)
+            assert census.counts_band == grid_counts(band)
+            source = census.counts_band if mode == "S" else census.counts_sublinear
+            assert census.densities == tuple(F(c, N) for c, N in zip(source, grid))
+
+
 class TestByteIdentity:
     # CSV digests and (count_K, count_S) measured before the census passes
-    # were merged into one; the modes map onto the older knobs as
-    # K = (linear, sublinear), S = (linear, band), theta-zero = (zero, sublinear).
+    # were merged into one.
     PINNED = {
-        "K": ("linear", "sublinear",
-              "83f1c47a5d7d11fa91a454561a4fdf321043e6756765bb35616e8b675a92b2a0",
+        "K": ("83f1c47a5d7d11fa91a454561a4fdf321043e6756765bb35616e8b675a92b2a0",
               (31, 432, 758)),
-        "S": ("linear", "band",
-              "53fd1382faaadcc3299308cabf054232cce3252452e28e6dbdb9cf7a7c189b14",
+        "S": ("53fd1382faaadcc3299308cabf054232cce3252452e28e6dbdb9cf7a7c189b14",
               (31, 432, 758)),
-        "theta-zero": ("zero", "sublinear",
-                       "28498ba6da959adfe6c9feed32b0fe74040bb30e5a4261f6d965bbd0ee87c56c",
+        "theta-zero": ("28498ba6da959adfe6c9feed32b0fe74040bb30e5a4261f6d965bbd0ee87c56c",
                        (2, 16, 16)),
     }
 
     @pytest.mark.parametrize("mode", sorted(PINNED))
     def test_census_csv_digest(self, mode):
-        kind, source, digest, counts = self.PINNED[mode]
+        digest, counts = self.PINNED[mode]
         f = random_signal(random.Random(4), max_points=40, index_span=300)
-        census = density_curves(
-            f, LevelParams(F(3, 2), F(1, 4), kind), [50, 300, 1000], density_source=source
-        )
+        census = density_curves(f, LevelParams(F(3, 2), F(1, 4), mode), [50, 300, 1000])
         assert census.counts_sublinear == counts
         assert census.counts_band == (22, 60, 336)
         assert hashlib.sha256(census_csv(census).encode("ascii")).hexdigest() == digest

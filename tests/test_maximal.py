@@ -13,7 +13,6 @@ from freqlab.maximal import (
     bilinear_analyze,
     bilinear_analyze_brute_force,
     bilinear_average,
-    candidate_radii,
     frequency_profile,
     frequency_values,
     half_mass_radius,
@@ -75,21 +74,12 @@ class TestRadiusBound:
 
 
 class TestCandidateRadii:
-    def test_examples(self):
-        assert candidate_radii(DELTA, 5) == [0, 5]
-        assert candidate_radii(spike_pair(100), 1) == [0, 1, 299, 301]
-        assert candidate_radii(Signal.from_pairs([(-1, 1), (1, 1)]), 0) == [0, 1]
-
-    def test_zero_signal_rejected(self):
-        with pytest.raises(ValueError):
-            candidate_radii(ZERO, 0)
-
     def test_extremal_radii_are_candidates(self):
         rng = random.Random(9)
         for _ in range(40):
             f = random_signal(rng, max_points=10)
             n = rng.randint(-110, 110)
-            cands = set(candidate_radii(f, n))
+            cands = {0} | {abs(s - n) for s in f.indices}
             assert set(analyze(f, n).extremal_radii) <= cands
 
 

@@ -56,10 +56,6 @@ class TestIntegerInterval:
         with pytest.raises(ValueError):
             IntegerInterval(1, 0)
 
-    def test_intersects(self):
-        assert IntegerInterval(0, 4).intersects(IntegerInterval(4, 9))
-        assert not IntegerInterval(0, 4).intersects(IntegerInterval(5, 9))
-
 
 class TestFromPairs:
     def test_delta(self):
