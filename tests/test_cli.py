@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -187,6 +188,27 @@ class TestGen:
         assert main(["gen", "--family", "spike_pair", "--C", "99",
                      "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,digest",
+        [
+            (["spike_pair", "--C", "100"],
+             "c7b8549af0cff27278b13082a134f21acad469362f3b43987bc100f9b183b3c2"),
+            (["squares_power", "--epsilon", "1/4", "--cutoff", "50"],
+             "05a609fe1e39e41942e8e2d15e269ca83ae488f326f5b09325d4bf3b3e8f40e9"),
+            (["squares_log", "--epsilon", "1/2", "--cutoff", "40"],
+             "8dba9547b32ba1fb2295a2dfe2db983317fe54183eae4c929ef7aede07f4f6ab"),
+            (["stretched_log", "--epsilon", "1/2", "--cutoff", "60", "--precision", "96"],
+             "2b12b18ab8771f115428a351f99deaa11a1a60b82d7c322d4090517e1e024991"),
+            (["composite_jump", "--C-min", "100", "--C-max", "102"],
+             "f8dd6153fd6f6e6f9a5d756e1bcb962d8aaa421496de63ee2ef2b0907b2310dc"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else "",
+    )
+    def test_file_digest(self, flags, digest, tmp_path):
+        out = tmp_path / "f.sig"
+        assert main(["gen", "--family", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_byte_identical_regeneration(self, tmp_path):
         a = tmp_path / "a.sig"

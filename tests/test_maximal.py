@@ -1,10 +1,11 @@
+import hashlib
 import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from freqlab.families import spike_pair
+from freqlab.families import composite_jump, spike_pair
 from freqlab.maximal import (
     _pool_size,
     analyze,
@@ -154,6 +155,27 @@ class TestFrequencyProfile:
     def test_spike_pair(self):
         rows = frequency_profile(spike_pair(100), IntegerInterval(0, 2))
         assert [fr for _, _, fr in rows] == [0, 301, 302]
+
+    @pytest.mark.parametrize(
+        "make,span,digest",
+        [
+            (
+                lambda: spike_pair(100),
+                IntegerInterval(-3000, 3000),
+                "3c350fa7bb18c393ee978f18f39a20b69e50fb0b5272b7139e370b5d09722b0a",
+            ),
+            (
+                lambda: composite_jump(100, 105),
+                IntegerInterval(4**105 - 5000, 4**105 + 5000),
+                "0a8931c21b0f5ee45faa4fe8607f396d26c2a643e935dcfe6c31f8913d0aa7dc",
+            ),
+        ],
+        ids=["spike_pair-100", "composite_jump-100-105"],
+    )
+    def test_csv_digest(self, make, span, digest):
+        rows = frequency_profile(make(), span, threads=2)
+        text = "n,M,F\n" + "".join(f"{n},{m},{fr}\n" for n, m, fr in rows)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_worker_count_does_not_change_output(self):
         f = Signal.from_pairs([(i * i, F(1, i)) for i in range(1, 40)])
