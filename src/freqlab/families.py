@@ -41,13 +41,14 @@ from .dyadic import (
 )
 from .signal import Signal
 
-FAMILIES = (
-    "squares_power",
-    "squares_log",
-    "stretched_log",
-    "spike_pair",
-    "composite_jump",
-)
+_PARAMETERS = {
+    "squares_power": ("epsilon", "cutoff"),
+    "squares_log": ("epsilon", "cutoff"),
+    "stretched_log": ("epsilon", "cutoff"),
+    "spike_pair": ("size",),
+    "composite_jump": ("size", "cutoff"),
+}
+FAMILIES = tuple(_PARAMETERS)
 
 _MIN_SPIKE_SIZE = 100
 _MIN_LOG_INDEX = 10  # log families start at m = 10 so ln(m) is comfortably > 1
@@ -60,6 +61,11 @@ class GeneratorSpec:
     `cutoff` is the largest m for the square/stretched families and the
     largest block size for `composite_jump`; `size` is the spike size
     for `spike_pair` and the smallest block size for `composite_jump`.
+
+    The three epsilon families take `epsilon` and `cutoff`, `spike_pair`
+    takes `size`, and `composite_jump` takes `size` and `cutoff`.  A spec
+    must set exactly the fields its family takes; their ranges are
+    checked by the family's generator, when `generate` runs.
     """
 
     family: str
@@ -69,41 +75,31 @@ class GeneratorSpec:
     precision_bits: int = 128
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _PARAMETERS:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.precision_bits <= 0:
             raise ValueError("precision_bits must be positive")
-        needs_epsilon = self.family in ("squares_power", "squares_log", "stretched_log")
-        if needs_epsilon:
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ValueError(f"{self.family} requires a positive rational epsilon")
-            if self.cutoff is None:
-                raise ValueError(f"{self.family} requires a cutoff")
-        if self.family == "spike_pair":
-            if self.size is None:
-                raise ValueError("spike_pair requires a size")
-            if self.size < _MIN_SPIKE_SIZE:
-                raise ValueError(f"spike_pair size must be at least {_MIN_SPIKE_SIZE}")
-        if self.family == "composite_jump":
-            if self.size is None or self.cutoff is None:
-                raise ValueError("composite_jump requires size (smallest) and cutoff (largest)")
-            if self.size < _MIN_SPIKE_SIZE or self.cutoff < self.size:
-                raise ValueError(
-                    f"composite_jump sizes must satisfy {_MIN_SPIKE_SIZE} <= size <= cutoff"
-                )
+        takes = _PARAMETERS[self.family]
+        for field in ("epsilon", "cutoff", "size"):
+            given = getattr(self, field) is not None
+            if field in takes and not given:
+                raise ValueError(f"{self.family} requires {field}")
+            if given and field not in takes:
+                raise ValueError(f"{self.family} takes no {field}")
 
 
 def generate(spec: GeneratorSpec) -> Signal:
     """Dispatch a `GeneratorSpec` to its family generator."""
-    if spec.family == "squares_power":
-        return squares_power(spec.epsilon, spec.cutoff, spec.precision_bits)
-    if spec.family == "squares_log":
-        return squares_log(spec.epsilon, spec.cutoff, spec.precision_bits)
-    if spec.family == "stretched_log":
-        return stretched_log(spec.epsilon, spec.cutoff, spec.precision_bits)
     if spec.family == "spike_pair":
         return spike_pair(spec.size)
-    return composite_jump(spec.size, spec.cutoff)
+    if spec.family == "composite_jump":
+        return composite_jump(spec.size, spec.cutoff)
+    make = {
+        "squares_power": squares_power,
+        "squares_log": squares_log,
+        "stretched_log": stretched_log,
+    }[spec.family]
+    return make(spec.epsilon, spec.cutoff, spec.precision_bits)
 
 
 def is_exact(spec: GeneratorSpec) -> bool:

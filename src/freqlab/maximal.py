@@ -26,8 +26,10 @@ rescaled integers, compares averages by integer cross multiplication
 strictly below the best.  That stop always comes: an exhausted side
 sits at a distance beyond every support point, and before both sides
 are exhausted all of ||f||_1 has been averaged at a smaller radius.
-`analyze` is the kernel at one n; the scans run it over chunks of a
-span, serially or on a process pool.  `analyze_brute_force` sweeps
+`analyze` is the kernel at one n; `frequency_values` runs it over
+chunks of a span, serially or on a process pool, and `frequency_profile`
+reads each maximal value off as the average at the frequency, which
+attains the supremum.  `analyze_brute_force` sweeps
 every radius instead, as an independent check.
 
 The bilinear variants replace the window sum by
@@ -240,20 +242,23 @@ def frequency_profile(
 ) -> list[tuple[int, Fraction, int]]:
     """(n, maximal value, frequency) for every n in the span, in order.
 
+    The frequency F attains the supremum, so the maximal value is the
+    average at radius F; the frequencies come from `frequency_values`.
+    """
+    freqs = frequency_values(f, span, threads)
+    return [(n, average(f, n, fr), fr) for n, fr in zip(range(span.lo, span.hi + 1), freqs)]
+
+
+def frequency_values(f: Signal, span: IntegerInterval, threads: int = 1) -> list[int]:
+    """The frequency at every n in the span, in order.
+
     With threads > 1 the span is chunked across a process pool; chunks
     are reassembled in index order, so the output is identical for any
     worker count.
     """
     if f.is_zero:
-        return [(n, Fraction(0), 0) for n in range(span.lo, span.hi + 1)]
-    return _scan(f, span, threads, profile=True)
-
-
-def frequency_values(f: Signal, span: IntegerInterval, threads: int = 1) -> list[int]:
-    """Frequencies only, for census scans; same chunking as `frequency_profile`."""
-    if f.is_zero:
         return [0] * span.length
-    return _scan(f, span, threads, profile=False)
+    return _scan(f, span, threads)
 
 
 def _pool_size(threads: int, chunks: int) -> int:
@@ -262,16 +267,10 @@ def _pool_size(threads: int, chunks: int) -> int:
     return min(threads, os.cpu_count() or 1, chunks)
 
 
-def _rows(f: Signal, lo: int, hi: int, profile: bool) -> list:
-    """Scan rows for n in [lo, hi]: (n, M, F) when profiling, else F."""
+def _rows(f: Signal, lo: int, hi: int) -> list[int]:
+    """The frequency at every n in [lo, hi]."""
     walk = _candidate_walk(f.indices, f.scaled_values, f.scaled_l1, lo, hi)
-    if not profile:
-        return [ties[0] for _, _, ties in walk]
-    scale = f.scale
-    return [
-        (n, Fraction(num, scale * w), ties[0])
-        for n, (num, w, ties) in zip(range(lo, hi + 1), walk)
-    ]
+    return [ties[0] for _, _, ties in walk]
 
 
 _worker_signal: Signal | None = None
@@ -282,22 +281,22 @@ def _init_worker(sig: Signal) -> None:
     _worker_signal = sig
 
 
-def _worker_rows(task: tuple[int, int, bool]) -> list:
+def _worker_rows(task: tuple[int, int]) -> list[int]:
     return _rows(_worker_signal, *task)
 
 
-def _scan(f: Signal, span: IntegerInterval, threads: int, profile: bool) -> list:
+def _scan(f: Signal, span: IntegerInterval, threads: int) -> list[int]:
     total = span.length
     workers = 1
     if threads > 1 and total >= 2048:
         chunk = max(1024, -(-total // (threads * 8)))
         tasks = [
-            (lo, min(lo + chunk - 1, span.hi), profile)
+            (lo, min(lo + chunk - 1, span.hi))
             for lo in range(span.lo, span.hi + 1, chunk)
         ]
         workers = _pool_size(threads, len(tasks))
     if workers <= 1:
-        return _rows(f, span.lo, span.hi, profile)
+        return _rows(f, span.lo, span.hi)
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers, initializer=_init_worker, initargs=(f,)) as pool:
         pieces = pool.map(_worker_rows, tasks)

@@ -409,18 +409,17 @@ SUITES = {
 }
 
 
-_SEEDED_SUITES = ("oracle", "covering", "invariance")
+# The suites that take `trials` and `seed`; the others take neither.
+SEEDED_SUITES = ("oracle", "covering", "invariance")
 
 
-def run_suite(name: str, trials: int | None = None, seed: int = 1) -> list[Check]:
-    """Run one suite by name, forwarding trials/seed where they apply.
+def run_suite(name: str, trials: int | None = None, seed: int | None = None) -> list[Check]:
+    """Run one suite by name.
 
-    `trials` is forwarded only when given, so each seeded suite's default
-    count lives in its own signature.
+    `trials` and `seed` are forwarded only when given, so each default
+    lives in its suite's signature.  Only `SEEDED_SUITES` take them.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    suite = SUITES[name]
-    if name not in _SEEDED_SUITES:
-        return suite()
-    return suite(seed=seed) if trials is None else suite(trials, seed)
+    options = {"trials": trials, "seed": seed}
+    return SUITES[name](**{key: value for key, value in options.items() if value is not None})

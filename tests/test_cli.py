@@ -135,6 +135,20 @@ class TestLevelset:
                   "--C", "2.5", "--N-grid", "10"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ("10,5", "grid must be strictly increasing"),
+            ("0,10", "grid values must be positive"),
+            (",,", "empty N grid"),
+        ],
+    )
+    def test_bad_grid_is_usage_error(self, grid, message, delta_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["levelset", "--signal", delta_file, "--C", "2/1", "--N-grid", grid])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
     def test_theta_zero_mode(self, delta_file, capsys):
         assert main(["levelset", "--signal", delta_file, "--mode", "theta-zero",
                      "--C", "2/1", "--N-grid", "10"]) == 0
@@ -156,6 +170,7 @@ class TestCovering:
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n")
         assert main(["covering", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: empty interval collection\n"
 
 
 class TestGen:
@@ -183,11 +198,84 @@ class TestGen:
         assert len(f) == 3
         assert f.indices[1] == 4**100
 
-    def test_parameter_violation_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["spike_pair", "--C", "99"], "size must be at least 100, got 99"),
+            (["composite_jump", "--C-min", "99", "--C-max", "100"],
+             "min_size must be at least 100, got 99"),
+            (["composite_jump", "--C-min", "101", "--C-max", "100"],
+             "max_size must be at least min_size"),
+            (["squares_power", "--epsilon", "0", "--cutoff", "5"],
+             "epsilon must be positive, got 0"),
+        ],
+        ids=["spike-size", "composite-min", "composite-order", "epsilon"],
+    )
+    def test_parameter_violation_is_usage_error(self, flags, message, tmp_path, capsys):
         out = tmp_path / "bad.sig"
-        assert main(["gen", "--family", "spike_pair", "--C", "99",
-                     "--out", str(out)]) == 2
-        assert "error" in capsys.readouterr().err
+        assert main(["gen", "--family", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    FIELD_ERRORS = [
+        (["squares_power", "--epsilon", "1/4", "--cutoff", "5", "--C", "100"],
+         "squares_power takes no size"),
+        (["squares_log", "--epsilon", "1/2", "--cutoff", "20", "--C-min", "100"],
+         "squares_log takes no size"),
+        (["stretched_log", "--epsilon", "1/2", "--cutoff", "20", "--C", "100"],
+         "stretched_log takes no size"),
+        (["spike_pair", "--C", "100", "--epsilon", "1/2", "--cutoff", "3"],
+         "spike_pair takes no epsilon"),
+        (["spike_pair", "--C", "100", "--C-max", "101"], "spike_pair takes no cutoff"),
+        (["composite_jump", "--C-min", "100", "--C-max", "101", "--epsilon", "1/2"],
+         "composite_jump takes no epsilon"),
+        (["squares_power", "--cutoff", "5"], "squares_power requires epsilon"),
+        (["squares_power", "--epsilon", "1/4"], "squares_power requires cutoff"),
+        (["squares_log", "--cutoff", "20"], "squares_log requires epsilon"),
+        (["squares_log", "--epsilon", "1/2"], "squares_log requires cutoff"),
+        (["stretched_log", "--cutoff", "20"], "stretched_log requires epsilon"),
+        (["stretched_log", "--epsilon", "1/2"], "stretched_log requires cutoff"),
+        (["spike_pair"], "spike_pair requires size"),
+        (["composite_jump", "--C-max", "101"], "composite_jump requires size"),
+        (["composite_jump", "--C-min", "100"], "composite_jump requires cutoff"),
+        (["nonsense", "--C", "100"], "unknown family 'nonsense'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "flags,message", FIELD_ERRORS, ids=[message for _, message in FIELD_ERRORS]
+    )
+    def test_fields_must_match_family(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "bad.sig"
+        assert main(["gen", "--family", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,pair",
+        [
+            (["composite_jump", "--C-min", "100", "--C-max", "101", "--C", "7"],
+             "argument --C: not allowed with argument --C-min"),
+            (["squares_power", "--epsilon", "1/4", "--cutoff", "5", "--C-max", "9"],
+             "argument --C-max: not allowed with argument --cutoff"),
+        ],
+        ids=["size", "cutoff"],
+    )
+    def test_both_flags_of_a_pair_is_usage_error(self, flags, pair, tmp_path, capsys):
+        out = tmp_path / "bad.sig"
+        with pytest.raises(SystemExit) as err:
+            main(["gen", "--family", *flags, "--out", str(out)])
+        assert err.value.code == 2
+        assert pair in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_aliases_set_the_same_fields(self, tmp_path):
+        a = tmp_path / "a.sig"
+        b = tmp_path / "b.sig"
+        assert main(["gen", "--family", "composite_jump", "--C-min", "100",
+                     "--C-max", "101", "--out", str(a)]) == 0
+        assert main(["gen", "--family", "composite_jump", "--C", "100",
+                     "--cutoff", "101", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
         "flags,digest",
@@ -203,7 +291,7 @@ class TestGen:
             (["composite_jump", "--C-min", "100", "--C-max", "102"],
              "f8dd6153fd6f6e6f9a5d756e1bcb962d8aaa421496de63ee2ef2b0907b2310dc"),
         ],
-        ids=lambda v: v[0] if isinstance(v, list) else "",
+        ids=["spike_pair", "squares_power", "squares_log", "stretched_log", "composite_jump"],
     )
     def test_file_digest(self, flags, digest, tmp_path):
         out = tmp_path / "f.sig"
@@ -325,6 +413,40 @@ class TestVerify:
     def test_trials_and_seed_forwarded(self, capsys):
         assert main(["verify", "--suite", "oracle", "--trials", "5", "--seed", "7"]) == 0
         assert "5 signals" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--suite", "variational", "--trials", "5"], ["--suite", "examples", "--seed", "9"]],
+        ids=["variational-trials", "examples-seed"],
+    )
+    def test_trials_or_seed_on_unseeded_suite_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", *argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials and --seed apply only to oracle, covering, invariance" in captured.err
+
+    def test_all_forwards_trials_and_seed_to_seeded_suites(self, monkeypatch, capsys):
+        import freqlab.cli as cli_mod
+
+        calls = []
+
+        def record(name, **options):
+            calls.append((name, options))
+            return []
+
+        monkeypatch.setattr(cli_mod.verify_mod, "run_suite", record)
+        assert main(["verify", "--suite", "all", "--trials", "5", "--seed", "2"]) == 0
+        seeded = {"trials": 5, "seed": 2}
+        assert calls == [
+            ("covering", seeded),
+            ("examples", {}),
+            ("fundamental", {}),
+            ("invariance", seeded),
+            ("oracle", seeded),
+            ("variational", {}),
+        ]
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

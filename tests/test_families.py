@@ -190,13 +190,45 @@ class TestGeneratorSpec:
         spec = GeneratorSpec("squares_power", epsilon=F(1), cutoff=4)
         assert generate(spec) == squares_power(F(1), 4)
 
-    def test_validation(self):
+    SPEC_ERRORS = [
+        ({"family": "unknown_family"}, "unknown family 'unknown_family'"),
+        ({"family": "spike_pair", "size": 100, "precision_bits": 0},
+         "precision_bits must be positive"),
+        ({"family": "squares_power", "cutoff": 5}, "squares_power requires epsilon"),
+        ({"family": "stretched_log", "epsilon": F(1)}, "stretched_log requires cutoff"),
+        ({"family": "spike_pair"}, "spike_pair requires size"),
+        ({"family": "composite_jump", "size": 100}, "composite_jump requires cutoff"),
+        ({"family": "squares_log", "epsilon": F(1), "cutoff": 20, "size": 100},
+         "squares_log takes no size"),
+        ({"family": "spike_pair", "size": 100, "epsilon": F(1)},
+         "spike_pair takes no epsilon"),
+        ({"family": "spike_pair", "size": 100, "cutoff": 200}, "spike_pair takes no cutoff"),
+        ({"family": "composite_jump", "size": 100, "cutoff": 101, "epsilon": F(1)},
+         "composite_jump takes no epsilon"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kwargs,message", SPEC_ERRORS, ids=[message for _, message in SPEC_ERRORS]
+    )
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            GeneratorSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec("spike_pair", size=99),
+            GeneratorSpec("composite_jump", size=99, cutoff=100),
+            GeneratorSpec("composite_jump", size=101, cutoff=100),
+            GeneratorSpec("squares_power", epsilon=F(0), cutoff=5),
+            GeneratorSpec("squares_log", epsilon=F(-1, 2), cutoff=20),
+            GeneratorSpec("stretched_log", epsilon=F(0), cutoff=20),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_ranges_checked_by_generate(self, spec):
         with pytest.raises(ValueError):
-            GeneratorSpec("unknown_family")
-        with pytest.raises(ValueError):
-            GeneratorSpec("squares_power", cutoff=5)  # epsilon missing
-        with pytest.raises(ValueError):
-            GeneratorSpec("spike_pair")  # size missing
+            generate(spec)
 
     def test_metadata_lines(self):
         lines = metadata_lines(GeneratorSpec("squares_power", epsilon=F(1, 4), cutoff=9))

@@ -4,6 +4,7 @@ import pytest
 
 from freqlab.signal import parse_signal
 from freqlab.verify import (
+    SEEDED_SUITES,
     SUITES,
     random_intervals,
     random_signal,
@@ -56,6 +57,13 @@ class TestSuites:
         assert all(c.passed for c in run_suite("oracle", trials=20, seed=3))
         assert all(c.passed for c in run_suite("covering", trials=200, seed=3))
         assert all(c.passed for c in run_suite("invariance", trials=20, seed=3))
+
+    def test_trials_and_seed_only_for_seeded_suites(self):
+        for name in sorted(set(SUITES) - set(SEEDED_SUITES)):
+            with pytest.raises(TypeError):
+                run_suite(name, trials=5)
+            with pytest.raises(TypeError):
+                run_suite(name, seed=9)
 
     def test_oracle_failure_produces_replay(self, monkeypatch):
         import freqlab.verify as verify_mod
