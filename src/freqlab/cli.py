@@ -113,7 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     cutoff.add_argument(
         "--C-max", dest="cutoff", type=_int, help="cutoff: largest block (composite_jump)"
     )
-    p_gen.add_argument("--precision", type=_int, default=128, help="dyadic value bits")
+    p_gen.add_argument(
+        "--precision", type=_int, help="precision_bits (squares_*, stretched_log; default 128)"
+    )
     p_gen.add_argument("--out", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

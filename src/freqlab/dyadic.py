@@ -1,21 +1,40 @@
-"""Certified floor/ceiling of real-valued formulas via interval arithmetic.
+"""Certified floor/ceiling of log and power formulas by integer enclosures.
 
 Sample values of the built-in families involve logarithms and
 non-integer powers, which have no exact rational value.  They are
 materialized as one-sided dyadic approximations floor(v * 2**bits) /
 2**bits.  To make the floor itself exact rather than "probably right",
-the formula is evaluated in mpmath's interval context: the working
-precision is doubled until both endpoints of the enclosure share the
-same floor (or ceiling), which certifies the rounded integer.
+each formula is evaluated on fixed-point enclosures: a pair of integers
+(lo, hi) at scale 2**p with lo <= v * 2**p <= hi.  Every operation below
+rounds its lower end down and its upper end up, and every truncated
+series adds a proven bound on what it dropped, so the true value never
+leaves the pair.  The rounded integer is certified when both ends give
+the same floor (or ceiling); otherwise the precision p doubles.
+
+The operations are `ln_int` (ln of a positive integer), `ln` and `exp`
+of an enclosure, and `mul_rational` (a product with an exact rational),
+which is all the families need: (ln m)**e is exp(e * ln(ln m)) for
+every rational e.  They rest on three cached building blocks per
+precision, each computed with guard bits and rounded outward:
+
+* ln 2 = 2 * atanh(1/3);
+* ln(1 + i/2**TABLE_BITS) = 2 * atanh(i / (2**(TABLE_BITS+1) + i));
+* exp(i/2**TABLE_BITS), as products of the enclosure of exp(2**-TABLE_BITS).
+
+`ln` of x = 2**k * c * (1 + d) reads k * ln 2 and ln c off the first
+two (c is x's leading TABLE_BITS + 1 bits) and runs an atanh series
+whose ratio is below 2**-(TABLE_BITS+1).  `exp` reduces its argument by
+j * ln 2 and a table step i / 2**TABLE_BITS to r in [0, 2**-TABLE_BITS)
+and runs a short Taylor series.  The reductions are those of Brent and
+Zimmermann, *Modern Computer Arithmetic* (CUP 2010), section 4.2.2, and
+the series bounds follow section 4.4; each bound is derived in the
+docstring of its series.
 
 A build may return several enclosures that share intermediate results
-(`stretched_log` encloses m and ln(m) once for an index and a weight).
+(`stretched_log` encloses ln(ln m) once for an index and a weight).
 They are certified together: the precision doubles until every one of
 them rounds to a single integer, and the certified values do not depend
-on the precision at which that happens.  Endpoints are rounded straight
-from mpmath's (sign, mantissa, exponent) form, m * 2**e, by an integer
-shift: floor(m * 2**e) is m >> -e for e < 0 (Python's shift floors
-negative m too) and m << e otherwise, and ceil(x) is -floor(-x).
+on the precision at which that happens.
 
 Certification can only fail to converge when the target value is
 exactly an integer, which the family formulas never produce; if the
@@ -26,74 +45,50 @@ guessing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
-
-from mpmath import iv
 
 DEFAULT_START_PRECISION = 192
 MAX_PRECISION = 1 << 16
+TABLE_BITS = 7
+_GUARD_BITS = 24  # cached constants are computed this much finer, then rounded out
+
+Enclosure = tuple[int, int]
 
 
 class PrecisionError(ArithmeticError):
     """An enclosure could not pin down the rounded value below the precision cap."""
 
 
-class _NonFinite(Exception):
-    pass
+def floor_dyadic(x: int, bits: int) -> int:
+    """floor(x / 2**bits), exact, by an integer shift."""
+    return x >> bits
 
 
-def _mantissa_exponent(raw) -> tuple[int, int]:
-    """(m, e) with m * 2**e the value of an mpmath (sign, man, exp, bc) tuple."""
-    sign, man, exp, _ = raw
-    if not man and exp:  # mpmath's inf, -inf and nan: zero mantissa, tag exponent
-        raise _NonFinite
-    man = int(man)  # an mpz under mpmath's gmpy backend
-    return (-man if sign else man), exp
-
-
-def floor_dyadic(m: int, e: int) -> int:
-    """floor(m * 2**e), exact, by an integer shift."""
-    return m >> -e if e < 0 else m << e
-
-
-def ceil_dyadic(m: int, e: int) -> int:
-    """ceil(m * 2**e), exact, by an integer shift."""
-    return -floor_dyadic(-m, e)
-
-
-def iv_fraction(q: Fraction):
-    """Enclosure of an exact rational in the current interval context."""
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+def ceil_dyadic(x: int, bits: int) -> int:
+    """ceil(x / 2**bits), exact, by an integer shift."""
+    return -(-x >> bits)
 
 
 def certify(
-    build: Callable[[], Sequence[object]],
+    build: Callable[[int], Sequence[Enclosure]],
     picks: Sequence[Callable[[int, int], int]],
     start_precision: int = DEFAULT_START_PRECISION,
     max_precision: int = MAX_PRECISION,
 ) -> tuple[int, ...]:
-    """Certified roundings of every enclosure build() returns.
+    """Certified roundings of every enclosure build(p) returns.
 
-    `build` returns one enclosure per entry of `picks` (`floor_dyadic`
-    or `ceil_dyadic`) and is re-evaluated under increasing interval
-    precision until, for each enclosure, its pick gives both endpoints
-    the same integer.  An infinite endpoint also doubles the precision.
+    `build(p)` returns one enclosure at scale 2**p per entry of `picks`
+    (`floor_dyadic` or `ceil_dyadic`), and is re-evaluated at doubling
+    p until, for each enclosure, its pick gives both ends the same
+    integer.
     """
     precision = start_precision
     while precision <= max_precision:
-        saved = iv.prec
-        try:
-            iv.prec = precision
-            ends = [[_mantissa_exponent(raw) for raw in x._mpi_] for x in build()]
-        except _NonFinite:
-            precision *= 2
-            continue
-        finally:
-            iv.prec = saved
         rounded = []
-        for pick, (lo, hi) in zip(picks, ends):
-            value = pick(*lo)
-            if value != pick(*hi):
+        for pick, (lo, hi) in zip(picks, build(precision)):
+            value = pick(lo, precision)
+            if value != pick(hi, precision):
                 break
             rounded.append(value)
         else:
@@ -106,13 +101,174 @@ def certify(
 
 
 def certified_floor(
-    build: Callable[[], object],
+    build: Callable[[int], Enclosure],
     start_precision: int = DEFAULT_START_PRECISION,
     max_precision: int = MAX_PRECISION,
 ) -> int:
-    """floor of the real number enclosed by build(), certified exact.
+    """floor of the real number enclosed by build(p) at scale 2**p, certified exact."""
+    return certify(lambda p: (build(p),), (floor_dyadic,), start_precision, max_precision)[0]
 
-    `build` is re-evaluated under increasing interval precision until
-    both endpoints agree on the floor.
+
+def _round_out(x: Enclosure, guard: int) -> Enclosure:
+    """An enclosure at scale 2**(p + guard) rounded outward to scale 2**p."""
+    return x[0] >> guard, -(-x[1] >> guard)
+
+
+def _atanh(u: int, v: int, p: int) -> Enclosure:
+    """atanh(u/v) * 2**p for integers 0 <= u/v <= 1/3.
+
+    The series sum of x**(2j+1) / (2j+1) runs in fixed point: power_0 =
+    floor(x 2**p), s2 = floor(power_0**2 / 2**p) and power_(j+1) =
+    floor(power_j s2 / 2**p).  With P_j = x**(2j+1) 2**p and e_j = P_j -
+    power_j >= 0: e_0 < 1; s2 falls short of x**2 2**p by less than 2x
+    + 1 < 2; and e_(j+1) < e_j x**2 + 2 x**(2j+1) + 1 <= e_j/9 + 5/3, so
+    every e_j < 15/8.  Dividing by 2j+1 and flooring loses less than 3 per term.
+    The loop stops at the first power_J = 0, where P_J < 2, and the tail
+    from J on is at most P_J / (1 - x**2) < 9/4.  So the sum of the J
+    terms taken is low by less than 3J + 3.
     """
-    return certify(lambda: (build(),), (floor_dyadic,), start_precision, max_precision)[0]
+    if not u:
+        return 0, 0
+    power = (u << p) // v
+    s2 = power * power >> p
+    total = j = 0
+    while power:
+        total += power // (2 * j + 1)
+        j += 1
+        power = power * s2 >> p
+    return total, total + 3 * j + 3
+
+
+def _exp_taylor(r: int, p: int) -> Enclosure:
+    """exp(r / 2**p) * 2**p for an integer 0 <= r < 2**(p-1).
+
+    Terms t_n = floor(t_(n-1) * r / (n 2**p)) from t_0 = 2**p.  With
+    T_n = (r/2**p)**n / n! 2**p and e_n = T_n - t_n >= 0: e_0 = 0 and
+    e_n < e_(n-1) / (2n) + 1, so every e_n < 2.  The loop stops after
+    adding the first t_N = 0, where T_N < 1 + e_(N-1) / (2N) <= 2, and
+    the tail from N on is at most T_N / (1 - 1/2) < 4.  So the sum is
+    low by less than 2(N - 1) + 4.
+    """
+    if not r:
+        return 1 << p, 1 << p
+    term = total = 1 << p
+    n = 0
+    while term:
+        n += 1
+        term = (term * r >> p) // n  # the floor of term * r / (n 2**p)
+        total += term
+    return total, total + 2 * n + 4
+
+
+@cache
+def _ln2(p: int) -> Enclosure:
+    lo, hi = _atanh(1, 3, p + _GUARD_BITS)
+    return _round_out((2 * lo, 2 * hi), _GUARD_BITS)
+
+
+@cache
+def _ln_table(i: int, p: int) -> Enclosure:
+    """ln(1 + i / 2**TABLE_BITS) * 2**p for 0 <= i < 2**TABLE_BITS."""
+    lo, hi = _atanh(i, (2 << TABLE_BITS) + i, p + _GUARD_BITS)
+    return _round_out((2 * lo, 2 * hi), _GUARD_BITS)
+
+
+@cache
+def _exp_table(p: int) -> tuple[Enclosure, ...]:
+    """exp(i / 2**TABLE_BITS) * 2**p for 0 <= i < 2**(TABLE_BITS+1).
+
+    Entry i is entry i-1 times exp(2**-TABLE_BITS), lower ends floored
+    and upper ends ceiled; the guard bits absorb the widening.
+    """
+    q = p + _GUARD_BITS
+    step_lo, step_hi = _exp_taylor(1 << (q - TABLE_BITS), q)
+    lo = hi = 1 << q
+    table = []
+    for _ in range(2 << TABLE_BITS):
+        table.append(_round_out((lo, hi), _GUARD_BITS))
+        lo = lo * step_lo >> q
+        hi = -(-hi * step_hi >> q)
+    return tuple(table)
+
+
+def _ln_scaled(x: int, shift: int, p: int) -> Enclosure:
+    """ln(x / 2**shift) * 2**p for an integer x >= 1.
+
+    x = 2**k * (1 + i/2**TABLE_BITS) * (x/c), where c is x with all but
+    its leading TABLE_BITS + 1 bits cleared, and ln(x/c) = 2 atanh((x -
+    c)/(x + c)) with a ratio below 2**-(TABLE_BITS+1).
+    """
+    k = x.bit_length() - 1
+    if k > TABLE_BITS:
+        head = x >> (k - TABLE_BITS)
+        c = head << (k - TABLE_BITS)
+    else:
+        head = x << (TABLE_BITS - k)
+        c = x
+    table_lo, table_hi = _ln_table(head - (1 << TABLE_BITS), p)
+    rest_lo, rest_hi = _atanh(x - c, x + c, p)
+    two_lo, two_hi = _ln2(p)
+    n = k - shift
+    if n < 0:
+        two_lo, two_hi = two_hi, two_lo
+    return n * two_lo + table_lo + 2 * rest_lo, n * two_hi + table_hi + 2 * rest_hi
+
+
+def ln_int(m: int, p: int) -> Enclosure:
+    """ln(m) * 2**p for an integer m >= 1."""
+    if m < 1:
+        raise ValueError(f"ln needs a positive integer, got {m}")
+    return _ln_scaled(m, 0, p)
+
+
+def ln(x: Enclosure, p: int) -> Enclosure:
+    """ln of the value enclosed by x at scale 2**p; x's lower end must be positive.
+
+    The lower end is ln(lo) itself; since ln(hi) - ln(lo) <= (hi - lo)/lo,
+    the upper end adds that ratio, rounded up.
+    """
+    lo, hi = x
+    if lo < 1:
+        raise ValueError("ln needs an enclosure of a positive value")
+    ln_lo, ln_hi = _ln_scaled(lo, p, p)
+    return ln_lo, ln_hi - (((lo - hi) << p) // lo)
+
+
+def exp(y: Enclosure, p: int) -> Enclosure:
+    """exp of the value enclosed by y at scale 2**p.
+
+    y = j ln 2 + i / 2**TABLE_BITS + r with r in [0, 2**-TABLE_BITS),
+    where j is chosen so that r >= 0 for every value in y and every
+    value ln 2's enclosure allows.  The Taylor series runs at the least
+    such r.  The greatest is d / 2**p above it, where d is y's width
+    plus |j| times ln 2's, and for 0 <= d/2**p <= 1, exp(d/2**p) <= 1 +
+    d/2**p + (d/2**p)**2.  A larger d raises PrecisionError.
+    """
+    lo, hi = y
+    two_lo, two_hi = _ln2(p)
+    j = lo // two_hi
+    z = lo - j * (two_hi if j >= 0 else two_lo)
+    while z < 0:  # j < 0, and ln 2 may lie below two_hi
+        j -= 1
+        z += two_lo
+    d = hi - lo + abs(j) * (two_hi - two_lo)
+    if d > 1 << p:
+        raise PrecisionError("exp argument enclosure is wider than 1")
+    i = z >> (p - TABLE_BITS)
+    s_lo, s_hi = _exp_taylor(z - (i << (p - TABLE_BITS)), p)
+    s_hi -= (-s_hi * d * ((1 << p) + d)) >> (2 * p)
+    t_lo, t_hi = _exp_table(p)[i]
+    lo = s_lo * t_lo >> p
+    hi = -(-s_hi * t_hi >> p)
+    if j >= 0:
+        return lo << j, hi << j
+    return _round_out((lo, hi), -j)
+
+
+def mul_rational(x: Enclosure, q: Fraction) -> Enclosure:
+    """q times the value enclosed by x, at the same scale."""
+    lo, hi = x
+    num, den = q.numerator, q.denominator
+    if num < 0:
+        lo, hi = hi, lo
+    return lo * num // den, -(-hi * num // den)

@@ -10,8 +10,8 @@ Five generators, all returning exact sparse `Signal` values:
   m**2 for 10 <= m <= cutoff; values are certified dyadic floors.
 * ``stretched_log(eps, cutoff)``: the same values placed at the indices
   ceil(m * ln(m)**(1+eps)); both the index ceilings and the values are
-  certified by interval arithmetic, together, from one build per m that
-  encloses m and ln(m) once (see `freqlab.dyadic`).
+  certified together, from one build per m that encloses ln(ln(m))
+  once.
 * ``spike_pair(size)``: 1 at the origin flanked by two spikes of height
   2*size at distance 3*size; the least maximizing radius jumps by more
   than `size` between n = 0 and n = 1.
@@ -19,9 +19,12 @@ Five generators, all returning exact sparse `Signal` values:
   of `spike_pair` blocks translated to 4**size, giving unbounded jumps
   of the least maximizing radius between adjacent points.
 
-Logarithms are natural logarithms.  Dyadic approximation always rounds
-toward zero, so regenerating with more precision bits never decreases a
-value.
+Logarithms are natural logarithms.  The log families evaluate
+ln(m)**e as exp(e * ln(ln(m))) on integer fixed-point enclosures (see
+`freqlab.dyadic`), which bound the true value from both sides and are
+refined until its floor or ceiling is pinned down.  Dyadic
+approximation always rounds toward zero, so regenerating with more
+precision bits never decreases a value.
 """
 
 from __future__ import annotations
@@ -29,26 +32,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
-
 from .dyadic import (
     DEFAULT_START_PRECISION,
+    Enclosure,
     ceil_dyadic,
     certified_floor,
     certify,
+    exp,
     floor_dyadic,
-    iv_fraction,
+    ln,
+    ln_int,
+    mul_rational,
 )
 from .signal import Signal
 
 _PARAMETERS = {
-    "squares_power": ("epsilon", "cutoff"),
-    "squares_log": ("epsilon", "cutoff"),
-    "stretched_log": ("epsilon", "cutoff"),
+    "squares_power": ("epsilon", "cutoff", "precision_bits"),
+    "squares_log": ("epsilon", "cutoff", "precision_bits"),
+    "stretched_log": ("epsilon", "cutoff", "precision_bits"),
     "spike_pair": ("size",),
     "composite_jump": ("size", "cutoff"),
 }
+_OPTIONAL = ("precision_bits",)
 FAMILIES = tuple(_PARAMETERS)
+DEFAULT_PRECISION_BITS = 128
 
 _MIN_SPIKE_SIZE = 100
 _MIN_LOG_INDEX = 10  # log families start at m = 10 so ln(m) is comfortably > 1
@@ -62,27 +69,28 @@ class GeneratorSpec:
     largest block size for `composite_jump`; `size` is the spike size
     for `spike_pair` and the smallest block size for `composite_jump`.
 
-    The three epsilon families take `epsilon` and `cutoff`, `spike_pair`
+    The three epsilon families take `epsilon`, `cutoff` and, optionally,
+    `precision_bits` (DEFAULT_PRECISION_BITS when unset); `spike_pair`
     takes `size`, and `composite_jump` takes `size` and `cutoff`.  A spec
-    must set exactly the fields its family takes; their ranges are
-    checked by the family's generator, when `generate` runs.
+    must set every required field its family takes and no other; their
+    ranges are checked by the family's generator, when `generate` runs.
     """
 
     family: str
     epsilon: Fraction | None = None
     cutoff: int | None = None
     size: int | None = None
-    precision_bits: int = 128
+    precision_bits: int | None = None
 
     def __post_init__(self):
         if self.family not in _PARAMETERS:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.precision_bits <= 0:
+        if self.precision_bits is not None and self.precision_bits <= 0:
             raise ValueError("precision_bits must be positive")
         takes = _PARAMETERS[self.family]
-        for field in ("epsilon", "cutoff", "size"):
+        for field in ("epsilon", "cutoff", "size", "precision_bits"):
             given = getattr(self, field) is not None
-            if field in takes and not given:
+            if field in takes and not given and field not in _OPTIONAL:
                 raise ValueError(f"{self.family} requires {field}")
             if given and field not in takes:
                 raise ValueError(f"{self.family} takes no {field}")
@@ -99,7 +107,11 @@ def generate(spec: GeneratorSpec) -> Signal:
         "squares_log": squares_log,
         "stretched_log": stretched_log,
     }[spec.family]
-    return make(spec.epsilon, spec.cutoff, spec.precision_bits)
+    return make(spec.epsilon, spec.cutoff, _precision_bits(spec))
+
+
+def _precision_bits(spec: GeneratorSpec) -> int:
+    return DEFAULT_PRECISION_BITS if spec.precision_bits is None else spec.precision_bits
 
 
 def is_exact(spec: GeneratorSpec) -> bool:
@@ -127,7 +139,7 @@ def metadata_lines(spec: GeneratorSpec) -> list[str]:
     if is_exact(spec):
         lines.append("values: exact")
     else:
-        lines.append(f"values: dyadic floor at {spec.precision_bits} bits")
+        lines.append(f"values: dyadic floor at {_precision_bits(spec)} bits")
     return lines
 
 
@@ -161,7 +173,7 @@ def _check_positive_epsilon(epsilon: Fraction) -> Fraction:
 
 
 def squares_power(
-    epsilon: Fraction, cutoff: int, precision_bits: int = 128
+    epsilon: Fraction, cutoff: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Signal:
     """Value 1/m**(1+eps) at index m**2, for m = 1 .. cutoff.
 
@@ -191,11 +203,10 @@ def squares_power(
     return Signal.from_pairs(pairs)
 
 
-def _log_weight(x, log_x, exponent: Fraction, precision_bits: int):
-    """Enclosure of 2**precision_bits / (m * ln(m)**exponent), given x = m
-    and log_x = ln(m)."""
-    scale = iv.mpf(1 << precision_bits)  # power of two, exact at any precision
-    return scale / (x * log_x ** iv_fraction(exponent))
+def _log_weight(m: int, log_log: Enclosure, exponent: Fraction, bits: int, p: int) -> Enclosure:
+    """2**bits / (m * ln(m)**exponent) at scale 2**p, given ln(ln(m)) at scale 2**p."""
+    lo, hi = exp(mul_rational(log_log, -exponent), p)
+    return (lo << bits) // m, -(-(hi << bits) // m)
 
 
 def _weight_value(scaled: int, m: int, exponent: Fraction, precision_bits: int) -> Fraction:
@@ -211,15 +222,16 @@ def _weight_value(scaled: int, m: int, exponent: Fraction, precision_bits: int) 
 def _log_weight_floor(m: int, exponent: Fraction, precision_bits: int) -> Fraction:
     """Certified dyadic floor of 1 / (m * ln(m)**exponent)."""
 
-    def build():
-        x = iv.mpf(m)
-        return _log_weight(x, iv.log(x), exponent, precision_bits)
+    def build(p):
+        return _log_weight(m, ln(ln_int(m, p), p), exponent, precision_bits, p)
 
     scaled = certified_floor(build, start_precision=precision_bits + 64)
     return _weight_value(scaled, m, exponent, precision_bits)
 
 
-def squares_log(epsilon: Fraction, cutoff: int, precision_bits: int = 128) -> Signal:
+def squares_log(
+    epsilon: Fraction, cutoff: int, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> Signal:
     """Value 1/(m * ln(m)**(1 + eps/2)) at index m**2, for m = 10 .. cutoff."""
     epsilon = _check_positive_epsilon(epsilon)
     if cutoff < _MIN_LOG_INDEX:
@@ -231,20 +243,25 @@ def squares_log(epsilon: Fraction, cutoff: int, precision_bits: int = 128) -> Si
     )
 
 
+def _member_enclosures(
+    m: int, index_exponent: Fraction, value_exponent: Fraction, bits: int, p: int
+) -> tuple[Enclosure, Enclosure]:
+    """m * ln(m)**index_exponent and 2**bits / (m * ln(m)**value_exponent)
+    at scale 2**p, both from one enclosure of ln(ln(m))."""
+    log_log = ln(ln_int(m, p), p)
+    lo, hi = exp(mul_rational(log_log, index_exponent), p)
+    return (m * lo, m * hi), _log_weight(m, log_log, value_exponent, bits, p)
+
+
 def _stretched_member(
     m: int, index_exponent: Fraction, value_exponent: Fraction, precision_bits: int
 ) -> tuple[int, Fraction]:
     """Certified ceil(m * ln(m)**index_exponent) and dyadic floor of
-    1 / (m * ln(m)**value_exponent), from one build that encloses m and
-    ln(m) once."""
+    1 / (m * ln(m)**value_exponent), from one build that encloses
+    ln(ln(m)) once."""
 
-    def build():
-        x = iv.mpf(m)
-        log_x = iv.log(x)
-        return (
-            x * log_x ** iv_fraction(index_exponent),
-            _log_weight(x, log_x, value_exponent, precision_bits),
-        )
+    def build(p):
+        return _member_enclosures(m, index_exponent, value_exponent, precision_bits, p)
 
     # The value needs precision_bits + 64 bits to start, the index no more than the default.
     start = max(DEFAULT_START_PRECISION, precision_bits + 64)
@@ -252,11 +269,13 @@ def _stretched_member(
     return index, _weight_value(scaled, m, value_exponent, precision_bits)
 
 
-def stretched_log(epsilon: Fraction, cutoff: int, precision_bits: int = 128) -> Signal:
+def stretched_log(
+    epsilon: Fraction, cutoff: int, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> Signal:
     """Value 1/(m * ln(m)**(1 + eps/2)) at index ceil(m * ln(m)**(1 + eps)).
 
-    Index ceilings and values are certified by interval arithmetic, both
-    from one build per m that encloses m and ln(m) once; should two
+    Index ceilings and values are certified from integer enclosures, both
+    from one build per m that encloses ln(ln(m)) once; should two
     distinct m ever land on the same index the collision is rejected
     rather than silently merged.
 

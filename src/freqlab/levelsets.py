@@ -19,7 +19,9 @@ p * F(n) <= q * |n|), so censuses are exact.  Densities count / N are
 exact rationals; the log-weighted diagnostic ratio
 count * ln(N)**(1+eps) / N is the one deliberately inexact number in
 the package and is reported as a decimal string computed to 64
-certified fractional bits.
+certified fractional bits: ln(N)**(1+eps) is exp((1+eps) * ln(ln(N)))
+on the integer fixed-point enclosures of `freqlab.dyadic`, and the
+floor is certified once both ends of the enclosure agree on it.
 
 Asymptotic statements about these censuses are out of reach of any
 finite scan; `density_curves` reports exact counts on a finite grid and
@@ -32,9 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
-
-from .dyadic import certified_floor, iv_fraction
+from .dyadic import Enclosure, certified_floor, exp, ln, ln_int, mul_rational
 from .maximal import frequency_values
 from .signal import IntegerInterval, Signal
 
@@ -128,6 +128,13 @@ def census_band(f: Signal, params: LevelParams, n_max: int, threads: int = 1) ->
     return set(_census(f, params, n_max, threads)[1])
 
 
+def _log_density_enclosure(count: int, n_value: int, epsilon: Fraction, p: int) -> Enclosure:
+    """2**64 * count * ln(N)**(1+eps) / N at scale 2**p, for N >= 2."""
+    lo, hi = exp(mul_rational(ln(ln_int(n_value, p), p), 1 + epsilon), p)
+    scale = count << _LOG_DENSITY_BITS
+    return lo * scale // n_value, -(-hi * scale // n_value)
+
+
 def log_density_string(count: int, n_value: int, epsilon: Fraction) -> str:
     """count * ln(N)**(1+eps) / N as a decimal string.
 
@@ -140,13 +147,7 @@ def log_density_string(count: int, n_value: int, epsilon: Fraction) -> str:
     if count == 0 or n_value == 1:  # ln(1) = 0
         scaled = 0
     else:
-
-        def build():
-            logn = iv.log(iv.mpf(n_value))
-            ratio = iv.mpf(count) * logn ** iv_fraction(1 + epsilon) / iv.mpf(n_value)
-            return iv.mpf(1 << _LOG_DENSITY_BITS) * ratio
-
-        scaled = certified_floor(build)
+        scaled = certified_floor(lambda p: _log_density_enclosure(count, n_value, epsilon, p))
     whole, frac = divmod(scaled, 1 << _LOG_DENSITY_BITS)
     digits = frac * 10**_LOG_DENSITY_DIGITS >> _LOG_DENSITY_BITS
     return f"{whole}.{digits:0{_LOG_DENSITY_DIGITS}d}"

@@ -46,7 +46,6 @@ operation, and only the pairs found are multiplied.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -297,6 +296,8 @@ def _scan(f: Signal, span: IntegerInterval, threads: int) -> list[int]:
         workers = _pool_size(threads, len(tasks))
     if workers <= 1:
         return _rows(f, span.lo, span.hi)
+    import multiprocessing  # only pooled scans pay for its import
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers, initializer=_init_worker, initargs=(f,)) as pool:
         pieces = pool.map(_worker_rows, tasks)

@@ -229,6 +229,9 @@ class TestGen:
         (["spike_pair", "--C", "100", "--C-max", "101"], "spike_pair takes no cutoff"),
         (["composite_jump", "--C-min", "100", "--C-max", "101", "--epsilon", "1/2"],
          "composite_jump takes no epsilon"),
+        (["spike_pair", "--C", "100", "--precision", "7"], "spike_pair takes no precision_bits"),
+        (["composite_jump", "--C-min", "100", "--C-max", "101", "--precision", "128"],
+         "composite_jump takes no precision_bits"),
         (["squares_power", "--cutoff", "5"], "squares_power requires epsilon"),
         (["squares_power", "--epsilon", "1/4"], "squares_power requires cutoff"),
         (["squares_log", "--cutoff", "20"], "squares_log requires epsilon"),
@@ -452,6 +455,22 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == 2
+
+
+def test_log_families_load_neither_mpmath_nor_multiprocessing():
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import freqlab.cli\n"
+        "from freqlab import log_density_string, squares_log, stretched_log\n"
+        "stretched_log(Fraction(1, 3), 20)\n"
+        "squares_log(Fraction(1, 2), 20)\n"
+        "log_density_string(7, 1000, Fraction(1, 1000))\n"
+        "print(sorted(m for m in ('mpmath', 'multiprocessing') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_entry_point_runs():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 
-from freqlab.dyadic import PrecisionError, ceil_dyadic, certified_floor, certify
+from freqlab.dyadic import PrecisionError, ceil_dyadic, certified_floor, certify, exp, ln_int
 from freqlab.families import (
     GeneratorSpec,
     composite_jump,
@@ -189,10 +189,12 @@ class TestGeneratorSpec:
         assert generate(spec) == composite_jump(100, 101)
         spec = GeneratorSpec("squares_power", epsilon=F(1), cutoff=4)
         assert generate(spec) == squares_power(F(1), 4)
+        spec = GeneratorSpec("squares_log", epsilon=F(1), cutoff=12, precision_bits=64)
+        assert generate(spec) == squares_log(F(1), 12, precision_bits=64)
 
     SPEC_ERRORS = [
         ({"family": "unknown_family"}, "unknown family 'unknown_family'"),
-        ({"family": "spike_pair", "size": 100, "precision_bits": 0},
+        ({"family": "squares_log", "epsilon": F(1), "cutoff": 20, "precision_bits": 0},
          "precision_bits must be positive"),
         ({"family": "squares_power", "cutoff": 5}, "squares_power requires epsilon"),
         ({"family": "stretched_log", "epsilon": F(1)}, "stretched_log requires cutoff"),
@@ -205,6 +207,10 @@ class TestGeneratorSpec:
         ({"family": "spike_pair", "size": 100, "cutoff": 200}, "spike_pair takes no cutoff"),
         ({"family": "composite_jump", "size": 100, "cutoff": 101, "epsilon": F(1)},
          "composite_jump takes no epsilon"),
+        ({"family": "spike_pair", "size": 100, "precision_bits": 128},
+         "spike_pair takes no precision_bits"),
+        ({"family": "composite_jump", "size": 100, "cutoff": 101, "precision_bits": 7},
+         "composite_jump takes no precision_bits"),
     ]
 
     @pytest.mark.parametrize(
@@ -234,7 +240,9 @@ class TestGeneratorSpec:
         lines = metadata_lines(GeneratorSpec("squares_power", epsilon=F(1, 4), cutoff=9))
         assert "family: squares_power" in lines
         assert "epsilon: 1/4" in lines
-        assert any("dyadic floor" in line for line in lines)
+        assert "values: dyadic floor at 128 bits" in lines
+        spec = GeneratorSpec("stretched_log", epsilon=F(1), cutoff=12, precision_bits=96)
+        assert "values: dyadic floor at 96 bits" in metadata_lines(spec)
 
 
 class TestGoldenDigests:
@@ -265,16 +273,17 @@ class TestGoldenDigests:
 
 class TestCertifiedRounding:
     def test_floor_and_ceil_agree_with_floats(self):
-        def build():
-            return iv.mpf(10) * iv.log(iv.mpf(10))
+        def build(p):
+            lo, hi = ln_int(10, p)
+            return 10 * lo, 10 * hi
 
         assert certified_floor(build) == 23   # 10 ln 10 = 23.0258...
-        assert certify(lambda: (build(),), (ceil_dyadic,)) == (24,)
+        assert certify(lambda p: (build(p),), (ceil_dyadic,)) == (24,)
 
     def test_exact_value_representable(self):
-        assert certified_floor(lambda: iv.mpf(12)) == 12
+        assert certified_floor(lambda p: (12 << p, 12 << p)) == 12
 
     def test_straddled_integer_raises(self):
-        # exp(log(4)) encloses 4 strictly, so its floor never certifies
+        # exp(ln(4)) encloses 4 strictly, so its floor never certifies
         with pytest.raises(PrecisionError):
-            certified_floor(lambda: iv.exp(iv.log(iv.mpf(4))), max_precision=2048)
+            certified_floor(lambda p: exp(ln_int(4, p), p), max_precision=2048)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqlab.signal import (
     FORMAT_MAGIC,
@@ -19,6 +21,14 @@ from freqlab.signal import (
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+# Zero digits of Arabic-Indic, Devanagari, Bengali and fullwidth forms;
+# int() accepts all of them, the strict parser none.
+UNICODE_ZEROS = [0x660, 0x966, 0x9E6, 0xFF10]
+numerators = st.integers(-(10**30), 10**30)
+denominators = st.integers(1, 10**30)
 
 
 class TestRational:
@@ -45,6 +55,45 @@ class TestRational:
     def test_format_always_explicit(self):
         assert format_rational(F(3)) == "3/1"
         assert format_rational(F(-1, 2)) == "-1/2"
+
+    @DETERMINISTIC
+    @given(numerators, denominators)
+    def test_round_trip(self, num, den):
+        x = parse_rational(f"{num}/{den}")
+        assert x == F(num, den)
+        assert parse_rational(format_rational(x)) == x
+        assert format_rational(parse_rational(format_rational(x))) == format_rational(x)
+        assert parse_rational(str(num)) == num
+
+    @DETERMINISTIC
+    @given(numerators, denominators, st.integers(0, 10**6), st.booleans())
+    def test_decimals_rejected(self, num, den, fraction_digits, in_numerator):
+        decimal = f"{num}.{fraction_digits}"
+        text = f"{decimal}/{den}" if in_numerator else f"{num}/{den}.{fraction_digits}"
+        with pytest.raises(ValueError):
+            parse_rational(text)
+        with pytest.raises(ValueError):
+            parse_rational(decimal)
+
+    @DETERMINISTIC
+    @given(st.integers(10, 10**30), denominators, st.data())
+    def test_underscore_separators_rejected(self, num, den, data):
+        digits = str(num)
+        cut = data.draw(st.integers(1, len(digits) - 1))
+        text = f"{digits[:cut]}_{digits[cut:]}/{den}"
+        assert int(text.partition("/")[0]) == num  # int() alone would accept it
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    @DETERMINISTIC
+    @given(numerators, denominators, st.sampled_from(UNICODE_ZEROS), st.data())
+    def test_non_ascii_digits_rejected(self, num, den, zero, data):
+        text = f"{num}/{den}"
+        spots = [i for i, ch in enumerate(text) if ch.isdigit()]
+        i = data.draw(st.sampled_from(spots))
+        text = text[:i] + chr(zero + int(text[i])) + text[i + 1 :]
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 class TestIntegerInterval:
