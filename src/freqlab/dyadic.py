@@ -21,14 +21,14 @@ precision, each computed with guard bits and rounded outward:
 * ln(1 + i/2**TABLE_BITS) = 2 * atanh(i / (2**(TABLE_BITS+1) + i));
 * exp(i/2**TABLE_BITS), as products of the enclosure of exp(2**-TABLE_BITS).
 
-`ln` of x = 2**k * c * (1 + d) reads k * ln 2 and ln c off the first
-two (c is x's leading TABLE_BITS + 1 bits) and runs an atanh series
-whose ratio is below 2**-(TABLE_BITS+1).  `exp` reduces its argument by
-j * ln 2 and a table step i / 2**TABLE_BITS to r in [0, 2**-TABLE_BITS)
-and runs a short Taylor series.  The reductions are those of Brent and
-Zimmermann, *Modern Computer Arithmetic* (CUP 2010), section 4.2.2, and
-the series bounds follow section 4.4; each bound is derived in the
-docstring of its series.
+`ln` writes x = 2**k * (1 + i/2**TABLE_BITS) * (1 + d), reads the
+logarithms of the first two factors off the cache, and runs an atanh
+series for ln(1 + d) whose ratio is below 2**-(TABLE_BITS+1).  `exp`
+reduces its argument by j * ln 2 and a table step i / 2**TABLE_BITS to
+r in [0, 2**-TABLE_BITS) and runs a short Taylor series.  The
+reductions are those of Brent and Zimmermann, *Modern Computer
+Arithmetic* (CUP 2010), section 4.2.2, and the series bounds follow
+section 4.4; each bound is derived in the docstring of its series.
 
 A build may return several enclosures that share intermediate results
 (`stretched_log` encloses ln(ln m) once for an index and a weight).
@@ -37,9 +37,9 @@ them rounds to a single integer, and the certified values do not depend
 on the precision at which that happens.
 
 Certification can only fail to converge when the target value is
-exactly an integer, which the family formulas never produce; if the
-precision cap is reached anyway, a PrecisionError is raised instead of
-guessing.
+exactly an integer, which the family formulas never produce, or needs
+more bits than the precision cap; either way a PrecisionError is raised
+instead of guessing.
 """
 
 from __future__ import annotations
