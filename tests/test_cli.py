@@ -393,11 +393,11 @@ class TestVerify:
         import freqlab.cli as cli_mod
         from freqlab.verify import Check
 
-        def rigged(name, trials=None, seed=1):
+        def rigged():
             return [Check("rigged assertion", False, "forced",
                           replay=("rigged.sig", "#freqlab-signal v1\n0 1/1\n"))]
 
-        monkeypatch.setattr(cli_mod.verify_mod, "run_suite", rigged)
+        monkeypatch.setitem(cli_mod.verify_mod.SUITES, "oracle", rigged)
         monkeypatch.chdir(tmp_path)
         assert main(["verify", "--suite", "oracle"]) == 1
         out = capsys.readouterr().out
@@ -435,11 +435,15 @@ class TestVerify:
 
         calls = []
 
-        def record(name, **options):
-            calls.append((name, options))
-            return []
+        def recorder(name):
+            def record(**options):
+                calls.append((name, options))
+                return []
 
-        monkeypatch.setattr(cli_mod.verify_mod, "run_suite", record)
+            return record
+
+        for name in list(cli_mod.verify_mod.SUITES):
+            monkeypatch.setitem(cli_mod.verify_mod.SUITES, name, recorder(name))
         assert main(["verify", "--suite", "all", "--trials", "5", "--seed", "2"]) == 0
         seeded = {"trials": 5, "seed": 2}
         assert calls == [
@@ -455,6 +459,32 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["examples"], "bd159fe4b58e87229ae3ac2504ae0a90a9a787f2a3084677e59ab9ab2c0eb356"),
+            (["variational"], "973e42c00096cc9911c4a972a7db51088cf846d6328d8c60ac410a77254fb20d"),
+            (["fundamental"], "fde8493f7ca3b2611fc1f701c5d5f5ec99c70fcc4b487c8c38da18bf841a49c8"),
+            (
+                ["oracle", "--trials", "20", "--seed", "3"],
+                "840d0c2a18af6ebbcd4dfa54e104ee7e7d1ede30b72f45697397ea9b62acd836",
+            ),
+            (
+                ["covering", "--trials", "200", "--seed", "3"],
+                "41ee4979571b659be0048f0048877b21ae25c6b27993deb1c4e3a364aaa6f8de",
+            ),
+            (
+                ["invariance", "--trials", "20", "--seed", "3"],
+                "c3d9bfee0946318c75c8306470d4ac137bd91a91a4d65276b29aefb6f16069c9",
+            ),
+        ],
+        ids=["examples", "variational", "fundamental", "oracle", "covering", "invariance"],
+    )
+    def test_stdout_digest(self, argv, digest, capsys):
+        assert main(["verify", "--suite", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_log_families_load_neither_mpmath_nor_multiprocessing():

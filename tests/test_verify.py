@@ -1,6 +1,10 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
+
+import freqlab.verify as verify_mod
 
 from freqlab.signal import parse_signal
 from freqlab.verify import (
@@ -54,16 +58,16 @@ class TestSuites:
         assert len(checks) == 1 and checks[0].passed
 
     def test_small_random_suites(self):
-        assert all(c.passed for c in run_suite("oracle", trials=20, seed=3))
-        assert all(c.passed for c in run_suite("covering", trials=200, seed=3))
-        assert all(c.passed for c in run_suite("invariance", trials=20, seed=3))
+        assert all(c.passed for c in SUITES["oracle"](trials=20, seed=3))
+        assert all(c.passed for c in SUITES["covering"](trials=200, seed=3))
+        assert all(c.passed for c in SUITES["invariance"](trials=20, seed=3))
 
     def test_trials_and_seed_only_for_seeded_suites(self):
         for name in sorted(set(SUITES) - set(SEEDED_SUITES)):
             with pytest.raises(TypeError):
-                run_suite(name, trials=5)
+                SUITES[name](trials=5)
             with pytest.raises(TypeError):
-                run_suite(name, seed=9)
+                SUITES[name](seed=9)
 
     def test_oracle_failure_produces_replay(self, monkeypatch):
         import freqlab.verify as verify_mod
@@ -85,3 +89,54 @@ class TestSuites:
         assert suffix.endswith(".sig")
         replayed = parse_signal(text)  # serialized instance parses back
         assert len(replayed) >= 1
+
+
+def _digest(checks):
+    text = "".join(f"{c.name}|{c.passed}|{c.detail}|{c.replay}\n" for c in checks)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _bump_frequency(real, when):
+    def broken(*args):
+        res = real(*args)
+        return dataclasses.replace(res, frequency=res.frequency + 1) if when(*args) else res
+
+    return broken
+
+
+class TestSabotagedReplays:
+    """Each seed must keep drawing the same instances: a sabotaged run's
+    names, details and replay texts are pinned by digest."""
+
+    def test_oracle(self, monkeypatch):
+        broken = _bump_frequency(verify_mod.analyze, lambda f, n: n == 17)
+        monkeypatch.setattr(verify_mod, "analyze", broken)
+        checks = verify_mod.suite_oracle(trials=3, seed=1)
+        assert [c.passed for c in checks] == [False]
+        assert _digest(checks) == (
+            "ba14c64d5a7b0b87c328471ef5a9e320dc304e67ebaec383ac2faa5ea46b5c31"
+        )
+
+    def test_covering(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "triple", lambda iv: iv)
+        checks = verify_mod.suite_covering(trials=200, seed=3)
+        assert [c.passed for c in checks] == [True, True, False, True]
+        assert _digest(checks) == (
+            "ff4fd4036dbeb955b1005d4b44f71272bfec5650a627582cd394935d90860f9d"
+        )
+
+    def test_invariance(self, monkeypatch):
+        real_bilinear = verify_mod.bilinear_analyze
+
+        def flip_degenerate(f, g, n):
+            res = real_bilinear(f, g, n)
+            return dataclasses.replace(res, degenerate=not res.degenerate) if len(f) > len(g) else res
+
+        broken = _bump_frequency(verify_mod.analyze, lambda f, n: n > 0)
+        monkeypatch.setattr(verify_mod, "analyze", broken)
+        monkeypatch.setattr(verify_mod, "bilinear_analyze", flip_degenerate)
+        checks = verify_mod.suite_invariance(trials=20, seed=3)
+        assert [c.passed for c in checks] == [False, True, False, False]
+        assert _digest(checks) == (
+            "89197cced70812b31fdb42e7359cac70a7c548ce6a7c8d28f3ad783f1e0fd857"
+        )
