@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .covering import greedy_disjoint, read_intervals, triple
+from .dyadic import PrecisionError
 from .families import GeneratorSpec, generate, metadata_lines
 from .levelsets import LEVELSET_MODES, LevelParams, census_csv, density_curves
 from .maximal import analyze, bilinear_analyze, frequency_profile
@@ -189,7 +190,7 @@ def _cmd_levelset(args, parser) -> int:
     try:
         params = LevelParams(args.ratio, args.epsilon, args.mode)
         census = density_curves(f, params, args.n_grid, threads=args.threads)
-    except ValueError as exc:
+    except (ValueError, PrecisionError) as exc:
         parser.error(str(exc))
     _emit(census_csv(census), args.out)
     return EXIT_OK
@@ -223,7 +224,7 @@ def _cmd_gen(args, parser) -> int:
     try:
         spec = GeneratorSpec(args.family, args.epsilon, args.cutoff, args.size, args.precision)
         signal = generate(spec)
-    except ValueError as exc:
+    except (ValueError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(dump_signal(signal, metadata_lines(spec)), args.out)
@@ -232,13 +233,14 @@ def _cmd_gen(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     seeded = verify_mod.SEEDED_SUITES
-    if args.suite not in seeded + ("all",) and (args.trials, args.seed) != (None, None):
+    options = {key: value for key, value in (("trials", args.trials), ("seed", args.seed))
+               if value is not None}
+    if options and args.suite not in seeded + ("all",):
         parser.error(f"--trials and --seed apply only to {', '.join(seeded)}")
     names = sorted(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
-        options = {"trials": args.trials, "seed": args.seed} if name in seeded else {}
-        for check in verify_mod.run_suite(name, **options):
+        for check in verify_mod.SUITES[name](**(options if name in seeded else {})):
             status = "PASS" if check.passed else "FAIL"
             detail = f" ({check.detail})" if check.detail else ""
             print(f"[{status}] {name}: {check.name}{detail}")
@@ -247,8 +249,7 @@ def _cmd_verify(args, parser) -> int:
                 if check.replay:
                     suffix, text = check.replay
                     path = f"freqlab-replay-{suffix}"
-                    with open(path, "w", encoding="ascii") as handle:
-                        handle.write(text)
+                    _emit(text, path)
                     print(f"  offending instance written to {path}")
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failed assertion(s)")
     return EXIT_OK if failures == 0 else EXIT_ASSERTION

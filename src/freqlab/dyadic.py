@@ -39,7 +39,8 @@ on the precision at which that happens.
 Certification can only fail to converge when the target value is
 exactly an integer, which the family formulas never produce, or needs
 more bits than the precision cap; either way a PrecisionError is raised
-instead of guessing.
+instead of guessing.  The second case is recognised after one round,
+from the width of the enclosure, so it fails fast.
 """
 
 from __future__ import annotations
@@ -82,6 +83,13 @@ def certify(
     (`floor_dyadic` or `ceil_dyadic`), and is re-evaluated at doubling
     p until, for each enclosure, its pick gives both ends the same
     integer.
+
+    Both ends agree only when the width hi - lo is below 2**p.  The
+    width of an enclosure built from the operations below does not
+    shrink as p grows: each is accurate to a bounded number of units at
+    scale 2**p, so a value v carries a width of about v units.  A failed
+    round whose width is already 2**max_precision or more therefore
+    raises at once instead of doubling up to the cap.
     """
     precision = start_precision
     while precision <= max_precision:
@@ -93,6 +101,12 @@ def certify(
             rounded.append(value)
         else:
             return tuple(rounded)
+        width_bits = (hi - lo).bit_length()
+        if width_bits > max_precision:
+            raise PrecisionError(
+                f"value needs more than {max_precision} bits (dyadic.MAX_PRECISION) "
+                f"to certify: its enclosure is {width_bits} bits wide at {precision} bits"
+            )
         precision *= 2
     raise PrecisionError(
         f"enclosure still straddles an integer at {max_precision} bits; "

@@ -298,8 +298,7 @@ def _scan(f: Signal, span: IntegerInterval, threads: int) -> list[int]:
         return _rows(f, span.lo, span.hi)
     import multiprocessing  # only pooled scans pay for its import
 
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_init_worker, initargs=(f,)) as pool:
+    with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(f,)) as pool:
         pieces = pool.map(_worker_rows, tasks)
     return [row for piece in pieces for row in piece]
 

@@ -139,8 +139,6 @@ class Signal:
         self.indices: tuple[int, ...] = tuple(i for i, _ in cleaned)
         self.values: tuple[Fraction, ...] = tuple(v for _, v in cleaned)
 
-        self.l1_norm: Fraction = sum(self.values, Fraction(0))
-
         # Integer rescaling over the least common denominator.
         scale = math.lcm(*(v.denominator for v in self.values)) if self.values else 1
         self.scale: int = scale
@@ -154,6 +152,7 @@ class Signal:
             scaled_prefix.append(acc)
         self._scaled_prefix: tuple[int, ...] = tuple(scaled_prefix)
         self.scaled_l1: int = acc
+        self.l1_norm: Fraction = Fraction(acc, scale)
         # index -> its position in `indices`; its keys are the support as a set
         self.position: dict[int, int] = {i: k for k, i in enumerate(self.indices)}
 

@@ -2,9 +2,12 @@
 
 Each suite re-derives a family of exact statements and returns a list
 of `Check` records; the CLI renders them as pass/fail lines and the
-acceptance tests assert on them.  Random suites are driven entirely by
-a caller-supplied seed, so every run is reproducible, and any failing
-instance is serialized for replay.
+acceptance tests assert on them.  `SUITES` maps each name below to its
+function, which the CLI calls with only the options the user gave.  The
+`SEEDED_SUITES` take `trials` and `seed` and are driven entirely by that
+seed, so every run is reproducible, and the first failing instance of
+each check is serialized for replay.  Results are compared as whole
+`FrequencyResult` / `BilinearFrequencyResult` values.
 
 Suites:
 
@@ -67,13 +70,13 @@ class Check:
     replay: tuple[str, str] | None = None
 
 
-def random_signal(
-    rng: random.Random,
-    max_points: int = 30,
-    index_span: int = 100,
-    max_numerator: int = 12,
-    max_denominator: int = 12,
-) -> Signal:
+# Random signal values are +-p/q with 1 <= p, q <= _VALUE_TERM_BOUND.
+_VALUE_TERM_BOUND = 12
+# suite_oracle compares the two analyses at every n in [-_ORACLE_SPAN, _ORACLE_SPAN].
+_ORACLE_SPAN = 120
+
+
+def random_signal(rng: random.Random, max_points: int = 30, index_span: int = 100) -> Signal:
     """Random sparse signal: up to `max_points` support points with small
     rational values on [-index_span, index_span]."""
     count = rng.randint(1, max_points)
@@ -82,8 +85,8 @@ def random_signal(
         (
             i,
             Fraction(
-                rng.choice((-1, 1)) * rng.randint(1, max_numerator),
-                rng.randint(1, max_denominator),
+                rng.choice((-1, 1)) * rng.randint(1, _VALUE_TERM_BOUND),
+                rng.randint(1, _VALUE_TERM_BOUND),
             ),
         )
         for i in indices
@@ -102,41 +105,18 @@ def random_intervals(
     return out
 
 
-def _result_tuple(res):
-    return (res.maximal_value, res.extremal_radii, res.frequency)
-
-
-def suite_oracle(trials: int = 1000, seed: int = 1, n_span: int = 120) -> list[Check]:
+def suite_oracle(trials: int = 1000, seed: int = 1) -> list[Check]:
     """Candidate-radius analysis against the exhaustive sweep."""
+    name = "analyze equals exhaustive radius sweep"
     rng = random.Random(seed)
-    failure = None
-    points = 0
     for _ in range(trials):
         f = random_signal(rng)
-        for n in range(-n_span, n_span + 1):
-            points += 1
-            if _result_tuple(analyze(f, n)) != _result_tuple(analyze_brute_force(f, n)):
-                failure = (f, n)
-                break
-        if failure:
-            break
-    if failure:
-        f, n = failure
-        return [
-            Check(
-                "analyze equals exhaustive radius sweep",
-                False,
-                f"mismatch at n={n}",
-                replay=("oracle.sig", dump_signal(f, [f"oracle mismatch at n={n}"])),
-            )
-        ]
-    return [
-        Check(
-            "analyze equals exhaustive radius sweep",
-            True,
-            f"{trials} signals, {points} points, exact equality of (M, E, F)",
-        )
-    ]
+        for n in range(-_ORACLE_SPAN, _ORACLE_SPAN + 1):
+            if analyze(f, n) != analyze_brute_force(f, n):
+                replay = ("oracle.sig", dump_signal(f, [f"oracle mismatch at n={n}"]))
+                return [Check(name, False, f"mismatch at n={n}", replay=replay)]
+    points = trials * (2 * _ORACLE_SPAN + 1)
+    return [Check(name, True, f"{trials} signals, {points} points, exact equality of (M, E, F)")]
 
 
 def suite_variational(sizes: tuple[int, ...] = (100, 101, 150, 1000)) -> list[Check]:
@@ -198,18 +178,6 @@ def suite_covering(trials: int = 10000, seed: int = 1) -> list[Check]:
     ]
 
 
-def _shift(f: Signal, k: int) -> Signal:
-    return Signal.from_pairs((i + k, v) for i, v in f)
-
-
-def _reflect(f: Signal) -> Signal:
-    return Signal.from_pairs((-i, v) for i, v in f)
-
-
-def _rescale(f: Signal, c: Fraction) -> Signal:
-    return Signal.from_pairs((i, c * v) for i, v in f)
-
-
 def suite_invariance(trials: int = 500, seed: int = 1) -> list[Check]:
     """Symmetry properties of the analysis, checked exactly."""
     rng = random.Random(seed)
@@ -219,14 +187,13 @@ def suite_invariance(trials: int = 500, seed: int = 1) -> list[Check]:
         g = random_signal(rng, max_points=15)
         k = rng.randint(-50, 50)
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        shifted = _shift(f, k)
-        mirrored = _reflect(f)
-        scaled = _rescale(f, c)
+        shifted = Signal.from_pairs((i + k, v) for i, v in f)
+        mirrored = Signal.from_pairs((-i, v) for i, v in f)
+        scaled = Signal.from_pairs((i, c * v) for i, v in f)
         samples = [rng.randint(-110, 110) for _ in range(4)]
         for n in samples:
             base = analyze(f, n)
-            moved = analyze(shifted, n + k)
-            if _result_tuple(moved) != _result_tuple(base):
+            if analyze(shifted, n + k) != base:
                 translation_bad = translation_bad or (f, k, n)
             grown = analyze(scaled, n)
             if (
@@ -235,20 +202,12 @@ def suite_invariance(trials: int = 500, seed: int = 1) -> list[Check]:
                 or grown.maximal_value != c * base.maximal_value
             ):
                 scaling_bad = scaling_bad or (f, c, n)
-            flipped = analyze(mirrored, -n)
-            if _result_tuple(flipped) != _result_tuple(base):
+            if analyze(mirrored, -n) != base:
                 reflection_bad = reflection_bad or (f, n)
             r = rng.randint(0, 120)
             if bilinear_average(f, g, n, r) != bilinear_average(g, f, n, r):
                 bilinear_bad = bilinear_bad or (f, g, n, r)
-            fg = bilinear_analyze(f, g, n)
-            gf = bilinear_analyze(g, f, n)
-            if (fg.maximal_value, fg.extremal_radii, fg.frequency, fg.degenerate) != (
-                gf.maximal_value,
-                gf.extremal_radii,
-                gf.frequency,
-                gf.degenerate,
-            ):
+            if bilinear_analyze(f, g, n) != bilinear_analyze(g, f, n):
                 bilinear_bad = bilinear_bad or (f, g, n, None)
     def check(name, bad):
         if bad is None:
@@ -278,6 +237,22 @@ def desk_scale_roster() -> list[tuple[str, Signal]]:
     ]
 
 
+def _half_mass_failure(f: Signal, start: int, span: int) -> int | None:
+    """The first n with |n| in [start, start + span] where either form of
+    the half-mass bound fails, or None."""
+    l1 = f.l1_norm
+    for magnitude in range(start, start + span + 1):
+        for n in {magnitude, -magnitude}:
+            res = analyze(f, n)
+            if res.maximal_value < Fraction(l1, 8 * abs(n) + 2):
+                return n
+            fr = res.frequency
+            window_mass = f.window_sum(IntegerInterval(n - fr, n + fr))
+            if window_mass * (8 * abs(n) + 2) < (2 * fr + 1) * l1:
+                return n
+    return None
+
+
 def suite_fundamental(span: int = 500, roster=None) -> list[Check]:
     """M f(n) >= ||f||_1 / (8|n| + 2) for |n| in [half-mass radius, +span],
     and the equivalent window form: the mass inside [n - F, n + F] is at
@@ -285,21 +260,7 @@ def suite_fundamental(span: int = 500, roster=None) -> list[Check]:
     checks = []
     for name, f in roster or desk_scale_roster():
         start = half_mass_radius(f)
-        l1 = f.l1_norm
-        bad = None
-        for magnitude in range(start, start + span + 1):
-            for n in {magnitude, -magnitude}:
-                res = analyze(f, n)
-                if res.maximal_value < Fraction(l1, 8 * abs(n) + 2):
-                    bad = n
-                    break
-                fr = res.frequency
-                window_mass = f.window_sum(IntegerInterval(n - fr, n + fr))
-                if window_mass * (8 * abs(n) + 2) < (2 * fr + 1) * l1:
-                    bad = n
-                    break
-            if bad is not None:
-                break
+        bad = _half_mass_failure(f, start, span)
         checks.append(
             Check(
                 f"half-mass lower bound for {name}",
@@ -411,15 +372,3 @@ SUITES = {
 
 # The suites that take `trials` and `seed`; the others take neither.
 SEEDED_SUITES = ("oracle", "covering", "invariance")
-
-
-def run_suite(name: str, trials: int | None = None, seed: int | None = None) -> list[Check]:
-    """Run one suite by name.
-
-    `trials` and `seed` are forwarded only when given, so each default
-    lives in its suite's signature.  Only `SEEDED_SUITES` take them.
-    """
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    options = {"trials": trials, "seed": seed}
-    return SUITES[name](**{key: value for key, value in options.items() if value is not None})

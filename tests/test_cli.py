@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -332,6 +333,31 @@ class TestUnwritableOut:
         assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
 
 
+class TestUncertifiableValue:
+    """A value too large for the precision cap exits 2 at once, naming the cap."""
+
+    MESSAGE = "value needs more than 65536 bits (dyadic.MAX_PRECISION) to certify"
+
+    def test_gen(self, tmp_path, capsys):
+        out = tmp_path / "x.sig"
+        argv = ["gen", "--family", "stretched_log", "--epsilon", "100000", "--cutoff", "10"]
+        start = time.perf_counter()
+        code = main(argv + ["--out", str(out)])
+        assert time.perf_counter() - start < 5
+        assert code == 2 and not out.exists()
+        assert self.MESSAGE in capsys.readouterr().err
+
+    def test_levelset(self, spike_file, capsys):
+        argv = ["levelset", "--signal", spike_file, "--C", "2", "--epsilon", "100000"]
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--N-grid", "10"])
+        assert time.perf_counter() - start < 5
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and self.MESSAGE in captured.err
+
+
 class TestEvalUsage:
     def test_bilinear_needs_both_files(self, delta_file):
         with pytest.raises(SystemExit) as err:
@@ -405,6 +431,24 @@ class TestVerify:
         replay = tmp_path / "freqlab-replay-rigged.sig"
         assert replay.exists()
         assert replay.read_text().startswith("#freqlab-signal v1")
+
+    def test_unwritable_replay_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        import freqlab.cli as cli_mod
+        from freqlab.verify import Check
+
+        def rigged():
+            return [Check("rigged assertion", False, "forced", replay=("rigged.sig", "0 1/1\n"))]
+
+        monkeypatch.setitem(cli_mod.verify_mod.SUITES, "examples", rigged)
+        monkeypatch.chdir(tmp_path)
+        # a directory in the way: file modes do not stop every user
+        (tmp_path / "freqlab-replay-rigged.sig").mkdir()
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "examples"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "[FAIL] examples: rigged assertion (forced)" in captured.out
+        assert captured.err == "error: freqlab-replay-rigged.sig: Is a directory\n"
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_is_usage_error(self, trials, capsys):

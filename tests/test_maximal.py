@@ -1,6 +1,8 @@
 import hashlib
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -184,6 +186,25 @@ class TestFrequencyProfile:
         parallel = frequency_profile(f, span, threads=2)
         assert serial == parallel
         assert frequency_values(f, span, threads=2) == [fr for _, _, fr in serial]
+
+    def test_spawned_workers_match_serial(self):
+        # the pool takes the default start method; spawned workers share no
+        # memory with the parent and get the signal from the initializer
+        code = (
+            "import multiprocessing, os\n"
+            "from fractions import Fraction\n"
+            "from freqlab.maximal import frequency_values\n"
+            "from freqlab.signal import IntegerInterval, Signal\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "os.cpu_count = lambda: 2\n"
+            "f = Signal.from_pairs([(i * i, Fraction(1, i)) for i in range(1, 40)])\n"
+            "span = IntegerInterval(-1200, 1200)\n"
+            "print(frequency_values(f, span, threads=2) == frequency_values(f, span))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
 
 
 class TestPoolSize:

@@ -123,6 +123,14 @@ class TestFromPairs:
         assert list(f) == [(3, F(1, 2))]
         assert f.l1_norm == F(1, 2)
 
+    @DETERMINISTIC
+    @given(st.dictionaries(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**9),
+                           max_size=40))
+    def test_l1_norm_is_the_sum_of_values(self, table):
+        f = Signal.from_pairs(table.items())
+        assert f.l1_norm == sum(f.values, Fraction(0))
+        assert f.l1_norm == sum(abs(v) for v in table.values())
+
     def test_duplicate_index_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Signal.from_pairs([(1, 1), (1, 2)])
