@@ -5,7 +5,6 @@ import random
 import pytest
 
 import freqlab.verify as verify_mod
-
 from freqlab.signal import parse_signal
 from freqlab.verify import (
     SEEDED_SUITES,
@@ -67,8 +66,6 @@ class TestSuites:
                 SUITES[name](seed=9)
 
     def test_oracle_failure_produces_replay(self, monkeypatch):
-        import freqlab.verify as verify_mod
-
         # sabotage the fast path so the oracle suite must catch it
         real = verify_mod.analyze
 
