@@ -12,8 +12,12 @@ Subcommands::
 
 All numeric flags that carry rational values use exact ``p/q`` syntax;
 decimals are rejected.  Exit codes: 0 success, 1 failed verification
-assertion, 2 usage or parse error.  Output for fixed inputs, flags, and
-seed is byte identical across runs and worker counts.
+assertion, 2 usage or parse error.  A flag that argparse rejects prints
+the subcommand's usage line; every later error (a bad value, an
+unreadable or malformed file, an unwritable output) prints exactly one
+stderr line, ``error: <message>`` or ``error: <path>: <reason>``.
+Output for fixed inputs, flags, and seed is byte identical across runs
+and worker counts.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .levelsets import LEVELSET_MODES, LevelParams, census_csv, density_curves
 from .maximal import analyze, bilinear_analyze, frequency_profile
 from .signal import (
     IntegerInterval,
-    SignalFormatError,
     dump_signal,
     parse_rational,
     parse_strict_int,
@@ -42,32 +45,29 @@ EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _argument(parse):
+    """An argparse type from a parser that raises ValueError."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _int(text: str) -> int:
-    try:
-        return parse_strict_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _positive_int(text: str) -> int:
-    value = _int(text)
+def _at_least_one(text: str) -> int:
+    value = parse_strict_int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
-def _grid(text: str) -> list[int]:
-    try:
-        return [parse_strict_int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad N grid {text!r}") from None
+_rational = _argument(parse_rational)
+_int = _argument(parse_strict_int)
+_positive_int = _argument(_at_least_one)
+_grid = _argument(lambda text: [parse_strict_int(part) for part in text.split(",") if part])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,21 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_signal(path):
     try:
         return read_signal(path)
-    except (OSError, SignalFormatError, ValueError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, out_path) -> None:
     if not out_path:
         sys.stdout.write(text)
         return
-    try:
-        with open(out_path, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: {out_path}: {exc.strerror}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
+    with open(out_path, "w", encoding="ascii", newline="") as handle:
+        handle.write(text)
 
 
 def _format_radii(result) -> str:
@@ -155,12 +150,12 @@ def _format_radii(result) -> str:
     return "{" + ",".join(str(r) for r in result.extremal_radii) + "}"
 
 
-def _cmd_eval(args, parser) -> int:
+def _cmd_eval(args) -> int:
     bilinear = args.first or args.second
     if bilinear and (not args.first or not args.second or args.signal):
-        parser.error("bilinear eval needs both --f and --g (and no --signal)")
+        raise ValueError("bilinear eval needs both --f and --g (and no --signal)")
     if not bilinear and not args.signal:
-        parser.error("eval needs --signal, or --f with --g")
+        raise ValueError("eval needs --signal, or --f with --g")
     if bilinear:
         f = _load_signal(args.first)
         g = _load_signal(args.second)
@@ -175,9 +170,9 @@ def _cmd_eval(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_profile(args, parser) -> int:
+def _cmd_profile(args) -> int:
     if args.start > args.stop:
-        parser.error(f"--from {args.start} exceeds --to {args.stop}")
+        raise ValueError(f"--from {args.start} exceeds --to {args.stop}")
     f = _load_signal(args.signal)
     rows = frequency_profile(f, IntegerInterval(args.start, args.stop), threads=args.threads)
     lines = ["n,M,F"] + [f"{n},{m},{fr}" for n, m, fr in rows]
@@ -185,24 +180,20 @@ def _cmd_profile(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_levelset(args, parser) -> int:
+def _cmd_levelset(args) -> int:
     f = _load_signal(args.signal)
-    try:
-        params = LevelParams(args.ratio, args.epsilon, args.mode)
-        census = density_curves(f, params, args.n_grid, threads=args.threads)
-    except (ValueError, PrecisionError) as exc:
-        parser.error(str(exc))
+    params = LevelParams(args.ratio, args.epsilon, args.mode)
+    census = density_curves(f, params, args.n_grid, threads=args.threads)
     _emit(census_csv(census), args.out)
     return EXIT_OK
 
 
-def _cmd_covering(args, parser) -> int:
+def _cmd_covering(args) -> int:
     try:
         intervals = read_intervals(args.input)
         sel = greedy_disjoint(intervals)
-    except (OSError, ValueError) as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     lines = [
         "chosen indices: " + " ".join(str(k) for k in sel.chosen),
         "chosen intervals: " + " ".join(str(intervals[k]) for k in sel.chosen),
@@ -220,23 +211,18 @@ def _cmd_covering(args, parser) -> int:
     return EXIT_OK if bound_ok else EXIT_ASSERTION
 
 
-def _cmd_gen(args, parser) -> int:
-    try:
-        spec = GeneratorSpec(args.family, args.epsilon, args.cutoff, args.size, args.precision)
-        signal = generate(spec)
-    except (ValueError, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(dump_signal(signal, metadata_lines(spec)), args.out)
+def _cmd_gen(args) -> int:
+    spec = GeneratorSpec(args.family, args.epsilon, args.cutoff, args.size, args.precision)
+    _emit(dump_signal(generate(spec), metadata_lines(spec)), args.out)
     return EXIT_OK
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     seeded = verify_mod.SEEDED_SUITES
     options = {key: value for key, value in (("trials", args.trials), ("seed", args.seed))
                if value is not None}
     if options and args.suite not in seeded + ("all",):
-        parser.error(f"--trials and --seed apply only to {', '.join(seeded)}")
+        raise ValueError(f"--trials and --seed apply only to {', '.join(seeded)}")
     names = sorted(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
@@ -256,8 +242,7 @@ def _cmd_verify(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "eval": _cmd_eval,
         "profile": _cmd_profile,
@@ -266,7 +251,14 @@ def main(argv=None) -> int:
         "gen": _cmd_gen,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args)
+    except OSError as exc:
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+    except (ValueError, PrecisionError) as exc:
+        message = exc
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -359,8 +359,7 @@ def bilinear_analyze_brute_force(f: Signal, g: Signal, n: int) -> BilinearFreque
     each step."""
     if f.is_zero or g.is_zero:
         return BilinearFrequencyResult(Fraction(0), None, 0, degenerate=True)
-    hull = f.support_hull()
-    bound = max(abs(n - hull.lo), abs(n - hull.hi))
+    bound = radius_bound(f, n)
     acc = f.scaled_value_at(n) * g.scaled_value_at(n)
     best_num, best_w, ties = acc, 1, [0]
     for r in range(1, bound + 1):

@@ -284,7 +284,7 @@ def parse_signal(text: str) -> Signal:
 
 def write_signal(f: Signal, path, metadata: Iterable[str] = ()) -> None:
     """Write a signal file; see `dump_signal` for the format."""
-    with open(path, "w", encoding="ascii") as handle:
+    with open(path, "w", encoding="ascii", newline="") as handle:
         handle.write(dump_signal(f, metadata))
 
 

@@ -56,18 +56,19 @@ class TestEval:
         assert main(["eval", "--f", delta_file, "--g", delta_file, "--n", "5"]) == 0
         assert capsys.readouterr().out == "B=0 F=0 E=all degenerate\n"
 
-    def test_missing_file_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["eval", "--signal", str(tmp_path / "nope.sig"), "--n", "0"])
-        assert err.value.code == 2
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nope.sig"
+        assert main(["eval", "--signal", str(path), "--n", "0"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
 
     def test_parse_failure_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.sig"
         bad.write_text("#freqlab-signal v1\n0 1/2\nnot-a-line\n")
-        with pytest.raises(SystemExit) as err:
-            main(["eval", "--signal", str(bad), "--n", "0"])
-        assert err.value.code == 2
-        assert "line 3" in capsys.readouterr().err
+        assert main(["eval", "--signal", str(bad), "--n", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 3: expected '<index> <numerator>/<denominator>', "
+            "got 'not-a-line'\n"
+        )
 
 
 class TestProfile:
@@ -86,10 +87,20 @@ class TestProfile:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(",")[2] for line in lines[1:]] == ["0", "301", "302"]
 
-    def test_inverted_range_is_usage_error(self, delta_file):
-        with pytest.raises(SystemExit) as err:
-            main(["profile", "--signal", delta_file, "--from", "3", "--to", "1"])
-        assert err.value.code == 2
+    def test_inverted_range_is_usage_error(self, delta_file, capsys):
+        assert main(["profile", "--signal", delta_file, "--from", "3", "--to", "1"]) == 2
+        assert capsys.readouterr().err == "error: --from 3 exceeds --to 1\n"
+
+    def test_os_error_without_a_file_prints_its_text(self, delta_file, monkeypatch, capsys):
+        import freqlab.cli as cli_mod
+
+        def no_workers(*args, **kwargs):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli_mod, "frequency_profile", no_workers)
+        argv = ["profile", "--signal", delta_file, "--from", "0", "--to", "2", "--threads", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
 
     def test_out_file_and_thread_determinism(self, tmp_path, capsys):
         sig = tmp_path / "f.sig"
@@ -117,18 +128,15 @@ class TestLevelset:
                      "--C", "2/1", "--N-grid", "10"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("10,21,1,21,10,")
 
-    def test_ratio_at_most_one_rejected(self, delta_file):
-        with pytest.raises(SystemExit) as err:
-            main(["levelset", "--signal", delta_file, "--mode", "K",
-                  "--C", "1/1", "--N-grid", "10"])
-        assert err.value.code == 2
+    def test_ratio_at_most_one_rejected(self, delta_file, capsys):
+        assert main(["levelset", "--signal", delta_file, "--mode", "K",
+                     "--C", "1/1", "--N-grid", "10"]) == 2
+        assert capsys.readouterr().err == "error: ratio must exceed 1, got 1\n"
 
     def test_epsilon_zero_rejected(self, delta_file, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["levelset", "--signal", delta_file, "--C", "2/1",
-                  "--epsilon", "0", "--N-grid", "10"])
-        assert err.value.code == 2
-        assert "epsilon must be positive, got 0" in capsys.readouterr().err
+        assert main(["levelset", "--signal", delta_file, "--C", "2/1",
+                     "--epsilon", "0", "--N-grid", "10"]) == 2
+        assert capsys.readouterr().err == "error: epsilon must be positive, got 0\n"
 
     def test_decimal_ratio_rejected(self, delta_file):
         with pytest.raises(SystemExit) as err:
@@ -145,10 +153,8 @@ class TestLevelset:
         ],
     )
     def test_bad_grid_is_usage_error(self, grid, message, delta_file, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["levelset", "--signal", delta_file, "--C", "2/1", "--N-grid", grid])
-        assert err.value.code == 2
-        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert main(["levelset", "--signal", delta_file, "--C", "2/1", "--N-grid", grid]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_theta_zero_mode(self, delta_file, capsys):
         assert main(["levelset", "--signal", delta_file, "--mode", "theta-zero",
@@ -327,10 +333,35 @@ class TestUnwritableOut:
         out = tmp_path / "missing" / "x"
         argv = [delta_file if a == "SIG" else str(intervals) if a == "INTERVALS" else a
                 for a in self.COMMANDS[command]]
-        with pytest.raises(SystemExit) as err:
-            main(argv + ["--out", str(out)])
-        assert err.value.code == 2
+        assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+
+class TestUnreadableInput:
+    COMMANDS = {
+        "eval": ["eval", "--signal", "PATH", "--n", "0"],
+        "covering": ["covering", "--input", "PATH"],
+    }
+    REASONS = {
+        "missing": "No such file or directory",
+        "directory": "Is a directory",
+        "non-ascii": "'ascii' codec can't decode byte 0xe9 in position 2: "
+                     "ordinal not in range(128)",
+    }
+
+    @pytest.mark.parametrize("case", sorted(REASONS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_reason_follows_the_path(self, command, case, tmp_path, capsys):
+        path = tmp_path / "input"
+        if case == "directory":
+            path.mkdir()
+        elif case == "non-ascii":
+            path.write_bytes(b"0 \xe9\n")
+        argv = [str(path) if a == "PATH" else a for a in self.COMMANDS[command]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {self.REASONS[case]}\n"
 
 
 class TestUncertifiableValue:
@@ -350,24 +381,25 @@ class TestUncertifiableValue:
     def test_levelset(self, spike_file, capsys):
         argv = ["levelset", "--signal", spike_file, "--C", "2", "--epsilon", "100000"]
         start = time.perf_counter()
-        with pytest.raises(SystemExit) as err:
-            main(argv + ["--N-grid", "10"])
+        code = main(argv + ["--N-grid", "10"])
         assert time.perf_counter() - start < 5
-        assert err.value.code == 2
+        assert code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and self.MESSAGE in captured.err
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {self.MESSAGE}: its enclosure is ")
+        assert captured.err.count("\n") == 1
 
 
 class TestEvalUsage:
-    def test_bilinear_needs_both_files(self, delta_file):
-        with pytest.raises(SystemExit) as err:
-            main(["eval", "--f", delta_file, "--n", "0"])
-        assert err.value.code == 2
+    def test_bilinear_needs_both_files(self, delta_file, capsys):
+        assert main(["eval", "--f", delta_file, "--n", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bilinear eval needs both --f and --g (and no --signal)\n"
+        )
 
-    def test_signal_or_pair_required(self):
-        with pytest.raises(SystemExit) as err:
-            main(["eval", "--n", "0"])
-        assert err.value.code == 2
+    def test_signal_or_pair_required(self, capsys):
+        assert main(["eval", "--n", "0"]) == 2
+        assert capsys.readouterr().err == "error: eval needs --signal, or --f with --g\n"
 
 
 class TestStrictIntegerFlags:
@@ -377,6 +409,7 @@ class TestStrictIntegerFlags:
         ["profile", "--signal", "SIG", "--from", "0", "--to", "X"],
         ["profile", "--signal", "SIG", "--from", "0", "--to", "5", "--threads", "X"],
         ["levelset", "--signal", "SIG", "--C", "2", "--N-grid", "10", "--threads", "X"],
+        ["levelset", "--signal", "SIG", "--C", "2", "--N-grid", "X"],
         ["gen", "--family", "squares_power", "--epsilon", "1/4", "--cutoff", "X", "--out", "o"],
         ["gen", "--family", "spike_pair", "--C", "X", "--out", "o"],
         ["gen", "--family", "composite_jump", "--C-min", "X", "--C-max", "5", "--out", "o"],
@@ -443,9 +476,7 @@ class TestVerify:
         monkeypatch.chdir(tmp_path)
         # a directory in the way: file modes do not stop every user
         (tmp_path / "freqlab-replay-rigged.sig").mkdir()
-        with pytest.raises(SystemExit) as err:
-            main(["verify", "--suite", "examples"])
-        assert err.value.code == 2
+        assert main(["verify", "--suite", "examples"]) == 2
         captured = capsys.readouterr()
         assert "[FAIL] examples: rigged assertion (forced)" in captured.out
         assert captured.err == "error: freqlab-replay-rigged.sig: Is a directory\n"
@@ -467,12 +498,12 @@ class TestVerify:
         ids=["variational-trials", "examples-seed"],
     )
     def test_trials_or_seed_on_unseeded_suite_is_usage_error(self, argv, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["verify", *argv])
-        assert err.value.code == 2
+        assert main(["verify", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--trials and --seed apply only to oracle, covering, invariance" in captured.err
+        assert captured.err == (
+            "error: --trials and --seed apply only to oracle, covering, invariance\n"
+        )
 
     def test_all_forwards_trials_and_seed_to_seeded_suites(self, monkeypatch, capsys):
         import freqlab.cli as cli_mod

@@ -246,3 +246,10 @@ class TestTextFormat:
         path = tmp_path / "sig.txt"
         write_signal(f, path, ["cutoff: 19"])
         assert read_signal(path) == f
+
+    def test_file_bytes_are_the_dump(self, tmp_path):
+        # newline="" keeps LF line endings on platforms whose default is CRLF
+        f = Signal.from_pairs([(-3, F(1, 2)), (4**40, F(5, 7))])
+        path = tmp_path / "sig.txt"
+        write_signal(f, path, ["family: test"])
+        assert path.read_bytes() == dump_signal(f, ["family: test"]).encode("ascii")
