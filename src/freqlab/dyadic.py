@@ -30,17 +30,20 @@ reductions are those of Brent and Zimmermann, *Modern Computer
 Arithmetic* (CUP 2010), section 4.2.2, and the series bounds follow
 section 4.4; each bound is derived in the docstring of its series.
 
-A build may return several enclosures that share intermediate results
-(`stretched_log` encloses ln(ln m) once for an index and a weight).
-They are certified together: the precision doubles until every one of
-them rounds to a single integer, and the certified values do not depend
-on the precision at which that happens.
+`certify` is the one certification rule.  A value wanted to `bits`
+fractional bits starts at p = bits + 64, and p doubles up to the cap
+MAX_PRECISION (65,536 bits).  A build may return several enclosures
+that share intermediate results (`stretched_log` encloses ln(ln m) once
+for an index and a weight).  They are certified together: p doubles
+until every one of them rounds to a single integer, and the certified
+values do not depend on the p at which that happens.
 
 Certification can only fail to converge when the target value is
 exactly an integer, which the family formulas never produce, or needs
-more bits than the precision cap; either way a PrecisionError is raised
-instead of guessing.  The second case is recognised after one round,
-from the width of the enclosure, so it fails fast.
+more bits than the cap; either way a PrecisionError is raised instead
+of guessing.  The second case fails fast: before any evaluation when
+the start is already above the cap, and otherwise after one round, from
+the width of the enclosure.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence
 
-DEFAULT_START_PRECISION = 192
 MAX_PRECISION = 1 << 16
 TABLE_BITS = 7
 _GUARD_BITS = 24  # cached constants are computed this much finer, then rounded out
@@ -74,25 +76,32 @@ def ceil_dyadic(x: int, bits: int) -> int:
 def certify(
     build: Callable[[int], Sequence[Enclosure]],
     picks: Sequence[Callable[[int, int], int]],
-    start_precision: int = DEFAULT_START_PRECISION,
-    max_precision: int = MAX_PRECISION,
+    bits: int,
 ) -> tuple[int, ...]:
     """Certified roundings of every enclosure build(p) returns.
 
     `build(p)` returns one enclosure at scale 2**p per entry of `picks`
     (`floor_dyadic` or `ceil_dyadic`), and is re-evaluated at doubling
-    p until, for each enclosure, its pick gives both ends the same
-    integer.
+    p, from bits + 64 up to MAX_PRECISION, until, for each enclosure,
+    its pick gives both ends the same integer.  `bits` is the number of
+    fractional bits the caller keeps; the 64 bits above it make the
+    first round usually certify.
 
     Both ends agree only when the width hi - lo is below 2**p.  The
     width of an enclosure built from the operations below does not
     shrink as p grows: each is accurate to a bounded number of units at
-    scale 2**p, so a value v carries a width of about v units.  A failed
-    round whose width is already 2**max_precision or more therefore
-    raises at once instead of doubling up to the cap.
+    scale 2**p, so a value v carries a width of about v units.  A start
+    above the cap, or a failed round whose width is already
+    2**MAX_PRECISION or more, therefore raises at once instead of
+    doubling up to the cap.
     """
-    precision = start_precision
-    while precision <= max_precision:
+    precision = bits + 64
+    if precision > MAX_PRECISION:
+        raise PrecisionError(
+            f"value needs more than {MAX_PRECISION} bits (dyadic.MAX_PRECISION) "
+            f"to certify: {bits} fractional bits start at {precision} bits"
+        )
+    while precision <= MAX_PRECISION:
         rounded = []
         for pick, (lo, hi) in zip(picks, build(precision)):
             value = pick(lo, precision)
@@ -102,25 +111,16 @@ def certify(
         else:
             return tuple(rounded)
         width_bits = (hi - lo).bit_length()
-        if width_bits > max_precision:
+        if width_bits > MAX_PRECISION:
             raise PrecisionError(
-                f"value needs more than {max_precision} bits (dyadic.MAX_PRECISION) "
+                f"value needs more than {MAX_PRECISION} bits (dyadic.MAX_PRECISION) "
                 f"to certify: its enclosure is {width_bits} bits wide at {precision} bits"
             )
         precision *= 2
     raise PrecisionError(
-        f"enclosure still straddles an integer at {max_precision} bits; "
+        f"enclosure still straddles an integer at {MAX_PRECISION} bits; "
         "the target may be an exact integer"
     )
-
-
-def certified_floor(
-    build: Callable[[int], Enclosure],
-    start_precision: int = DEFAULT_START_PRECISION,
-    max_precision: int = MAX_PRECISION,
-) -> int:
-    """floor of the real number enclosed by build(p) at scale 2**p, certified exact."""
-    return certify(lambda p: (build(p),), (floor_dyadic,), start_precision, max_precision)[0]
 
 
 def _round_out(x: Enclosure, guard: int) -> Enclosure:

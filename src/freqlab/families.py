@@ -22,9 +22,10 @@ Five generators, all returning exact sparse `Signal` values:
 Logarithms are natural logarithms.  The log families evaluate
 ln(m)**e as exp(e * ln(ln(m))) on integer fixed-point enclosures (see
 `freqlab.dyadic`), which bound the true value from both sides and are
-refined until its floor or ceiling is pinned down.  Dyadic
-approximation always rounds toward zero, so regenerating with more
-precision bits never decreases a value.
+refined until its floor or ceiling is pinned down.  `precision_bits`
+must lie in 1..dyadic.MAX_PRECISION.  Dyadic approximation always
+rounds toward zero, so regenerating with more precision bits never
+decreases a value.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import dyadic
 from .dyadic import (
-    DEFAULT_START_PRECISION,
     Enclosure,
     ceil_dyadic,
-    certified_floor,
     certify,
     exp,
     floor_dyadic,
@@ -85,8 +85,6 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in _PARAMETERS:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.precision_bits is not None and self.precision_bits <= 0:
-            raise ValueError("precision_bits must be positive")
         takes = _PARAMETERS[self.family]
         for field in ("epsilon", "cutoff", "size", "precision_bits"):
             given = getattr(self, field) is not None
@@ -172,6 +170,14 @@ def _check_positive_epsilon(epsilon: Fraction) -> Fraction:
     return epsilon
 
 
+def _check_precision_bits(precision_bits: int) -> None:
+    if not 1 <= precision_bits <= dyadic.MAX_PRECISION:
+        raise ValueError(
+            f"precision_bits must be in 1..{dyadic.MAX_PRECISION} (dyadic.MAX_PRECISION), "
+            f"got {precision_bits}"
+        )
+
+
 def squares_power(
     epsilon: Fraction, cutoff: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Signal:
@@ -181,6 +187,7 @@ def squares_power(
     (Fraction(1, 1), Fraction(1, 4), Fraction(1, 9))
     """
     epsilon = _check_positive_epsilon(epsilon)
+    _check_precision_bits(precision_bits)
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     exponent = 1 + epsilon
@@ -219,28 +226,24 @@ def _weight_value(scaled: int, m: int, exponent: Fraction, precision_bits: int) 
     return Fraction(scaled, 1 << precision_bits)
 
 
-def _log_weight_floor(m: int, exponent: Fraction, precision_bits: int) -> Fraction:
-    """Certified dyadic floor of 1 / (m * ln(m)**exponent)."""
-
-    def build(p):
-        return _log_weight(m, ln(ln_int(m, p), p), exponent, precision_bits, p)
-
-    scaled = certified_floor(build, start_precision=precision_bits + 64)
-    return _weight_value(scaled, m, exponent, precision_bits)
-
-
 def squares_log(
     epsilon: Fraction, cutoff: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Signal:
     """Value 1/(m * ln(m)**(1 + eps/2)) at index m**2, for m = 10 .. cutoff."""
     epsilon = _check_positive_epsilon(epsilon)
+    _check_precision_bits(precision_bits)
     if cutoff < _MIN_LOG_INDEX:
         raise ValueError(f"cutoff must be at least {_MIN_LOG_INDEX}; support would be empty")
     exponent = 1 + epsilon / 2
-    return Signal.from_pairs(
-        (m * m, _log_weight_floor(m, exponent, precision_bits))
-        for m in range(_MIN_LOG_INDEX, cutoff + 1)
-    )
+    pairs = []
+    for m in range(_MIN_LOG_INDEX, cutoff + 1):
+        (scaled,) = certify(
+            lambda p: (_log_weight(m, ln(ln_int(m, p), p), exponent, precision_bits, p),),
+            (floor_dyadic,),
+            precision_bits,
+        )
+        pairs.append((m * m, _weight_value(scaled, m, exponent, precision_bits)))
+    return Signal.from_pairs(pairs)
 
 
 def _member_enclosures(
@@ -251,22 +254,6 @@ def _member_enclosures(
     log_log = ln(ln_int(m, p), p)
     lo, hi = exp(mul_rational(log_log, index_exponent), p)
     return (m * lo, m * hi), _log_weight(m, log_log, value_exponent, bits, p)
-
-
-def _stretched_member(
-    m: int, index_exponent: Fraction, value_exponent: Fraction, precision_bits: int
-) -> tuple[int, Fraction]:
-    """Certified ceil(m * ln(m)**index_exponent) and dyadic floor of
-    1 / (m * ln(m)**value_exponent), from one build that encloses
-    ln(ln(m)) once."""
-
-    def build(p):
-        return _member_enclosures(m, index_exponent, value_exponent, precision_bits, p)
-
-    # The value needs precision_bits + 64 bits to start, the index no more than the default.
-    start = max(DEFAULT_START_PRECISION, precision_bits + 64)
-    index, scaled = certify(build, (ceil_dyadic, floor_dyadic), start_precision=start)
-    return index, _weight_value(scaled, m, value_exponent, precision_bits)
 
 
 def stretched_log(
@@ -283,6 +270,7 @@ def stretched_log(
     (54,)
     """
     epsilon = _check_positive_epsilon(epsilon)
+    _check_precision_bits(precision_bits)
     if cutoff < _MIN_LOG_INDEX:
         raise ValueError(f"cutoff must be at least {_MIN_LOG_INDEX}; support would be empty")
     index_exponent = 1 + epsilon
@@ -290,13 +278,17 @@ def stretched_log(
     pairs = []
     previous = None
     for m in range(_MIN_LOG_INDEX, cutoff + 1):
-        index, value = _stretched_member(m, index_exponent, value_exponent, precision_bits)
+        index, scaled = certify(
+            lambda p: _member_enclosures(m, index_exponent, value_exponent, precision_bits, p),
+            (ceil_dyadic, floor_dyadic),
+            precision_bits,
+        )
         if previous is not None and index <= previous:
             raise ValueError(
                 f"index collision: m={m} lands on {index}, not past {previous}"
             )
         previous = index
-        pairs.append((index, value))
+        pairs.append((index, _weight_value(scaled, m, value_exponent, precision_bits)))
     return Signal.from_pairs(pairs)
 
 

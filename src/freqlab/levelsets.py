@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import Enclosure, certified_floor, exp, ln, ln_int, mul_rational
+from .dyadic import Enclosure, certify, exp, floor_dyadic, ln, ln_int, mul_rational
 from .maximal import frequency_values
 from .signal import IntegerInterval, Signal
 
@@ -147,7 +147,11 @@ def log_density_string(count: int, n_value: int, epsilon: Fraction) -> str:
     if count == 0 or n_value == 1:  # ln(1) = 0
         scaled = 0
     else:
-        scaled = certified_floor(lambda p: _log_density_enclosure(count, n_value, epsilon, p))
+        (scaled,) = certify(
+            lambda p: (_log_density_enclosure(count, n_value, epsilon, p),),
+            (floor_dyadic,),
+            _LOG_DENSITY_BITS,
+        )
     whole, frac = divmod(scaled, 1 << _LOG_DENSITY_BITS)
     digits = frac * 10**_LOG_DENSITY_DIGITS >> _LOG_DENSITY_BITS
     return f"{whole}.{digits:0{_LOG_DENSITY_DIGITS}d}"

@@ -23,6 +23,7 @@ avoiding per-step Fraction normalization.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ class SignalFormatError(ValueError):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
-        self.line_number = line_number
 
 
 def parse_rational(text: str) -> Fraction:
@@ -129,7 +129,7 @@ class Signal:
                     f"float value {raw!r} at index {index}: signal values must be exact rationals"
                 )
             value = raw if isinstance(raw, Fraction) else Fraction(raw)
-            cleaned.append((int(index), abs(value)))
+            cleaned.append((operator.index(index), abs(value)))
         cleaned.sort(key=lambda item: item[0])
         for (a, _), (b, _) in zip(cleaned, cleaned[1:]):
             if a == b:

@@ -378,6 +378,28 @@ class TestUncertifiableValue:
         assert code == 2 and not out.exists()
         assert self.MESSAGE in capsys.readouterr().err
 
+    @staticmethod
+    def run_gen(family, precision, out):
+        argv = ["gen", "--family", family, "--epsilon", "1/3", "--cutoff", "20"]
+        start = time.perf_counter()
+        code = main(argv + ["--precision", str(precision), "--out", str(out)])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out.exists()
+
+    @pytest.mark.parametrize("family", ["squares_power", "squares_log", "stretched_log"])
+    def test_precision_above_the_cap(self, family, tmp_path, capsys):
+        self.run_gen(family, 70000, tmp_path / "x.sig")
+        assert capsys.readouterr().err == (
+            "error: precision_bits must be in 1..65536 (dyadic.MAX_PRECISION), got 70000\n"
+        )
+
+    @pytest.mark.parametrize("family", ["squares_log", "stretched_log"])
+    def test_precision_whose_start_is_above_the_cap(self, family, tmp_path, capsys):
+        self.run_gen(family, 65500, tmp_path / "x.sig")
+        assert capsys.readouterr().err == (
+            f"error: {self.MESSAGE}: 65500 fractional bits start at 65564 bits\n"
+        )
+
     def test_levelset(self, spike_file, capsys):
         argv = ["levelset", "--signal", spike_file, "--C", "2", "--epsilon", "100000"]
         start = time.perf_counter()

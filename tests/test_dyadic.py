@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from mpmath import iv
 from mpmath.libmp import to_rational
 
+from freqlab import dyadic
 from freqlab.dyadic import (
     PrecisionError,
     ceil_dyadic,
-    certified_floor,
     certify,
     exp,
     floor_dyadic,
@@ -99,18 +99,42 @@ def test_wide_enclosure_escalates_precision():
             return 0, 100 << p  # certifies no floor
         return ten_log_ten(p)
 
-    assert certified_floor(build, start_precision=192) == 23
+    assert certify(lambda p: (build(p),), (floor_dyadic,), 128) == (23,)
     assert seen == [192, 384, 768]
 
 
-def test_exact_integer_target_raises():
+def test_exact_integer_target_raises(monkeypatch):
+    monkeypatch.setattr(dyadic, "MAX_PRECISION", 1024)
     # exp(ln 4) is exactly 4, so every enclosure of it straddles 4
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="straddles an integer at 1024 bits"):
         certify(
             lambda p: (ten_log_ten(p), exp(ln_int(4, p), p)),
             (floor_dyadic, floor_dyadic),
-            max_precision=1024,
+            0,
         )
+
+
+@pytest.mark.parametrize("bits,start", [(0, 64), (16, 80), (128, 192), (1000, 1064)])
+def test_start_is_kept_bits_plus_64(bits, start):
+    seen = []
+
+    def build(p):
+        seen.append(p)
+        return ten_log_ten(p)
+
+    assert certify(lambda p: (build(p),), (floor_dyadic,), bits) == (23,)
+    assert seen == [start]
+
+
+@pytest.mark.parametrize("cap,bits", [(1 << 16, 65500), (1 << 16, 70000), (1024, 961)])
+def test_start_above_the_cap_raises_before_any_build(monkeypatch, cap, bits):
+    monkeypatch.setattr(dyadic, "MAX_PRECISION", cap)
+
+    def build(p):
+        raise AssertionError(f"built at {p} bits")
+
+    with pytest.raises(PrecisionError, match=rf"^value needs more than {cap} bits"):
+        certify(build, (floor_dyadic,), bits)
 
 
 def test_shared_build_certifies_all_at_the_doubled_precision():
@@ -120,11 +144,11 @@ def test_shared_build_certifies_all_at_the_doubled_precision():
         seen.append(p)
         return ten_log_ten(p), just_below_three(p)
 
-    assert certify(build, (ceil_dyadic, floor_dyadic), start_precision=192) == (24, 2)
+    assert certify(build, (ceil_dyadic, floor_dyadic), 128) == (24, 2)
     # only the second enclosure straddles at 192 bits; both certify at 384
     assert seen == [192, 384]
-    assert certify(lambda p: (ten_log_ten(p),), (ceil_dyadic,), start_precision=192) == (24,)
-    assert certified_floor(just_below_three, start_precision=192) == 2
+    assert certify(lambda p: (ten_log_ten(p),), (ceil_dyadic,), 0) == (24,)
+    assert certify(lambda p: (just_below_three(p),), (floor_dyadic,), 0) == (2,)
 
 
 def test_exact_values_are_exact():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 
-from freqlab.dyadic import PrecisionError, ceil_dyadic, certified_floor, certify, exp, ln_int
+from freqlab import dyadic
+from freqlab.dyadic import PrecisionError, ceil_dyadic, certify, exp, floor_dyadic, ln_int
 from freqlab.families import (
     GeneratorSpec,
     composite_jump,
@@ -148,6 +149,14 @@ class TestStretchedLog:
         b = squares_log(F(1), 20)
         assert a.values == b.values  # same weights, different placement
 
+    @pytest.mark.parametrize("bits", [16, 64, 128, 256])
+    @pytest.mark.parametrize("epsilon", [F(1), F(1, 3), F(5, 2)], ids=str)
+    def test_weights_equal_squares_log_for_each_m(self, epsilon, bits):
+        stretched = stretched_log(epsilon, 60, bits)
+        squares = squares_log(epsilon, 60, bits)
+        assert len(stretched) == len(squares) == 51
+        assert stretched.values == squares.values
+
 
 class TestSpikePair:
     def test_shape(self):
@@ -194,8 +203,6 @@ class TestGeneratorSpec:
 
     SPEC_ERRORS = [
         ({"family": "unknown_family"}, "unknown family 'unknown_family'"),
-        ({"family": "squares_log", "epsilon": F(1), "cutoff": 20, "precision_bits": 0},
-         "precision_bits must be positive"),
         ({"family": "squares_power", "cutoff": 5}, "squares_power requires epsilon"),
         ({"family": "stretched_log", "epsilon": F(1)}, "stretched_log requires cutoff"),
         ({"family": "spike_pair"}, "spike_pair requires size"),
@@ -229,8 +236,12 @@ class TestGeneratorSpec:
             GeneratorSpec("squares_power", epsilon=F(0), cutoff=5),
             GeneratorSpec("squares_log", epsilon=F(-1, 2), cutoff=20),
             GeneratorSpec("stretched_log", epsilon=F(0), cutoff=20),
+            GeneratorSpec("squares_log", epsilon=F(1), cutoff=20, precision_bits=0),
+            GeneratorSpec("squares_power", epsilon=F(1, 3), cutoff=5, precision_bits=65537),
+            GeneratorSpec("stretched_log", epsilon=F(1), cutoff=20, precision_bits=70000),
         ],
-        ids=lambda spec: spec.family,
+        ids=lambda spec: spec.family + ("" if spec.precision_bits is None
+                                        else f"-{spec.precision_bits}-bits"),
     )
     def test_ranges_checked_by_generate(self, spec):
         with pytest.raises(ValueError):
@@ -277,13 +288,14 @@ class TestCertifiedRounding:
             lo, hi = ln_int(10, p)
             return 10 * lo, 10 * hi
 
-        assert certified_floor(build) == 23   # 10 ln 10 = 23.0258...
-        assert certify(lambda p: (build(p),), (ceil_dyadic,)) == (24,)
+        assert certify(lambda p: (build(p),), (floor_dyadic,), 0) == (23,)  # 10 ln 10 = 23.02...
+        assert certify(lambda p: (build(p),), (ceil_dyadic,), 0) == (24,)
 
     def test_exact_value_representable(self):
-        assert certified_floor(lambda p: (12 << p, 12 << p)) == 12
+        assert certify(lambda p: ((12 << p, 12 << p),), (floor_dyadic,), 0) == (12,)
 
-    def test_straddled_integer_raises(self):
+    def test_straddled_integer_raises(self, monkeypatch):
+        monkeypatch.setattr(dyadic, "MAX_PRECISION", 2048)
         # exp(ln(4)) encloses 4 strictly, so its floor never certifies
-        with pytest.raises(PrecisionError):
-            certified_floor(lambda p: exp(ln_int(4, p), p), max_precision=2048)
+        with pytest.raises(PrecisionError, match="straddles an integer at 2048 bits"):
+            certify(lambda p: (exp(ln_int(4, p), p),), (floor_dyadic,), 0)

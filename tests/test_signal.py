@@ -139,6 +139,11 @@ class TestFromPairs:
         with pytest.raises(TypeError):
             Signal.from_pairs([(0, 0.5)])
 
+    @pytest.mark.parametrize("index", [2.5, 2.0, "7", F(2)], ids=repr)
+    def test_non_integer_index_rejected(self, index):
+        with pytest.raises(TypeError):
+            Signal.from_pairs([(index, 1)])
+
     def test_unsorted_input_is_sorted(self):
         f = Signal.from_pairs([(5, 1), (-5, 2)])
         assert f.indices == (-5, 5)
