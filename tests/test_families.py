@@ -275,8 +275,27 @@ class TestGoldenDigests:
                 lambda: squares_log(F(1, 2), 400),
                 "f16f796948f1fbf0ac25486bdd8410b7c26cb63d55d7af6e711babdd5a317397",
             ),
+            (
+                lambda: squares_power(F(1, 4), 2000),
+                "7ba5ccc753c161195d0102894f9251e5b2cc0607ac04e7f3d07614f9b1d5d79f",
+            ),
+            (
+                lambda: squares_power(F(1, 3), 300, precision_bits=1000),
+                "22da20af63de7e12aaba5153c642a875485d7378df48190b28316f583b9f1f28",
+            ),
+            (
+                lambda: squares_power(F(1, 2), 400, precision_bits=16),
+                "9f5b326eb77afdba471a5f6218c0b6ea35c4dd25c015de626743c9649c2c73ee",
+            ),
         ],
-        ids=["stretched_log-1-1000", "stretched_log-1/3-400", "squares_log-1/2-400"],
+        ids=[
+            "stretched_log-1-1000",
+            "stretched_log-1/3-400",
+            "squares_log-1/2-400",
+            "squares_power-1/4-2000",
+            "squares_power-1/3-300-1000bits",
+            "squares_power-1/2-400-16bits",
+        ],
     )
     def test_dump_digest(self, make, digest):
         assert hashlib.sha256(dump_signal(make()).encode("ascii")).hexdigest() == digest
