@@ -24,7 +24,6 @@ from .families import (
     GeneratorSpec,
     composite_jump,
     generate,
-    integer_nth_root,
     is_exact,
     spike_pair,
     squares_log,

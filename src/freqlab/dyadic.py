@@ -13,9 +13,9 @@ the same floor (or ceiling); otherwise the precision p doubles.
 
 The operations are `ln_int` (ln of a positive integer), `ln` and `exp`
 of an enclosure, and `mul_rational` (a product with an exact rational),
-which is all the families need: (ln m)**e is exp(e * ln(ln m)) for
-every rational e.  They rest on three cached building blocks per
-precision, each computed with guard bits and rounded outward:
+which is all the families need: for rational e, m**e = exp(e ln m)
+and (ln m)**e = exp(e ln(ln m)).  They rest on three cached building
+blocks per precision, each computed with guard bits and rounded outward:
 
 * ln 2 = 2 * atanh(1/3);
 * ln(1 + i/2**TABLE_BITS) = 2 * atanh(i / (2**(TABLE_BITS+1) + i));
@@ -39,11 +39,12 @@ until every one of them rounds to a single integer, and the certified
 values do not depend on the p at which that happens.
 
 Certification can only fail to converge when the target value is
-exactly an integer, which the family formulas never produce, or needs
-more bits than the cap; either way a PrecisionError is raised instead
-of guessing.  The second case fails fast: before any evaluation when
-the start is already above the cap, and otherwise after one round, from
-the width of the enclosure.
+exactly an integer, which the families rule out before they certify,
+or needs more bits than the cap; either way a PrecisionError is raised
+instead of guessing.  The second case fails fast: before any evaluation
+when the start is already above the cap, in `exp` before it builds a
+result past the cap, and otherwise after one round, from the enclosure
+width.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ Enclosure = tuple[int, int]
 
 class PrecisionError(ArithmeticError):
     """An enclosure could not pin down the rounded value below the precision cap."""
+
+
+def _past_the_cap(reason: str) -> PrecisionError:
+    cap = f"value needs more than {MAX_PRECISION} bits (dyadic.MAX_PRECISION) to certify"
+    return PrecisionError(f"{cap}: {reason}")
 
 
 def floor_dyadic(x: int, bits: int) -> int:
@@ -93,14 +99,12 @@ def certify(
     scale 2**p, so a value v carries a width of about v units.  A start
     above the cap, or a failed round whose width is already
     2**MAX_PRECISION or more, therefore raises at once instead of
-    doubling up to the cap.
+    doubling up to the cap.  An exact-integer target straddles itself at
+    every p, so families rule such targets out before they certify.
     """
     precision = bits + 64
     if precision > MAX_PRECISION:
-        raise PrecisionError(
-            f"value needs more than {MAX_PRECISION} bits (dyadic.MAX_PRECISION) "
-            f"to certify: {bits} fractional bits start at {precision} bits"
-        )
+        raise _past_the_cap(f"{bits} fractional bits start at {precision} bits")
     while precision <= MAX_PRECISION:
         rounded = []
         for pick, (lo, hi) in zip(picks, build(precision)):
@@ -112,10 +116,7 @@ def certify(
             return tuple(rounded)
         width_bits = (hi - lo).bit_length()
         if width_bits > MAX_PRECISION:
-            raise PrecisionError(
-                f"value needs more than {MAX_PRECISION} bits (dyadic.MAX_PRECISION) "
-                f"to certify: its enclosure is {width_bits} bits wide at {precision} bits"
-            )
+            raise _past_the_cap(f"its enclosure is {width_bits} bits wide at {precision} bits")
         precision *= 2
     raise PrecisionError(
         f"enclosure still straddles an integer at {MAX_PRECISION} bits; "
@@ -257,6 +258,10 @@ def exp(y: Enclosure, p: int) -> Enclosure:
     such r.  The greatest is d / 2**p above it, where d is y's width
     plus |j| times ln 2's, and for 0 <= d/2**p <= 1, exp(d/2**p) <= 1 +
     d/2**p + (d/2**p)**2.  A larger d raises PrecisionError.
+
+    A j above MAX_PRECISION raises PrecisionError before the shift by j:
+    exp(y) and its enclosure's width are then 2**MAX_PRECISION or more,
+    which `certify` could never accept.
     """
     lo, hi = y
     two_lo, two_hi = _ln2(p)
@@ -265,6 +270,8 @@ def exp(y: Enclosure, p: int) -> Enclosure:
     while z < 0:  # j < 0, and ln 2 may lie below two_hi
         j -= 1
         z += two_lo
+    if j > MAX_PRECISION:
+        raise _past_the_cap(f"its enclosure is more than {j} bits wide at {p} bits")
     d = hi - lo + abs(j) * (two_hi - two_lo)
     if d > 1 << p:
         raise PrecisionError("exp argument enclosure is wider than 1")

@@ -4,8 +4,8 @@ Five generators, all returning exact sparse `Signal` values:
 
 * ``squares_power(eps, cutoff)``: value 1/m**(1+eps) at index m**2 for
   1 <= m <= cutoff.  Exact whenever 1+eps is an integer; otherwise the
-  value is the dyadic floor at `precision_bits` bits, computed by exact
-  integer root extraction.
+  certified dyadic floor at `precision_bits` bits, which is an exact
+  shift when m = 2**a and a*(1+eps) is an integer.
 * ``squares_log(eps, cutoff)``: value 1/(m * ln(m)**(1+eps/2)) at index
   m**2 for 10 <= m <= cutoff; values are certified dyadic floors.
 * ``stretched_log(eps, cutoff)``: the same values placed at the indices
@@ -19,13 +19,13 @@ Five generators, all returning exact sparse `Signal` values:
   of `spike_pair` blocks translated to 4**size, giving unbounded jumps
   of the least maximizing radius between adjacent points.
 
-Logarithms are natural logarithms.  The log families evaluate
-ln(m)**e as exp(e * ln(ln(m))) on integer fixed-point enclosures (see
-`freqlab.dyadic`), which bound the true value from both sides and are
-refined until its floor or ceiling is pinned down.  `precision_bits`
-must lie in 1..dyadic.MAX_PRECISION.  Dyadic approximation always
-rounds toward zero, so regenerating with more precision bits never
-decreases a value.
+Logarithms are natural logarithms.  Each inexact value is a weight
+2**precision_bits / (m * exp(e * L)), L = ln(m) for `squares_power` and
+ln(ln(m)) for the log families, on integer fixed-point enclosures (see
+`freqlab.dyadic`) that bound it from both sides and are refined until
+its floor or ceiling is pinned down.  `precision_bits` must lie in
+1..dyadic.MAX_PRECISION.  Dyadic approximation always rounds toward
+zero, so regenerating with more precision bits never decreases a value.
 """
 
 from __future__ import annotations
@@ -141,28 +141,6 @@ def metadata_lines(spec: GeneratorSpec) -> list[str]:
     return lines
 
 
-def integer_nth_root(x: int, q: int) -> int:
-    """floor(x ** (1/q)) for x >= 0, q >= 1, by Newton iteration on integers."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if q <= 0:
-        raise ValueError("root order must be positive")
-    if x in (0, 1) or q == 1:
-        return x
-    root = 1 << -(-x.bit_length() // q)  # certainly >= floor root
-    while True:
-        better = ((q - 1) * root + x // root ** (q - 1)) // q
-        if better >= root:
-            break
-        root = better
-    # floor division can leave the iterate one or two off either way
-    while root ** q > x:
-        root -= 1
-    while (root + 1) ** q <= x:
-        root += 1
-    return root
-
-
 def _check_positive_epsilon(epsilon: Fraction) -> Fraction:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -176,6 +154,13 @@ def _check_precision_bits(precision_bits: int) -> None:
             f"precision_bits must be in 1..{dyadic.MAX_PRECISION} (dyadic.MAX_PRECISION), "
             f"got {precision_bits}"
         )
+
+
+def _weight(m: int, log: Enclosure, exponent: Fraction, bits: int, p: int) -> Enclosure:
+    """2**bits / (m * exp(exponent * L)) at scale 2**p, given L at scale 2**p:
+    L = ln(m) gives 2**bits / m**(1+exponent), L = ln(ln(m)) a log weight."""
+    lo, hi = exp(mul_rational(log, -exponent), p)
+    return (lo << bits) // m, -(-(hi << bits) // m)
 
 
 def squares_power(
@@ -197,9 +182,16 @@ def squares_power(
         if q == 1:
             value = Fraction(1, m**p)
         else:
-            # floor(2**B * m**(-p/q)) = floor((2**(B*q) // m**p) ** (1/q)):
-            # both floors keep t**q * m**p <= 2**(B*q) exactly.
-            scaled = integer_nth_root((1 << (precision_bits * q)) // m**p, q)
+            a = m.bit_length() - 1
+            if m == 1 << a and a * p % q == 0:
+                # 2**precision_bits / m**(p/q) is an integer only here; certify cannot settle it
+                scaled = (1 << precision_bits) >> (a * p // q)
+            else:
+                (scaled,) = certify(
+                    lambda scale: (_weight(m, ln_int(m, scale), epsilon, precision_bits, scale),),
+                    (floor_dyadic,),
+                    precision_bits,
+                )
             if scaled == 0:
                 raise ValueError(
                     f"1/{m}**({p}/{q}) underflows {precision_bits} dyadic bits; "
@@ -208,12 +200,6 @@ def squares_power(
             value = Fraction(scaled, 1 << precision_bits)
         pairs.append((m * m, value))
     return Signal.from_pairs(pairs)
-
-
-def _log_weight(m: int, log_log: Enclosure, exponent: Fraction, bits: int, p: int) -> Enclosure:
-    """2**bits / (m * ln(m)**exponent) at scale 2**p, given ln(ln(m)) at scale 2**p."""
-    lo, hi = exp(mul_rational(log_log, -exponent), p)
-    return (lo << bits) // m, -(-(hi << bits) // m)
 
 
 def _weight_value(scaled: int, m: int, exponent: Fraction, precision_bits: int) -> Fraction:
@@ -238,7 +224,7 @@ def squares_log(
     pairs = []
     for m in range(_MIN_LOG_INDEX, cutoff + 1):
         (scaled,) = certify(
-            lambda p: (_log_weight(m, ln(ln_int(m, p), p), exponent, precision_bits, p),),
+            lambda p: (_weight(m, ln(ln_int(m, p), p), exponent, precision_bits, p),),
             (floor_dyadic,),
             precision_bits,
         )
@@ -253,7 +239,7 @@ def _member_enclosures(
     at scale 2**p, both from one enclosure of ln(ln(m))."""
     log_log = ln(ln_int(m, p), p)
     lo, hi = exp(mul_rational(log_log, index_exponent), p)
-    return (m * lo, m * hi), _log_weight(m, log_log, value_exponent, bits, p)
+    return (m * lo, m * hi), _weight(m, log_log, value_exponent, bits, p)
 
 
 def stretched_log(

@@ -197,6 +197,16 @@ class TestGen:
         f = read_signal(out)
         assert list(f) == [(1, Fraction(1)), (4, Fraction(1, 4)), (9, Fraction(1, 9))]
 
+    def test_squares_power_small_epsilon(self, tmp_path):
+        out = tmp_path / "sq.sig"
+        argv = ["gen", "--family", "squares_power", "--epsilon", "1/100000", "--cutoff", "2000"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqlab", *argv, "--out", str(out)],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_signal(out)) == 2000
+
     def test_composite_jump_file(self, tmp_path):
         out = tmp_path / "cj.sig"
         assert main(["gen", "--family", "composite_jump", "--C-min", "100",
@@ -378,6 +388,17 @@ class TestUncertifiableValue:
         assert code == 2 and not out.exists()
         assert self.MESSAGE in capsys.readouterr().err
 
+    def test_gen_far_past_the_cap(self, tmp_path, capsys):
+        # exp(10**7 * ln(ln(10))) is about 2**(1.2 * 10**7): rejected before it is built
+        out = tmp_path / "x.sig"
+        argv = ["gen", "--family", "stretched_log", "--epsilon", "10000000", "--cutoff", "10"]
+        start = time.perf_counter()
+        code = main(argv + ["--out", str(out)])
+        assert time.perf_counter() - start < 5
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {self.MESSAGE}: ") and err.count("\n") == 1
+
     @staticmethod
     def run_gen(family, precision, out):
         argv = ["gen", "--family", family, "--epsilon", "1/3", "--cutoff", "20"]
@@ -393,7 +414,7 @@ class TestUncertifiableValue:
             "error: precision_bits must be in 1..65536 (dyadic.MAX_PRECISION), got 70000\n"
         )
 
-    @pytest.mark.parametrize("family", ["squares_log", "stretched_log"])
+    @pytest.mark.parametrize("family", ["squares_power", "squares_log", "stretched_log"])
     def test_precision_whose_start_is_above_the_cap(self, family, tmp_path, capsys):
         self.run_gen(family, 65500, tmp_path / "x.sig")
         assert capsys.readouterr().err == (

@@ -203,6 +203,13 @@ def test_exp_of_a_too_wide_argument_raises():
         exp((0, 2 << 64), 64)
 
 
+def test_exp_past_the_cap_raises_before_building_it():
+    # exp(2 * MAX_PRECISION * ln 2 + 1) is above 2**(2 * MAX_PRECISION)
+    y = (2 * dyadic.MAX_PRECISION * ln_int(2, 64)[1]) + (1 << 64)
+    with pytest.raises(PrecisionError, match="value needs more than 65536 bits"):
+        exp((y, y), 64)
+
+
 @DETERMINISTIC
 @given(st.integers(10, 10**5), epsilons, st.sampled_from([64, 128]), precisions)
 @example(10, Fraction(1), 128, 192)

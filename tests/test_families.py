@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from freqlab.families import (
     GeneratorSpec,
     composite_jump,
     generate,
-    integer_nth_root,
     is_exact,
     metadata_lines,
     spike_pair,
@@ -26,25 +26,16 @@ def F(n, d=1):
     return Fraction(n, d)
 
 
-class TestIntegerNthRoot:
-    @pytest.mark.parametrize("x,q", [(0, 3), (1, 5), (63, 2), (64, 2), (65, 2), (2**251, 4)])
-    def test_floor_property(self, x, q):
-        r = integer_nth_root(x, q)
-        assert r**q <= x < (r + 1) ** q
-
-    def test_matches_isqrt(self):
-        for x in range(0, 5000, 7):
-            assert integer_nth_root(x, 2) == math.isqrt(x)
-
-    def test_perfect_powers_and_neighbors(self):
-        for q in range(2, 9):
-            for base in (0, 1, 2, 3, 10, 97, 10**9, 2**130):
-                for delta in (-1, 0, 1):
-                    x = base**q + delta
-                    if x < 0:
-                        continue
-                    t = integer_nth_root(x, q)
-                    assert t**q <= x < (t + 1) ** q
+def certainly_floor(t, target):
+    """True when mpmath interval arithmetic at 400 bits proves t <= target() < t + 1."""
+    saved = iv.prec
+    try:
+        iv.prec = 400
+        value = target()
+        # interval comparisons are True only when certain, else False or None
+        return (iv.mpf(t) <= value) is True and (value < iv.mpf(t + 1)) is True
+    finally:
+        iv.prec = saved
 
 
 class TestSquaresPower:
@@ -84,16 +75,36 @@ class TestSquaresPower:
         for (_, a), (_, b) in zip(low, high):
             assert a <= b
 
-    def test_one_sided_error(self):
-        bits = 96
-        f = squares_power(F(1, 3), 5, precision_bits=bits)
-        for m in range(1, 6):
+    @pytest.mark.parametrize("bits", [1, 2, 5, 16, 96, 128, 1000])
+    @pytest.mark.parametrize(
+        "epsilon", [F(1, 4), F(1, 3), F(1, 2), F(3, 11), F(7, 8), F(5, 3), F(9, 2)], ids=str
+    )
+    def test_one_sided_error(self, epsilon, bits):
+        # at 1/4 the range holds m = 16 and 256, where 2**bits * m**(-5/4) is an integer
+        p, q = (1 + epsilon).numerator, (1 + epsilon).denominator
+        last = max(m for m in range(1, 301) if m**p <= 2 ** (q * bits))
+        f = squares_power(epsilon, last, precision_bits=bits)
+        for m in range(1, last + 1):
             scaled = f.value_at(m * m) * (1 << bits)
             assert scaled.denominator == 1
             t = scaled.numerator
-            # t <= 2**bits * m**(-4/3) < t + 1, checked in integers
-            assert t**3 * m**4 <= 2 ** (3 * bits)
-            assert (t + 1) ** 3 * m**4 > 2 ** (3 * bits)
+            # t <= 2**bits * m**(-p/q) < t + 1, checked in integers
+            assert t**q * m**p <= 2 ** (q * bits) < (t + 1) ** q * m**p
+        if last < 300:
+            with pytest.raises(ValueError, match=re.escape(f"1/{last + 1}**({p}/{q}) underflows")):
+                squares_power(epsilon, last + 1, precision_bits=bits)
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 255, 1000])
+    @pytest.mark.parametrize("epsilon", [F(1, 1000), F(1, 100000)], ids=str)
+    def test_small_epsilon_value_certified(self, epsilon, m):
+        bits = 128
+        t = (squares_power(epsilon, m, precision_bits=bits).value_at(m * m) * (1 << bits)).numerator
+
+        def target():
+            eps = iv.mpf(epsilon.numerator) / epsilon.denominator
+            return iv.mpf(1 << bits) / iv.mpf(m) ** (1 + eps)
+
+        assert certainly_floor(t, target)
 
 
 class TestSquaresLog:
@@ -110,17 +121,11 @@ class TestSquaresLog:
         f = squares_log(F(1), 10, precision_bits=bits)
         assert f.indices == (100,)
         t = (f.value_at(100) * (1 << bits)).numerator
-        # independent enclosure of 2**bits / (10 * ln(10)**(3/2)) at fixed precision
-        saved = iv.prec
-        try:
-            iv.prec = 400
-            x = iv.mpf(10)
-            target = iv.mpf(1 << bits) / (x * iv.log(x) ** (iv.mpf(3) / iv.mpf(2)))
-            # interval comparisons are True only when certain, else False or None
-            certain = (iv.mpf(t) <= target, target < iv.mpf(t + 1))
-        finally:
-            iv.prec = saved
-        assert certain == (True, True)
+        # independent enclosure of 2**bits / (10 * ln(10)**(3/2))
+        x = iv.mpf(10)
+        assert certainly_floor(
+            t, lambda: iv.mpf(1 << bits) / (x * iv.log(x) ** (iv.mpf(3) / iv.mpf(2)))
+        )
 
     def test_more_bits_never_decrease_values(self):
         low = squares_log(F(1), 15, precision_bits=64)
