@@ -35,6 +35,8 @@ from .maximal import analyze, bilinear_analyze, frequency_profile
 from .signal import (
     IntegerInterval,
     dump_signal,
+    format_int,
+    format_rational,
     parse_rational,
     parse_strict_int,
     read_signal,
@@ -60,7 +62,7 @@ def _argument(parse):
 def _at_least_one(text: str) -> int:
     value = parse_strict_int(text)
     if value < 1:
-        raise ValueError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {format_int(value)}")
     return value
 
 
@@ -144,10 +146,18 @@ def _emit(text: str, out_path) -> None:
         handle.write(text)
 
 
+def _number(value) -> str:
+    """str() of an int or a Fraction, at any length."""
+    try:
+        return str(value)
+    except ValueError:  # more than 4,300 digits
+        return format_int(value.numerator) if value.denominator == 1 else format_rational(value)
+
+
 def _format_radii(result) -> str:
     if result.extremal_radii is None:
         return "all"
-    return "{" + ",".join(str(r) for r in result.extremal_radii) + "}"
+    return "{" + ",".join(map(format_int, result.extremal_radii)) + "}"
 
 
 def _cmd_eval(args) -> int:
@@ -157,25 +167,22 @@ def _cmd_eval(args) -> int:
     if not bilinear and not args.signal:
         raise ValueError("eval needs --signal, or --f with --g")
     if bilinear:
-        f = _load_signal(args.first)
-        g = _load_signal(args.second)
-        res = bilinear_analyze(f, g, args.n)
-        flag = " degenerate" if res.degenerate else ""
-        print(f"B={res.maximal_value} F={res.frequency} E={_format_radii(res)}{flag}")
+        res = bilinear_analyze(_load_signal(args.first), _load_signal(args.second), args.n)
+        value, flag = "B", (" degenerate" if res.degenerate else "")
     else:
-        f = _load_signal(args.signal)
-        res = analyze(f, args.n)
-        flag = " zero-signal" if res.zero_signal else ""
-        print(f"M={res.maximal_value} F={res.frequency} E={_format_radii(res)}{flag}")
+        res = analyze(_load_signal(args.signal), args.n)
+        value, flag = "M", (" zero-signal" if res.zero_signal else "")
+    radii = _format_radii(res)
+    print(f"{value}={_number(res.maximal_value)} F={_number(res.frequency)} E={radii}{flag}")
     return EXIT_OK
 
 
 def _cmd_profile(args) -> int:
     if args.start > args.stop:
-        raise ValueError(f"--from {args.start} exceeds --to {args.stop}")
+        raise ValueError(f"--from {format_int(args.start)} exceeds --to {format_int(args.stop)}")
     f = _load_signal(args.signal)
     rows = frequency_profile(f, IntegerInterval(args.start, args.stop), threads=args.threads)
-    lines = ["n,M,F"] + [f"{n},{m},{fr}" for n, m, fr in rows]
+    lines = ["n,M,F"] + [f"{_number(n)},{_number(m)},{_number(fr)}" for n, m, fr in rows]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

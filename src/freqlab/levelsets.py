@@ -90,7 +90,7 @@ class LevelSetCensus:
 
 
 def _census(
-    f: Signal, params: LevelParams, n_max: int, threads: int
+    f: Signal, params: LevelParams, n_max: int, threads: int = 1
 ) -> tuple[list[int], list[int]]:
     """Sorted count_K and count_S members in [-n_max, n_max], from one scan."""
     p = params.ratio.numerator
@@ -108,9 +108,7 @@ def _census(
     return members_k, members_s
 
 
-def census_sublinear(
-    f: Signal, params: LevelParams, n_max: int, threads: int = 1
-) -> set[int]:
+def census_sublinear(f: Signal, params: LevelParams, n_max: int) -> set[int]:
     """The count_K set of `params.mode` over |n| <= n_max, decided exactly.
 
     That is {n : F(n) <= |n| / ratio}, or {n : F(n) = 0} under
@@ -120,12 +118,12 @@ def census_sublinear(
     >>> census_sublinear(Signal.from_pairs([(0, 1)]), LevelParams(2), 100)
     {0}
     """
-    return set(_census(f, params, n_max, threads)[0])
+    return set(_census(f, params, n_max)[0])
 
 
-def census_band(f: Signal, params: LevelParams, n_max: int, threads: int = 1) -> set[int]:
+def census_band(f: Signal, params: LevelParams, n_max: int) -> set[int]:
     """{n : |n| <= n_max and |n|/(2*ratio) <= F(n) <= |n|/ratio}, exact."""
-    return set(_census(f, params, n_max, threads)[1])
+    return set(_census(f, params, n_max)[1])
 
 
 def _log_density_enclosure(count: int, n_value: int, epsilon: Fraction, p: int) -> Enclosure:

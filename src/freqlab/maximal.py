@@ -251,56 +251,35 @@ def frequency_profile(
 def frequency_values(f: Signal, span: IntegerInterval, threads: int = 1) -> list[int]:
     """The frequency at every n in the span, in order.
 
-    With threads > 1 the span is chunked across a process pool; chunks
-    are reassembled in index order, so the output is identical for any
-    worker count.
+    Chunks of max(2048, ceil(points / (8 * threads))) points run on a
+    process pool when `_pool_size` allows more than one worker.  Each
+    task carries its chunk's data, so every start method gives the same
+    rows, and the chunks come back in index order, so the output is
+    identical for any worker count.
     """
     if f.is_zero:
         return [0] * span.length
-    return _scan(f, span, threads)
+    chunk = max(2048, -(-span.length // (8 * max(threads, 1))))
+    data = (f.indices, f.scaled_values, f.scaled_l1)
+    starts = range(span.lo, span.hi + 1, chunk)
+    tasks = [(*data, lo, min(lo + chunk - 1, span.hi)) for lo in starts]
+    workers = _pool_size(threads, len(tasks))
+    if workers <= 1:
+        return [row for task in tasks for row in _frequencies(*task)]
+    import multiprocessing  # only pooled scans pay for its import
+    with multiprocessing.Pool(workers) as pool:
+        return [row for piece in pool.starmap(_frequencies, tasks) for row in piece]
+
+
+def _frequencies(idx, sv, l1: int, lo: int, hi: int) -> list[int]:
+    """The frequency at every n in [lo, hi]: one chunk of a scan."""
+    return [ties[0] for _, _, ties in _candidate_walk(idx, sv, l1, lo, hi)]
 
 
 def _pool_size(threads: int, chunks: int) -> int:
     """Worker processes for a scan: at most the threads asked for, the
     cores present, and the chunks there are to hand out."""
     return min(threads, os.cpu_count() or 1, chunks)
-
-
-def _rows(f: Signal, lo: int, hi: int) -> list[int]:
-    """The frequency at every n in [lo, hi]."""
-    walk = _candidate_walk(f.indices, f.scaled_values, f.scaled_l1, lo, hi)
-    return [ties[0] for _, _, ties in walk]
-
-
-_worker_signal: Signal | None = None
-
-
-def _init_worker(sig: Signal) -> None:
-    global _worker_signal
-    _worker_signal = sig
-
-
-def _worker_rows(task: tuple[int, int]) -> list[int]:
-    return _rows(_worker_signal, *task)
-
-
-def _scan(f: Signal, span: IntegerInterval, threads: int) -> list[int]:
-    total = span.length
-    workers = 1
-    if threads > 1 and total >= 2048:
-        chunk = max(1024, -(-total // (threads * 8)))
-        tasks = [
-            (lo, min(lo + chunk - 1, span.hi))
-            for lo in range(span.lo, span.hi + 1, chunk)
-        ]
-        workers = _pool_size(threads, len(tasks))
-    if workers <= 1:
-        return _rows(f, span.lo, span.hi)
-    import multiprocessing  # only pooled scans pay for its import
-
-    with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(f,)) as pool:
-        pieces = pool.map(_worker_rows, tasks)
-    return [row for piece in pieces for row in piece]
 
 
 def bilinear_average(f: Signal, g: Signal, n: int, r: int) -> Fraction:

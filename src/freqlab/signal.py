@@ -36,21 +36,38 @@ FORMAT_MAGIC = "#freqlab-signal v1"
 # unicode digits) than a wire format should be
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
+# str() and int() refuse more than 4,300 digits; longer decimals go in pieces
+_DIGITS = 4000
+_PIECE = 10**_DIGITS
+
 
 def parse_strict_int(text: str) -> int:
-    """Parse an ASCII decimal integer, rejecting every other spelling."""
+    """Parse an ASCII decimal integer of any length, rejecting every other spelling."""
     if not _INT_RE.match(text):
         raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text, 10)
+    if len(text) <= _DIGITS:
+        return int(text, 10)
+    body = text.lstrip("+-")
+    head = len(body) % _DIGITS or _DIGITS
+    value = int(body[:head], 10)
+    for start in range(head, len(body), _DIGITS):
+        value = value * _PIECE + int(body[start : start + _DIGITS], 10)
+    return -value if text[0] == "-" else value
+
+
+def format_int(value: int) -> str:
+    """The decimal text of an integer of any length, the same as str() where that works."""
+    if -_PIECE < value < _PIECE:
+        return str(value)
+    rest, pieces = abs(value), []
+    while rest >= _PIECE:
+        rest, low = divmod(rest, _PIECE)
+        pieces.append(f"{low:0{_DIGITS}d}")
+    return ("-" if value < 0 else "") + str(rest) + "".join(reversed(pieces))
 
 
 class SignalFormatError(ValueError):
     """A signal file violates the freqlab-signal v1 format."""
-
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -79,7 +96,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as ``p/q`` with an explicit denominator."""
-    return f"{value.numerator}/{value.denominator}"
+    return f"{format_int(value.numerator)}/{format_int(value.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -235,7 +252,7 @@ def dump_signal(f: Signal, metadata: Iterable[str] = ()) -> str:
     """
     lines = [FORMAT_MAGIC]
     lines.extend(f"# {note}" for note in metadata)
-    lines.extend(f"{i} {format_rational(v)}" for i, v in f)
+    lines.extend(f"{format_int(i)} {format_rational(v)}" for i, v in f)
     return "\n".join(lines) + "\n"
 
 
@@ -250,7 +267,7 @@ def parse_signal(text: str) -> Signal:
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_MAGIC:
-        raise SignalFormatError(f"missing header {FORMAT_MAGIC!r}", line_number=1)
+        raise SignalFormatError(f"line 1: missing header {FORMAT_MAGIC!r}")
     pairs: list[tuple[int, Fraction]] = []
     previous_index: int | None = None
     for number, raw in enumerate(lines[1:], start=2):
@@ -260,22 +277,22 @@ def parse_signal(text: str) -> Signal:
         fields = line.split()
         if len(fields) != 2:
             raise SignalFormatError(
-                f"expected '<index> <numerator>/<denominator>', got {raw!r}", number
+                f"line {number}: expected '<index> <numerator>/<denominator>', got {raw!r}"
             )
         try:
             index = parse_strict_int(fields[0])
         except ValueError:
-            raise SignalFormatError(f"bad index {fields[0]!r}", number) from None
+            raise SignalFormatError(f"line {number}: bad index {fields[0]!r}") from None
         if "/" not in fields[1]:
-            raise SignalFormatError(f"value {fields[1]!r} is not in p/q form", number)
+            raise SignalFormatError(f"line {number}: value {fields[1]!r} is not in p/q form")
         try:
             value = parse_rational(fields[1])
         except ValueError as exc:
-            raise SignalFormatError(str(exc), number) from None
+            raise SignalFormatError(f"line {number}: {exc}") from None
         if previous_index is not None and index <= previous_index:
             raise SignalFormatError(
-                f"indices must be strictly increasing ({index} after {previous_index})",
-                number,
+                f"line {number}: indices must be strictly increasing"
+                f" ({format_int(index)} after {format_int(previous_index)})"
             )
         previous_index = index
         pairs.append((index, value))

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from freqlab.cli import main
-from freqlab.families import spike_pair, squares_power
-from freqlab.signal import Signal, read_signal, write_signal
+from freqlab.families import GeneratorSpec, generate, spike_pair, squares_power
+from freqlab.maximal import analyze
+from freqlab.signal import Signal, parse_rational, parse_strict_int, read_signal, write_signal
 
 
 @pytest.fixture
@@ -317,6 +318,32 @@ class TestGen:
         out = tmp_path / "f.sig"
         assert main(["gen", "--family", *flags, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # each file holds decimals past the 4,300 digits str() and int() allow
+    LONG_DECIMALS = [
+        (["squares_log", "--epsilon", "1", "--cutoff", "10", "--precision", "15000"],
+         GeneratorSpec("squares_log", Fraction(1), 10, precision_bits=15000)),
+        (["squares_power", "--epsilon", "1/3", "--cutoff", "3", "--precision", "15000"],
+         GeneratorSpec("squares_power", Fraction(1, 3), 3, precision_bits=15000)),
+        (["composite_jump", "--C-min", "7150", "--C-max", "7200"],
+         GeneratorSpec("composite_jump", cutoff=7200, size=7150)),
+    ]
+
+    @pytest.mark.parametrize(
+        "flags,spec", LONG_DECIMALS, ids=["squares_log", "squares_power", "composite_jump"]
+    )
+    def test_decimals_past_the_str_limit(self, flags, spec, tmp_path, capsys):
+        out = tmp_path / "long.sig"
+        assert main(["gen", "--family", *flags, "--out", str(out)]) == 0
+        f = read_signal(out)
+        assert f == generate(spec)
+        assert main(["eval", "--signal", str(out), "--n", "100"]) == 0
+        m, fr, _ = capsys.readouterr().out.split()
+        res = analyze(f, 100)
+        assert parse_rational(m.removeprefix("M=")) == res.maximal_value
+        assert parse_strict_int(fr.removeprefix("F=")) == res.frequency
+        assert main(["profile", "--signal", str(out), "--from", "100", "--to", "100"]) == 0
+        assert capsys.readouterr().out == f"n,M,F\n100,{m[2:]},{fr[2:]}\n"
 
     def test_byte_identical_regeneration(self, tmp_path):
         a = tmp_path / "a.sig"

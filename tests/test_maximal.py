@@ -187,15 +187,16 @@ class TestFrequencyProfile:
         assert serial == parallel
         assert frequency_values(f, span, threads=2) == [fr for _, _, fr in serial]
 
-    def test_spawned_workers_match_serial(self):
-        # the pool takes the default start method; spawned workers share no
-        # memory with the parent and get the signal from the initializer
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_spawned_workers_match_serial(self, method):
+        # the pool takes the default start method, set here; these workers
+        # share no memory with the parent and get the signal data with each task
         code = (
             "import multiprocessing, os\n"
             "from fractions import Fraction\n"
             "from freqlab.maximal import frequency_values\n"
             "from freqlab.signal import IntegerInterval, Signal\n"
-            "multiprocessing.set_start_method('spawn')\n"
+            f"multiprocessing.set_start_method({method!r})\n"
             "os.cpu_count = lambda: 2\n"
             "f = Signal.from_pairs([(i * i, Fraction(1, i)) for i in range(1, 40)])\n"
             "span = IntegerInterval(-1200, 1200)\n"
@@ -205,6 +206,50 @@ class TestFrequencyProfile:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True\n"
+
+
+class FakePool:
+    """Stands in for multiprocessing.Pool: records its size, runs in process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        FakePool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, tasks):
+        return [func(*task) for task in tasks]
+
+
+class TestChunkRule:
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        import multiprocessing
+
+        FakePool.sizes = []
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    SIGNAL = Signal.from_pairs([(i * i, F(1, i)) for i in range(1, 40)])
+
+    def test_one_chunk_starts_no_pool(self):
+        span = IntegerInterval(-1024, 1023)
+        assert span.length == 2048
+        frequency_values(self.SIGNAL, span, threads=2)
+        assert FakePool.sizes == []
+
+    def test_two_chunks_ask_for_two_workers(self):
+        span = IntegerInterval(-1024, 1024)
+        assert span.length == 2049
+        pooled = frequency_values(self.SIGNAL, span, threads=2)
+        assert FakePool.sizes == [2]
+        assert pooled == frequency_values(self.SIGNAL, span)
+        assert FakePool.sizes == [2]
 
 
 class TestPoolSize:

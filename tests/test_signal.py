@@ -11,9 +11,11 @@ from freqlab.signal import (
     Signal,
     SignalFormatError,
     dump_signal,
+    format_int,
     format_rational,
     parse_rational,
     parse_signal,
+    parse_strict_int,
     read_signal,
     write_signal,
 )
@@ -94,6 +96,34 @@ class TestRational:
         text = text[:i] + chr(zero + int(text[i])) + text[i + 1 :]
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+class TestLongDecimals:
+    # str() and int() refuse more than 4,300 digits by default
+    def test_round_trip_at_any_length(self):
+        rng = random.Random(20170609)
+        bits = [1, 2, 64, 13_286, 13_290, 14_284, 14_300, 26_575, 200_000]
+        bits += [rng.randint(1, 200_000) for _ in range(24)]
+        values = [rng.getrandbits(b) | 1 << (b - 1) for b in bits]
+        values += [10**4000 - 1, 10**4000, 10**4000 + 1, 10**8000 + 7, 10**4299, 10**4300]
+        for value in values + [-v for v in values]:
+            text = format_int(value)
+            assert parse_strict_int(text) == value
+            if len(text.lstrip("-")) < 4300:
+                assert text == str(value)
+
+    def test_leading_zeros_and_signs_past_a_piece(self):
+        assert parse_strict_int("+" + "0" * 9000 + "12") == 12
+        assert parse_strict_int("-" + "0" * 9000 + "12") == -12
+        assert parse_strict_int("9" * 8001) == 10**8001 - 1
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            parse_strict_int("1" * 5000 + "_1")
+
+    def test_long_index_and_value_round_trip(self):
+        f = Signal.from_pairs([(4**7200, F(3**9000, 2**15000)), (-(10**5000), F(1, 7))])
+        text = dump_signal(f)
+        assert parse_signal(text) == f
+        assert len(text) > 2 * 4300
 
 
 class TestIntegerInterval:
