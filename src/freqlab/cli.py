@@ -36,7 +36,7 @@ from .signal import (
     IntegerInterval,
     dump_signal,
     format_int,
-    format_rational,
+    format_number,
     parse_rational,
     parse_strict_int,
     read_signal,
@@ -146,14 +146,6 @@ def _emit(text: str, out_path) -> None:
         handle.write(text)
 
 
-def _number(value) -> str:
-    """str() of an int or a Fraction, at any length."""
-    try:
-        return str(value)
-    except ValueError:  # more than 4,300 digits
-        return format_int(value.numerator) if value.denominator == 1 else format_rational(value)
-
-
 def _format_radii(result) -> str:
     if result.extremal_radii is None:
         return "all"
@@ -172,8 +164,8 @@ def _cmd_eval(args) -> int:
     else:
         res = analyze(_load_signal(args.signal), args.n)
         value, flag = "M", (" zero-signal" if res.zero_signal else "")
-    radii = _format_radii(res)
-    print(f"{value}={_number(res.maximal_value)} F={_number(res.frequency)} E={radii}{flag}")
+    print(f"{value}={format_number(res.maximal_value)} F={format_number(res.frequency)} "
+          f"E={_format_radii(res)}{flag}")
     return EXIT_OK
 
 
@@ -182,7 +174,8 @@ def _cmd_profile(args) -> int:
         raise ValueError(f"--from {format_int(args.start)} exceeds --to {format_int(args.stop)}")
     f = _load_signal(args.signal)
     rows = frequency_profile(f, IntegerInterval(args.start, args.stop), threads=args.threads)
-    lines = ["n,M,F"] + [f"{_number(n)},{_number(m)},{_number(fr)}" for n, m, fr in rows]
+    lines = ["n,M,F"]
+    lines += [f"{format_number(n)},{format_number(m)},{format_number(fr)}" for n, m, fr in rows]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -201,16 +194,16 @@ def _cmd_covering(args) -> int:
         sel = greedy_disjoint(intervals)
     except ValueError as exc:
         raise ValueError(f"{args.input}: {exc}") from None
+    length_sum, union_size = format_int(sel.chosen_length_sum), format_int(sel.union_size)
     lines = [
         "chosen indices: " + " ".join(str(k) for k in sel.chosen),
         "chosen intervals: " + " ".join(str(intervals[k]) for k in sel.chosen),
-        f"chosen length sum: {sel.chosen_length_sum}",
-        f"union size: {sel.union_size}",
+        f"chosen length sum: {length_sum}",
+        f"union size: {union_size}",
     ]
     bound_ok = 3 * sel.chosen_length_sum >= sel.union_size
     lines.append(
-        f"one-third bound: {'PASS' if bound_ok else 'FAIL'} "
-        f"(3 * {sel.chosen_length_sum} >= {sel.union_size})"
+        f"one-third bound: {'PASS' if bound_ok else 'FAIL'} (3 * {length_sum} >= {union_size})"
     )
     tripled = " ".join(str(triple(intervals[k])) for k in sel.chosen)
     lines.append(f"tripled cover: {tripled}")

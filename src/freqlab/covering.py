@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .signal import IntegerInterval, parse_strict_int
+from .signal import IntegerInterval, format_int, parse_strict_int
 
 
 @dataclass(frozen=True)
@@ -129,4 +129,4 @@ def read_intervals(path) -> list[IntegerInterval]:
 
 def dump_intervals(intervals: list[IntegerInterval]) -> str:
     """Serialize intervals in the text format accepted by `parse_intervals`."""
-    return "".join(f"{iv.lo} {iv.hi}\n" for iv in intervals)
+    return "".join(f"{format_int(iv.lo)} {format_int(iv.hi)}\n" for iv in intervals)

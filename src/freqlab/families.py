@@ -44,7 +44,7 @@ from .dyadic import (
     ln_int,
     mul_rational,
 )
-from .signal import Signal
+from .signal import Signal, format_int, format_number, format_rational
 
 _PARAMETERS = {
     "squares_power": ("epsilon", "cutoff", "precision_bits"),
@@ -126,14 +126,14 @@ def metadata_lines(spec: GeneratorSpec) -> list[str]:
     """Human-readable `#` header lines recording how a signal was generated."""
     lines = [f"family: {spec.family}"]
     if spec.epsilon is not None:
-        lines.append(f"epsilon: {spec.epsilon.numerator}/{spec.epsilon.denominator}")
+        lines.append(f"epsilon: {format_rational(spec.epsilon)}")
     if spec.family == "composite_jump":
-        lines.append(f"size range: {spec.size}..{spec.cutoff}")
+        lines.append(f"size range: {format_int(spec.size)}..{format_int(spec.cutoff)}")
     else:
         if spec.cutoff is not None:
-            lines.append(f"cutoff: {spec.cutoff}")
+            lines.append(f"cutoff: {format_int(spec.cutoff)}")
         if spec.size is not None:
-            lines.append(f"size: {spec.size}")
+            lines.append(f"size: {format_int(spec.size)}")
     if is_exact(spec):
         lines.append("values: exact")
     else:
@@ -144,7 +144,7 @@ def metadata_lines(spec: GeneratorSpec) -> list[str]:
 def _check_positive_epsilon(epsilon: Fraction) -> Fraction:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+        raise ValueError(f"epsilon must be positive, got {format_number(epsilon)}")
     return epsilon
 
 
@@ -152,7 +152,7 @@ def _check_precision_bits(precision_bits: int) -> None:
     if not 1 <= precision_bits <= dyadic.MAX_PRECISION:
         raise ValueError(
             f"precision_bits must be in 1..{dyadic.MAX_PRECISION} (dyadic.MAX_PRECISION), "
-            f"got {precision_bits}"
+            f"got {format_int(precision_bits)}"
         )
 
 
@@ -285,7 +285,7 @@ def spike_pair(size: int) -> Signal:
     (-300, 0, 300)
     """
     if size < _MIN_SPIKE_SIZE:
-        raise ValueError(f"size must be at least {_MIN_SPIKE_SIZE}, got {size}")
+        raise ValueError(f"size must be at least {_MIN_SPIKE_SIZE}, got {format_int(size)}")
     return Signal.from_pairs(
         [(-3 * size, 2 * size), (0, 1), (3 * size, 2 * size)]
     )
@@ -299,7 +299,9 @@ def composite_jump(min_size: int, max_size: int) -> Signal:
     never overlap because consecutive translates are a factor 4 apart.
     """
     if min_size < _MIN_SPIKE_SIZE:
-        raise ValueError(f"min_size must be at least {_MIN_SPIKE_SIZE}, got {min_size}")
+        raise ValueError(
+            f"min_size must be at least {_MIN_SPIKE_SIZE}, got {format_int(min_size)}"
+        )
     if max_size < min_size:
         raise ValueError("max_size must be at least min_size")
     pairs = []

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .dyadic import Enclosure, certify, exp, floor_dyadic, ln, ln_int, mul_rational
 from .maximal import frequency_values
-from .signal import IntegerInterval, Signal
+from .signal import IntegerInterval, Signal, format_number
 
 LEVELSET_MODES = ("K", "S", "theta-zero")
 
@@ -64,9 +64,9 @@ class LevelParams:
         object.__setattr__(self, "ratio", Fraction(self.ratio))
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         if self.ratio <= 1:
-            raise ValueError(f"ratio must exceed 1, got {self.ratio}")
+            raise ValueError(f"ratio must exceed 1, got {format_number(self.ratio)}")
         if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise ValueError(f"epsilon must be positive, got {format_number(self.epsilon)}")
         if self.mode not in LEVELSET_MODES:
             raise ValueError(f"mode must be one of {LEVELSET_MODES}, got {self.mode!r}")
 

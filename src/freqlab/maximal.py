@@ -29,8 +29,7 @@ are exhausted all of ||f||_1 has been averaged at a smaller radius.
 `analyze` is the kernel at one n; `frequency_values` runs it over
 chunks of a span, serially or on a process pool, and `frequency_profile`
 reads each maximal value off as the average at the frequency, which
-attains the supremum.  `analyze_brute_force` sweeps
-every radius instead, as an independent check.
+attains the supremum.
 
 The bilinear variants replace the window sum by
 sum over k in [-r, r] of |f(n - k) g(n + k)|.  The window at radius r
@@ -42,6 +41,10 @@ so only f's support inside [2n - g.hi, 2n - g.lo] can pair.  That slice,
 mirrored through n, is intersected with g's index set in one set
 operation, and only the pairs found are multiplied.
 `bilinear_average` sums the same terms up to its radius.
+
+`analyze_brute_force` and `bilinear_analyze_brute_force` are the
+independent oracles: they bucket each term by its distance from n and
+`_sweep` every radius up to `radius_bound`, with no walk and no pruning.
 """
 
 from __future__ import annotations
@@ -178,30 +181,25 @@ def analyze(f: Signal, n: int) -> FrequencyResult:
 
 
 def analyze_brute_force(f: Signal, n: int) -> FrequencyResult:
-    """Independent oracle for `analyze`: sweep every radius up to
-    `radius_bound`, growing the window one step at a time and comparing
-    the average at every single r.  Slow on purpose; no candidate logic,
-    no pruning."""
+    """Independent oracle for `analyze`: bucket each support value by its
+    distance from n and `_sweep` every radius up to `radius_bound`."""
     if f.is_zero:
         return FrequencyResult(Fraction(0), None, 0, zero_signal=True)
-    bound = radius_bound(f, n)
-    idx = f.indices
-    sv = f.scaled_values
-    size = len(idx)
-    j = bisect_left(idx, n)
-    i = j - 1
-    acc = 0
-    if j < size and idx[j] == n:
-        acc = sv[j]
-        j += 1
-    best_num, best_w, ties = acc, 1, [0]
-    for r in range(1, bound + 1):
-        if i >= 0 and idx[i] == n - r:
-            acc += sv[i]
-            i -= 1
-        if j < size and idx[j] == n + r:
-            acc += sv[j]
-            j += 1
+    gains = [0] * (radius_bound(f, n) + 1)
+    for s, v in zip(f.indices, f.scaled_values):
+        gains[abs(s - n)] += v
+    best_num, best_w, ties = _sweep(gains)
+    return FrequencyResult(
+        Fraction(best_num, f.scale * best_w), tuple(ties), ties[0], zero_signal=False
+    )
+
+
+def _sweep(gains: list[int]):
+    """The argmax over every radius r < len(gains), the window gaining
+    gains[r] at r; returns (best_num, best_w, ties) like `_candidate_walk`."""
+    acc, best_num, best_w, ties = 0, 0, 1, []
+    for r, gain in enumerate(gains):
+        acc += gain
         w = 2 * r + 1
         lhs = acc * best_w
         rhs = best_num * w
@@ -209,9 +207,7 @@ def analyze_brute_force(f: Signal, n: int) -> FrequencyResult:
             best_num, best_w, ties = acc, w, [r]
         elif lhs == rhs:
             ties.append(r)
-    return FrequencyResult(
-        Fraction(best_num, f.scale * best_w), tuple(ties), ties[0], zero_signal=False
-    )
+    return best_num, best_w, ties
 
 
 def half_mass_radius(f: Signal) -> int:
@@ -333,28 +329,15 @@ def bilinear_analyze(f: Signal, g: Signal, n: int) -> BilinearFrequencyResult:
 
 
 def bilinear_analyze_brute_force(f: Signal, g: Signal, n: int) -> BilinearFrequencyResult:
-    """Independent oracle for `bilinear_analyze`: sweep every radius up
-    to the farthest f-support distance, probing both k = r and k = -r at
-    each step."""
+    """Independent oracle for `bilinear_analyze`: put each product
+    f(s) g(2n - s), s in f's support, in the bucket for |s - n|, then
+    `_sweep` every radius up to `radius_bound(f, n)`."""
     if f.is_zero or g.is_zero:
         return BilinearFrequencyResult(Fraction(0), None, 0, degenerate=True)
-    bound = radius_bound(f, n)
-    acc = f.scaled_value_at(n) * g.scaled_value_at(n)
-    best_num, best_w, ties = acc, 1, [0]
-    for r in range(1, bound + 1):
-        for k in (r, -r):
-            left = f.scaled_value_at(n - k)
-            if left:
-                right = g.scaled_value_at(n + k)
-                if right:
-                    acc += left * right
-        w = 2 * r + 1
-        lhs = acc * best_w
-        rhs = best_num * w
-        if lhs > rhs:
-            best_num, best_w, ties = acc, w, [r]
-        elif lhs == rhs:
-            ties.append(r)
+    gains = [0] * (radius_bound(f, n) + 1)
+    for s, v in zip(f.indices, f.scaled_values):
+        gains[abs(s - n)] += v * g.scaled_value_at(2 * n - s)
+    best_num, best_w, ties = _sweep(gains)
     if best_num == 0:
         return BilinearFrequencyResult(Fraction(0), None, 0, degenerate=True)
     return BilinearFrequencyResult(

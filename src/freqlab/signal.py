@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,34 +37,42 @@ FORMAT_MAGIC = "#freqlab-signal v1"
 # unicode digits) than a wire format should be
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
-# str() and int() refuse more than 4,300 digits; longer decimals go in pieces
-_DIGITS = 4000
-_PIECE = 10**_DIGITS
-
 
 def parse_strict_int(text: str) -> int:
     """Parse an ASCII decimal integer of any length, rejecting every other spelling."""
     if not _INT_RE.match(text):
         raise ValueError(f"not a decimal integer: {text!r}")
-    if len(text) <= _DIGITS:
+    try:
         return int(text, 10)
+    except ValueError:  # past sys.get_int_max_str_digits(): convert in pieces that fit
+        digits = sys.get_int_max_str_digits()
     body = text.lstrip("+-")
-    head = len(body) % _DIGITS or _DIGITS
-    value = int(body[:head], 10)
-    for start in range(head, len(body), _DIGITS):
-        value = value * _PIECE + int(body[start : start + _DIGITS], 10)
+    head = len(body) % digits or digits
+    value, piece = int(body[:head], 10), 10**digits
+    for start in range(head, len(body), digits):
+        value = value * piece + int(body[start : start + digits], 10)
     return -value if text[0] == "-" else value
 
 
 def format_int(value: int) -> str:
     """The decimal text of an integer of any length, the same as str() where that works."""
-    if -_PIECE < value < _PIECE:
+    try:
         return str(value)
-    rest, pieces = abs(value), []
-    while rest >= _PIECE:
-        rest, low = divmod(rest, _PIECE)
-        pieces.append(f"{low:0{_DIGITS}d}")
+    except ValueError:  # past sys.get_int_max_str_digits(): convert in pieces that fit
+        digits = sys.get_int_max_str_digits()
+    rest, pieces, piece = abs(value), [], 10**digits
+    while rest >= piece:
+        rest, low = divmod(rest, piece)
+        pieces.append(f"{low:0{digits}d}")
     return ("-" if value < 0 else "") + str(rest) + "".join(reversed(pieces))
+
+
+def format_number(value: int | Fraction) -> str:
+    """str() of an int or a Fraction, at any length."""
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return format_int(value.numerator) if value.denominator == 1 else format_rational(value)
 
 
 class SignalFormatError(ValueError):
@@ -108,7 +117,9 @@ class IntegerInterval:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+            raise ValueError(
+                f"empty interval: lo={format_int(self.lo)} > hi={format_int(self.hi)}"
+            )
 
     @property
     def length(self) -> int:
@@ -116,7 +127,7 @@ class IntegerInterval:
         return self.hi - self.lo + 1
 
     def __repr__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{format_int(self.lo)}, {format_int(self.hi)}]"
 
 
 class Signal:
@@ -205,11 +216,10 @@ class Signal:
         return hash((self.indices, self.values))
 
     def __repr__(self) -> str:
-        if len(self.indices) <= 4:
-            body = ", ".join(f"{i}: {v}" for i, v in self)
-        else:
-            shown = list(self)[:3]
-            body = ", ".join(f"{i}: {v}" for i, v in shown) + f", ... ({len(self)} points)"
+        shown = list(self) if len(self) <= 4 else list(self)[:3]
+        body = ", ".join(f"{format_int(i)}: {format_number(v)}" for i, v in shown)
+        if len(self) > 4:
+            body += f", ... ({len(self)} points)"
         return f"Signal({{{body}}})"
 
     def value_at(self, index: int) -> Fraction:

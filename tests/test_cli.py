@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 import time
@@ -7,9 +8,13 @@ from fractions import Fraction
 import pytest
 
 from freqlab.cli import main
-from freqlab.families import GeneratorSpec, generate, spike_pair, squares_power
+from freqlab.families import GeneratorSpec, composite_jump, generate, spike_pair, squares_power
 from freqlab.maximal import analyze
 from freqlab.signal import Signal, parse_rational, parse_strict_int, read_signal, write_signal
+
+
+# 10**5000 in decimal: past the 4,300 digits str() and int() allow by default
+BIG = "1" + "0" * 5000
 
 
 @pytest.fixture
@@ -139,6 +144,11 @@ class TestLevelset:
                      "--epsilon", "0", "--N-grid", "10"]) == 2
         assert capsys.readouterr().err == "error: epsilon must be positive, got 0\n"
 
+    def test_ratio_past_the_str_limit_rejected(self, delta_file, capsys):
+        assert main(["levelset", "--signal", delta_file, "--C", "-" + BIG,
+                     "--N-grid", "10"]) == 2
+        assert capsys.readouterr().err == f"error: ratio must exceed 1, got -{BIG}\n"
+
     def test_decimal_ratio_rejected(self, delta_file):
         with pytest.raises(SystemExit) as err:
             main(["levelset", "--signal", delta_file, "--mode", "K",
@@ -173,6 +183,20 @@ class TestCovering:
         assert "chosen length sum: 20" in out
         assert "union size: 20" in out
         assert "one-third bound: PASS" in out
+
+    def test_ends_past_the_str_limit(self, tmp_path, capsys):
+        path = tmp_path / "intervals.txt"
+        path.write_text(f"0 {BIG}\n5 9\n")
+        assert main(["covering", "--input", str(path)]) == 0
+        length = "1" + "0" * 4999 + "1"  # 10**5000 + 1
+        assert capsys.readouterr().out.splitlines() == [
+            "chosen indices: 0",
+            f"chosen intervals: [0, {BIG}]",
+            f"chosen length sum: {length}",
+            f"union size: {length}",
+            f"one-third bound: PASS (3 * {length} >= {length})",
+            f"tripled cover: [-{length}, 2{length[1:]}]",
+        ]
 
     def test_empty_file_is_error(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
@@ -345,6 +369,31 @@ class TestGen:
         assert main(["profile", "--signal", str(out), "--from", "100", "--to", "100"]) == 0
         assert capsys.readouterr().out == f"n,M,F\n100,{m[2:]},{fr[2:]}\n"
 
+    def test_spike_size_past_the_str_limit(self, tmp_path):
+        out = tmp_path / "sp.sig"
+        assert main(["gen", "--family", "spike_pair", "--C", BIG, "--out", str(out)]) == 0
+        assert read_signal(out) == spike_pair(10**5000)
+        assert f"# size: {BIG}\n" in out.read_text()
+
+    def test_decimals_follow_the_interpreter_limit(self, tmp_path):
+        out = tmp_path / "cj.sig"
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+
+        def freqlab(*argv):
+            proc = subprocess.run([sys.executable, "-m", "freqlab", *argv],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        freqlab("gen", "--family", "composite_jump", "--C-min", "2000", "--C-max", "2000",
+                "--out", str(out))
+        f = read_signal(out)
+        assert f == composite_jump(2000, 2000)
+        res = analyze(f, 7)
+        m, fr, _ = freqlab("eval", "--signal", str(out), "--n", "7").split()
+        assert parse_rational(m.removeprefix("M=")) == res.maximal_value
+        assert parse_strict_int(fr.removeprefix("F=")) == res.frequency
+
     def test_byte_identical_regeneration(self, tmp_path):
         a = tmp_path / "a.sig"
         b = tmp_path / "b.sig"
@@ -439,6 +488,15 @@ class TestUncertifiableValue:
         self.run_gen(family, 70000, tmp_path / "x.sig")
         assert capsys.readouterr().err == (
             "error: precision_bits must be in 1..65536 (dyadic.MAX_PRECISION), got 70000\n"
+        )
+
+    def test_precision_past_the_str_limit(self, tmp_path, capsys):
+        out = tmp_path / "x.sig"
+        argv = ["gen", "--family", "squares_power", "--epsilon", "1", "--cutoff", "3"]
+        assert main(argv + ["--precision", "-" + BIG, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: precision_bits must be in 1..65536 (dyadic.MAX_PRECISION), got -{BIG}\n"
         )
 
     @pytest.mark.parametrize("family", ["squares_power", "squares_log", "stretched_log"])

@@ -118,6 +118,10 @@ class TestIntervalsFormat:
         intervals = [iv(-5, 5), iv(7, 7)]
         assert parse_intervals(dump_intervals(intervals)) == intervals
 
+    def test_round_trip_past_the_str_limit(self):
+        text = "-1" + "0" * 5000 + " 7\n5 1" + "9" * 6000 + "\n"
+        assert dump_intervals(parse_intervals(text)) == text
+
     def test_bad_line_reported(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_intervals("0 4\nnot an interval\n")

@@ -126,6 +126,7 @@ class TestAnalyze:
             f = random_signal(rng, max_points=8)
             n = rng.randint(-40, 40)
             res = analyze(f, n)
+            assert analyze_brute_force(f, n) == res
             for r in range(radius_bound(f, n) + 1):
                 value = average(f, n, r)
                 assert value <= res.maximal_value

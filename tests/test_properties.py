@@ -10,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqlab.maximal import (
+    BilinearFrequencyResult,
     _candidate_walk,
     analyze,
     analyze_brute_force,
     bilinear_analyze,
     bilinear_analyze_brute_force,
     bilinear_average,
+    radius_bound,
 )
 from freqlab.signal import Signal, dump_signal, parse_signal
 
@@ -82,6 +84,28 @@ def test_kernel_over_span_matches_brute_force(f, lo, width, cut):
 @example(PLATEAU, ZERO, 0)
 def test_bilinear_analyze_matches_brute_force(f, g, n):
     assert bilinear_analyze(f, g, n) == bilinear_analyze_brute_force(f, g, n)
+
+
+@DETERMINISTIC
+@given(shifted, shifted, wide_centres)
+@example(PLATEAU, PLATEAU, 0)  # radii (0, 1, 2) tie
+@example(WIDE, WIDE, 0)
+@example(PLATEAU, FAR, 0)  # disjoint hulls, no pair sums to 2n: degenerate
+@example(ZERO, PLATEAU, 0)
+@example(PLATEAU, ZERO, 0)
+def test_bilinear_oracle_is_the_argmax_of_direct_window_sums(f, g, n):
+    degenerate = BilinearFrequencyResult(Fraction(0), None, 0, degenerate=True)
+    expected = degenerate
+    if not (f.is_zero or g.is_zero):
+        averages, window = [], Fraction(0)
+        for r in range(radius_bound(f, n) + 1):
+            window += sum(f.value_at(n - k) * g.value_at(n + k) for k in {r, -r})
+            averages.append(window / (2 * r + 1))
+        best = max(averages)
+        ties = tuple(r for r, value in enumerate(averages) if value == best)
+        if best:
+            expected = BilinearFrequencyResult(best, ties, ties[0])
+    assert bilinear_analyze_brute_force(f, g, n) == expected
 
 
 @DETERMINISTIC

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,23 @@ class TestLongDecimals:
         text = dump_signal(f)
         assert parse_signal(text) == f
         assert len(text) > 2 * 4300
+
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no str() digit limit before 3.10.7"
+    )
+    def test_pieces_follow_the_interpreter_limit(self):
+        values = [10**640 - 1, 10**640, -(10**641) - 7, 3**5000]
+        texts = [str(v) for v in values]
+        f = Signal.from_pairs([(4**2000, F(3**2000, 2**3000)), (-(10**700), F(1, 7))])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert [format_int(v) for v in values] == texts
+            assert [parse_strict_int(t) for t in texts] == values
+            assert parse_signal(dump_signal(f)) == f
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestIntegerInterval:
