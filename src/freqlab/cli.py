@@ -23,6 +23,7 @@ and worker counts.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -72,8 +73,19 @@ _positive_int = _argument(_at_least_one)
 _grid = _argument(lambda text: [parse_strict_int(part) for part in text.split(",") if part])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token of '-' and a digit as a value, so `--C -2/3`
+    reaches its range check as `--C -2` does.  Plain argparse takes only
+    negative integers and decimals as values; no flag here starts with
+    '-' and a digit.  Sub-parsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freqlab",
         description="Exact analysis of centered averages and their least maximizing radii.",
     )

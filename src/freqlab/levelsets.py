@@ -92,12 +92,17 @@ class LevelSetCensus:
 def _census(
     f: Signal, params: LevelParams, n_max: int, threads: int = 1
 ) -> tuple[list[int], list[int]]:
-    """Sorted count_K and count_S members in [-n_max, n_max], from one scan."""
+    """Sorted count_K and count_S members in [-n_max, n_max], from one scan.
+
+    The scan takes the slope, so a non-member's walk stops once its
+    frequency is known to exceed |n| / ratio; members get their exact F.
+    """
     p = params.ratio.numerator
     q = params.ratio.denominator
     zero = params.mode == "theta-zero"
     members_k, members_s = [], []
-    freqs = frequency_values(f, IntegerInterval(-n_max, n_max), threads=threads)
+    span = IntegerInterval(-n_max, n_max)
+    freqs = frequency_values(f, span, threads=threads, slope=params.ratio)
     for n, fr in enumerate(freqs, -n_max):
         bound = q * abs(n)
         if p * fr <= bound:

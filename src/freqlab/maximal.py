@@ -26,6 +26,12 @@ rescaled integers, compares averages by integer cross multiplication
 strictly below the best.  That stop always comes: an exhausted side
 sits at a distance beyond every support point, and before both sides
 are exhausted all of ||f||_1 has been averaged at a smaller radius.
+A census asks only whether F(n) <= |n| / C, so given a slope C the walk
+also has a decision exit: it stops at the first strict improvement at a
+radius r > |n| / C.  The frequency is the radius of the last strict
+improvement, so F(n) >= r and n is decided a non-member; the value
+reported for it is r, a lower bound and not its frequency.  Ties never
+exit, and every member still walks to the prune.
 `analyze` is the kernel at one n; `frequency_values` runs it over
 chunks of a span, serially or on a process pool, and `frequency_profile`
 reads each maximal value off as the average at the frequency, which
@@ -54,7 +60,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .signal import IntegerInterval, Signal
+from .signal import IntegerInterval, Signal, format_number
 
 
 @dataclass(frozen=True)
@@ -113,13 +119,22 @@ def radius_bound(f: Signal, n: int) -> int:
     return max(abs(n - hull.lo), abs(n - hull.hi))
 
 
-def _candidate_walk(idx, sv, l1: int, lo: int, hi: int):
+def _candidate_walk(idx, sv, l1: int, lo: int, hi: int, p: int = 0, q: int = 1):
     """The exact candidate-radius walk at every n in [lo, hi], in order.
 
     `idx` and `sv` are sorted support indices and their positive scaled
     values, `l1` their sum.  Yields (best_num, best_w, ties) per n: the
     maximal value is best_num / (scale * best_w) and `ties` lists every
     attaining radius in increasing order, so ties[0] is the frequency.
+
+    A slope C = p/q > 0 adds the decision exit: the walk at n stops at
+    its first strict improvement at a radius r with p*r > q*|n|, and
+    yields that improvement with ties == [r].  The frequency is the
+    radius of the last strict improvement, so F(n) >= r > |n|/C and n
+    lies outside every census; ties[0] is then a lower bound, not the
+    frequency.  Wherever p*F(n) <= q*|n| no improvement passes |n|/C,
+    so the walk runs to the prune and yields the exact result.  The
+    default p = 0 never exits.
     """
     size = len(idx)
     # Beyond every support distance from any n in [lo, hi]; the prune
@@ -127,6 +142,7 @@ def _candidate_walk(idx, sv, l1: int, lo: int, hi: int):
     far = max(hi, idx[-1]) - min(lo, idx[0]) + 1
     nxt = bisect_left(idx, lo)
     for n in range(lo, hi + 1):
+        cap = q * abs(n) // p if p else far  # p*r > q*|n| iff r > cap
         i = nxt - 1
         j = nxt
         if j < size and idx[j] == n:
@@ -161,6 +177,8 @@ def _candidate_walk(idx, sv, l1: int, lo: int, hi: int):
                 best_w = w
                 bound = l1 * w
                 ties = [r]
+                if r > cap:  # F(n) >= r > |n|/C: decided, not a member
+                    break
             elif lhs == rhs:
                 ties.append(r)
         yield best_num, best_w, ties
@@ -244,8 +262,15 @@ def frequency_profile(
     return [(n, average(f, n, fr), fr) for n, fr in zip(range(span.lo, span.hi + 1), freqs)]
 
 
-def frequency_values(f: Signal, span: IntegerInterval, threads: int = 1) -> list[int]:
+def frequency_values(
+    f: Signal, span: IntegerInterval, threads: int = 1, slope: Fraction | None = None
+) -> list[int]:
     """The frequency at every n in the span, in order.
+
+    With a slope C > 0 only the frequencies with F(n) <= |n| / C are
+    exact: every other n gets a lower bound r > |n| / C from the
+    decision exit of `_candidate_walk`, which tells a census it is no
+    member without walking to the prune.
 
     Chunks of max(2048, ceil(points / (8 * threads))) points run on a
     process pool when `_pool_size` allows more than one worker.  Each
@@ -253,12 +278,15 @@ def frequency_values(f: Signal, span: IntegerInterval, threads: int = 1) -> list
     rows, and the chunks come back in index order, so the output is
     identical for any worker count.
     """
+    if slope is not None and slope <= 0:
+        raise ValueError(f"slope must be positive, got {format_number(slope)}")
+    p, q = (0, 1) if slope is None else (slope.numerator, slope.denominator)
     if f.is_zero:
         return [0] * span.length
     chunk = max(2048, -(-span.length // (8 * max(threads, 1))))
     data = (f.indices, f.scaled_values, f.scaled_l1)
     starts = range(span.lo, span.hi + 1, chunk)
-    tasks = [(*data, lo, min(lo + chunk - 1, span.hi)) for lo in starts]
+    tasks = [(*data, lo, min(lo + chunk - 1, span.hi), p, q) for lo in starts]
     workers = _pool_size(threads, len(tasks))
     if workers <= 1:
         return [row for task in tasks for row in _frequencies(*task)]
@@ -267,9 +295,10 @@ def frequency_values(f: Signal, span: IntegerInterval, threads: int = 1) -> list
         return [row for piece in pool.starmap(_frequencies, tasks) for row in piece]
 
 
-def _frequencies(idx, sv, l1: int, lo: int, hi: int) -> list[int]:
-    """The frequency at every n in [lo, hi]: one chunk of a scan."""
-    return [ties[0] for _, _, ties in _candidate_walk(idx, sv, l1, lo, hi)]
+def _frequencies(idx, sv, l1: int, lo: int, hi: int, p: int, q: int) -> list[int]:
+    """The frequency at every n in [lo, hi], or its lower bound past
+    |n| / (p/q) when p > 0: one chunk of a scan."""
+    return [ties[0] for _, _, ties in _candidate_walk(idx, sv, l1, lo, hi, p, q)]
 
 
 def _pool_size(threads: int, chunks: int) -> int:

@@ -149,6 +149,20 @@ class TestLevelset:
                      "--N-grid", "10"]) == 2
         assert capsys.readouterr().err == f"error: ratio must exceed 1, got -{BIG}\n"
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--C", "-2/3"], "ratio must exceed 1, got -2/3"),
+            (["--C", "2", "--epsilon", "-1/2"], "epsilon must be positive, got -1/2"),
+        ],
+        ids=["C", "epsilon"],
+    )
+    def test_negative_rational_reaches_its_range_check(self, flags, message, delta_file,
+                                                       capsys):
+        # a separate "-2/3" is a value, not an option: no usage line
+        assert main(["levelset", "--signal", delta_file, *flags, "--N-grid", "10"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_decimal_ratio_rejected(self, delta_file):
         with pytest.raises(SystemExit) as err:
             main(["levelset", "--signal", delta_file, "--mode", "K",
@@ -257,6 +271,13 @@ class TestGen:
         out = tmp_path / "bad.sig"
         assert main(["gen", "--family", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_negative_rational_epsilon_reaches_its_range_check(self, tmp_path, capsys):
+        out = tmp_path / "bad.sig"
+        assert main(["gen", "--family", "squares_power", "--epsilon", "-1/2",
+                     "--cutoff", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: epsilon must be positive, got -1/2\n"
         assert not out.exists()
 
     FIELD_ERRORS = [

@@ -188,10 +188,25 @@ class TestFrequencyProfile:
         assert serial == parallel
         assert frequency_values(f, span, threads=2) == [fr for _, _, fr in serial]
 
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_spawned_workers_match_serial(self, method):
+    def test_slope_must_be_positive(self):
+        span = IntegerInterval(-5, 5)
+        for slope in (F(0), F(-2, 3)):
+            with pytest.raises(ValueError, match="slope must be positive"):
+                frequency_values(TWO_POINT, span, slope=slope)
+
+    @pytest.mark.parametrize(
+        ("method", "slope"),
+        [
+            pytest.param("spawn", None, id="spawn"),
+            pytest.param("forkserver", None, id="forkserver"),
+            pytest.param("spawn", F(3, 2), id="spawn-slope"),
+            pytest.param("forkserver", F(3, 2), id="forkserver-slope"),
+        ],
+    )
+    def test_spawned_workers_match_serial(self, method, slope):
         # the pool takes the default start method, set here; these workers
-        # share no memory with the parent and get the signal data with each task
+        # share no memory with the parent and get the signal data (and the
+        # slope's p and q) with each task
         code = (
             "import multiprocessing, os\n"
             "from fractions import Fraction\n"
@@ -201,7 +216,9 @@ class TestFrequencyProfile:
             "os.cpu_count = lambda: 2\n"
             "f = Signal.from_pairs([(i * i, Fraction(1, i)) for i in range(1, 40)])\n"
             "span = IntegerInterval(-1200, 1200)\n"
-            "print(frequency_values(f, span, threads=2) == frequency_values(f, span))\n"
+            f"slope = {slope!r}\n"
+            "print(frequency_values(f, span, threads=2, slope=slope)"
+            " == frequency_values(f, span, slope=slope))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120)

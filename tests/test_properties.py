@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freqlab.levelsets import LEVELSET_MODES, LevelParams, _census
 from freqlab.maximal import (
     BilinearFrequencyResult,
     _candidate_walk,
@@ -17,9 +18,10 @@ from freqlab.maximal import (
     bilinear_analyze,
     bilinear_analyze_brute_force,
     bilinear_average,
+    frequency_values,
     radius_bound,
 )
-from freqlab.signal import Signal, dump_signal, parse_signal
+from freqlab.signal import IntegerInterval, Signal, dump_signal, parse_signal
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -40,6 +42,22 @@ shifted = st.builds(
 )
 # Beyond every shifted hull on both sides.
 wide_centres = st.integers(-130, 130)
+# Equal values on an evenly spaced support: averages tie at many radii.
+evenly_spaced = st.builds(
+    lambda start, step, count, value: Signal.from_pairs(
+        (start + k * step, value) for k in range(count)
+    ),
+    st.integers(-30, 30),
+    st.integers(1, 6),
+    st.integers(1, 10),
+    values,
+)
+census_signals = st.one_of(signals, evenly_spaced)
+# Census slopes C > 1: just above 1, moderate, and large.
+slopes = st.one_of(
+    st.sampled_from([Fraction(1001, 1000), Fraction(3, 2), Fraction(2), Fraction(10**6)]),
+    st.fractions(min_value=Fraction(51, 50), max_value=50, max_denominator=50),
+)
 
 PLATEAU = Signal.from_pairs([(i, 1) for i in range(-2, 3)])
 STEP = Signal.from_pairs([(0, 1), (1, 2)])
@@ -47,6 +65,7 @@ WIDE = Signal.from_pairs([(i, 1 + i % 3) for i in range(-20, 21)])
 SPREAD = Signal.from_pairs([(-20, 1), (20, 2)])  # WIDE's hull, two points
 FAR = Signal.from_pairs([(i + 100, 1) for i in range(-2, 3)])
 ZERO = Signal.from_pairs([])
+GRID = Signal.from_pairs([(i, 1) for i in range(-12, 13, 3)])  # evenly spaced
 
 
 def _walk_span(f, lo, hi):
@@ -69,6 +88,45 @@ def test_kernel_over_span_matches_brute_force(f, lo, width, cut):
     # A scan walks its span in chunks; a split anywhere gives the same rows.
     cut = lo + cut % (width + 1)
     assert _walk_span(f, lo, cut - 1) + _walk_span(f, cut, hi) == walked
+
+
+@DETERMINISTIC
+@given(census_signals, slopes, st.integers(0, 60))
+@example(PLATEAU, Fraction(1001, 1000), 0)  # n = 0 alone
+@example(PLATEAU, Fraction(1001, 1000), 40)
+@example(GRID, Fraction(3, 2), 40)
+@example(GRID, Fraction(10**6), 40)
+@example(FAR, Fraction(2), 60)  # support right of every n
+@example(ZERO, Fraction(2), 5)  # F = 0 everywhere
+def test_frequency_values_with_a_slope_decide_exactly(f, ratio, n_max):
+    # Exact F wherever F <= |n|/C, a value past |n|/C elsewhere.
+    decided = frequency_values(f, IntegerInterval(-n_max, n_max), slope=ratio)
+    for n, value in zip(range(-n_max, n_max + 1), decided):
+        exact = analyze_brute_force(f, n).frequency
+        if exact <= abs(n) / ratio:
+            assert value == exact
+        else:
+            assert abs(n) / ratio < value <= exact
+
+
+@DETERMINISTIC
+@given(census_signals, slopes, st.integers(0, 60))
+@example(PLATEAU, Fraction(1001, 1000), 0)  # n = 0 alone
+@example(GRID, Fraction(1001, 1000), 40)
+@example(GRID, Fraction(10**6), 40)
+@example(STEP, Fraction(2), 30)
+@example(ZERO, Fraction(2), 5)
+def test_census_members_match_brute_force(f, ratio, n_max):
+    exact = {n: analyze_brute_force(f, n).frequency for n in range(-n_max, n_max + 1)}
+    linear = [n for n, fr in exact.items() if fr <= abs(n) / ratio]
+    band = [n for n in linear if abs(n) / (2 * ratio) <= exact[n]]
+    for mode in LEVELSET_MODES:
+        members_k, members_s = _census(f, LevelParams(ratio, mode=mode), n_max)
+        if mode == "theta-zero":
+            assert members_k == [n for n in linear if exact[n] == 0]
+        else:
+            assert members_k == linear
+        assert members_s == band
 
 
 @DETERMINISTIC
