@@ -26,12 +26,26 @@ rescaled integers, compares averages by integer cross multiplication
 strictly below the best.  That stop always comes: an exhausted side
 sits at a distance beyond every support point, and before both sides
 are exhausted all of ||f||_1 has been averaged at a smaller radius.
-A census asks only whether F(n) <= |n| / C, so given a slope C the walk
-also has a decision exit: it stops at the first strict improvement at a
-radius r > |n| / C.  The frequency is the radius of the last strict
-improvement, so F(n) >= r and n is decided a non-member; the value
-reported for it is r, a lower bound and not its frequency.  Ties never
-exit, and every member still walks to the prune.
+A census asks only whether F(n) <= |n| / C, that is F(n) <= cap with
+cap = floor(|n| / C), so given a slope C the walk decides every other n
+early and reports cap + 1 for it, a value in (|n| / C, F(n)] that
+depends on n alone.  Two exits decide, both by strict comparisons, so a
+tie never decides and every member still walks to the prune:
+
+* the first strict improvement at a radius r > cap.  The frequency is
+  the radius of the last strict improvement, so F(n) >= r > cap.
+* a carried witness, when some support point lies within cap of n.
+  Write W(n, r) for the window sum.  Take rho = max(rho_prev + 1,
+  cap + 1), rho_prev being the radius that decided the last n decided
+  in the same walk, and A* = W(n, rho) / (2 rho + 1); F changes slowly
+  with n, so rho nearly always proves n no member at once.  Let stop be
+  the least r with W(n, cap) / (2r + 1) < A*, or cap + 1 if that is
+  smaller.  At the first candidate r >= stop, the best average so far
+  covers every radius below r.  If it is below A*, so is every radius
+  below r, and every radius in [r, cap] averages at most
+  W(n, cap) / (2r + 1) < A*.  No radius <= cap then reaches the
+  supremum, which is at least A*, so F(n) > cap.  Otherwise the witness
+  is dropped for n.
 `analyze` is the kernel at one n; `frequency_values` runs it over
 chunks of a span, serially or on a process pool, and `frequency_profile`
 reads each maximal value off as the average at the frequency, which
@@ -59,6 +73,7 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .signal import IntegerInterval, Signal, format_number
 
@@ -127,22 +142,35 @@ def _candidate_walk(idx, sv, l1: int, lo: int, hi: int, p: int = 0, q: int = 1):
     maximal value is best_num / (scale * best_w) and `ties` lists every
     attaining radius in increasing order, so ties[0] is the frequency.
 
-    A slope C = p/q > 0 adds the decision exit: the walk at n stops at
-    its first strict improvement at a radius r with p*r > q*|n|, and
-    yields that improvement with ties == [r].  The frequency is the
-    radius of the last strict improvement, so F(n) >= r > |n|/C and n
-    lies outside every census; ties[0] is then a lower bound, not the
-    frequency.  Wherever p*F(n) <= q*|n| no improvement passes |n|/C,
-    so the walk runs to the prune and yields the exact result.  The
-    default p = 0 never exits.
+    A slope C = p/q > 0 adds the decision exit of the module docstring.
+    With cap = q*|n| // p, every n with F(n) > cap is decided and yields
+    ties == [cap + 1]; best_num / best_w is then an average that exceeds
+    every average at a radius <= cap, not the maximal value.  It is
+    decided by one of two strict tests:
+
+    * an improvement at a radius r > cap: F(n) >= r > cap;
+    * the witness rho = max(rho_prev + 1, cap + 1), tried only when the
+      nearest support point is within cap (a farther one decides at the
+      first step).  With A* = W(n, rho) / (2 rho + 1) and
+      stop = min(cap + 1, (W(n, cap) * (2 rho + 1) // W(n, rho) + 1) // 2),
+      the least r with W(n, cap) / (2r + 1) < A*: at the first candidate
+      r >= stop, best < A* bounds every radius below r by best < A* and
+      every radius in [r, cap] by W(n, cap) / (2r + 1) < A*, so no
+      radius <= cap attains and F(n) > cap.  best >= A* drops it.
+
+    Wherever F(n) <= cap neither test can pass, so the walk runs to the
+    prune and yields the exact result.  The default p = 0 never exits:
+    no radius reaches its cap or its stop, both beyond `far`.
     """
     size = len(idx)
     # Beyond every support distance from any n in [lo, hi]; the prune
     # stops the walk before an exhausted side is ever taken as a radius.
     far = max(hi, idx[-1]) - min(lo, idx[0]) + 1
+    if p:
+        prefix = [0, *accumulate(sv)]  # W(n, r) from two bisects
+    carry = -1  # the radius that decided the last decided n
     nxt = bisect_left(idx, lo)
     for n in range(lo, hi + 1):
-        cap = q * abs(n) // p if p else far  # p*r > q*|n| iff r > cap
         i = nxt - 1
         j = nxt
         if j < size and idx[j] == n:
@@ -157,12 +185,29 @@ def _candidate_walk(idx, sv, l1: int, lo: int, hi: int, p: int = 0, q: int = 1):
         ties = [0]
         dl = n - idx[i] if i >= 0 else far
         dr = idx[j] - n if j < size else far
+        stop = far + 1
+        cap = far
+        if p:
+            cap = q * abs(n) // p  # p*r > q*|n| iff r > cap
+            # A farther nearest point decides at the first step anyway.  An
+            # exhausted side passes only if every real point is within cap.
+            if best_num or dl <= cap or dr <= cap:
+                rho = max(carry + 1, cap + 1)
+                w_star = 2 * rho + 1
+                num_star = prefix[bisect_right(idx, n + rho)] - prefix[bisect_left(idx, n - rho)]
+                within = prefix[bisect_right(idx, n + cap)] - prefix[bisect_left(idx, n - cap)]
+                stop = min(cap + 1, (within * w_star // num_star + 1) // 2)
         while True:
             r = dl if dl < dr else dr
             w = 2 * r + 1
             rhs = best_num * w
             if bound < rhs:  # l1 / w < best: no radius from r outward attains
                 break
+            if r >= stop:
+                if best_num * w_star < num_star * best_w:  # best < A*: F(n) > cap
+                    best_num, best_w, ties, carry = num_star, w_star, [cap + 1], rho
+                    break
+                stop = far + 1
             if dl == r:
                 acc += sv[i]
                 i -= 1
@@ -176,9 +221,10 @@ def _candidate_walk(idx, sv, l1: int, lo: int, hi: int, p: int = 0, q: int = 1):
                 best_num = acc
                 best_w = w
                 bound = l1 * w
-                ties = [r]
-                if r > cap:  # F(n) >= r > |n|/C: decided, not a member
+                if r > cap:  # F(n) >= r > cap: decided, not a member
+                    ties, carry = [cap + 1], r
                     break
+                ties = [r]
             elif lhs == rhs:
                 ties.append(r)
         yield best_num, best_w, ties
@@ -267,10 +313,10 @@ def frequency_values(
 ) -> list[int]:
     """The frequency at every n in the span, in order.
 
-    With a slope C > 0 only the frequencies with F(n) <= |n| / C are
-    exact: every other n gets a lower bound r > |n| / C from the
-    decision exit of `_candidate_walk`, which tells a census it is no
-    member without walking to the prune.
+    With a slope C = p/q > 0 only the frequencies with F(n) <= |n| / C
+    are exact: every other n gets q*|n| // p + 1, a value in
+    (|n| / C, F(n)] from the decision exit of `_candidate_walk`, which
+    tells a census it is no member without walking to the prune.
 
     Chunks of max(2048, ceil(points / (8 * threads))) points run on a
     process pool when `_pool_size` allows more than one worker.  Each
@@ -296,7 +342,7 @@ def frequency_values(
 
 
 def _frequencies(idx, sv, l1: int, lo: int, hi: int, p: int, q: int) -> list[int]:
-    """The frequency at every n in [lo, hi], or its lower bound past
+    """The frequency at every n in [lo, hi], or q*|n| // p + 1 past
     |n| / (p/q) when p > 0: one chunk of a scan."""
     return [ties[0] for _, _, ties in _candidate_walk(idx, sv, l1, lo, hi, p, q)]
 

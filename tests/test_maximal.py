@@ -201,12 +201,14 @@ class TestFrequencyProfile:
             pytest.param("forkserver", None, id="forkserver"),
             pytest.param("spawn", F(3, 2), id="spawn-slope"),
             pytest.param("forkserver", F(3, 2), id="forkserver-slope"),
+            pytest.param("fork", F(3, 2), id="fork-slope"),
         ],
     )
     def test_spawned_workers_match_serial(self, method, slope):
-        # the pool takes the default start method, set here; these workers
-        # share no memory with the parent and get the signal data (and the
-        # slope's p and q) with each task
+        # the pool takes the default start method, set here; spawn and
+        # forkserver workers share no memory with the parent and get the
+        # signal data (and the slope's p and q) with each task; with a slope
+        # each of the two chunks carries its own witness
         code = (
             "import multiprocessing, os\n"
             "from fractions import Fraction\n"

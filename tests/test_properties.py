@@ -66,10 +66,22 @@ SPREAD = Signal.from_pairs([(-20, 1), (20, 2)])  # WIDE's hull, two points
 FAR = Signal.from_pairs([(i + 100, 1) for i in range(-2, 3)])
 ZERO = Signal.from_pairs([])
 GRID = Signal.from_pairs([(i, 1) for i in range(-12, 13, 3)])  # evenly spaced
+LATTICE = Signal.from_pairs([(i, 1) for i in range(-3, 6, 2)])  # evenly spaced
+# Squares weighted like `squares_power`: a census span of 401 points
+# carries the witness from each decided n to the next.
+SQUARES = Signal.from_pairs([(k * k, Fraction(1, k)) for k in range(1, 21)])
 
 
 def _walk_span(f, lo, hi):
     return list(_candidate_walk(f.indices, f.scaled_values, f.scaled_l1, lo, hi))
+
+
+def _walk_values(f, ratio, lo, hi):
+    """The scan values of one walk over [lo, hi] with slope `ratio`."""
+    walk = _candidate_walk(
+        f.indices, f.scaled_values, f.scaled_l1, lo, hi, ratio.numerator, ratio.denominator
+    )
+    return [ties[0] for _, _, ties in walk]
 
 
 @DETERMINISTIC
@@ -94,19 +106,40 @@ def test_kernel_over_span_matches_brute_force(f, lo, width, cut):
 @given(census_signals, slopes, st.integers(0, 60))
 @example(PLATEAU, Fraction(1001, 1000), 0)  # n = 0 alone
 @example(PLATEAU, Fraction(1001, 1000), 40)
+@example(PLATEAU, Fraction(10**6), 60)  # at n = 0 the witness ties the best
 @example(GRID, Fraction(3, 2), 40)
+@example(GRID, Fraction(3), 14)  # members n = +-14 attain at r = 2, one below the stop
 @example(GRID, Fraction(10**6), 40)
+@example(LATTICE, Fraction(3, 2), 60)  # at n = -5 the witness ties the best
+@example(SQUARES, Fraction(2), 200)
 @example(FAR, Fraction(2), 60)  # support right of every n
 @example(ZERO, Fraction(2), 5)  # F = 0 everywhere
 def test_frequency_values_with_a_slope_decide_exactly(f, ratio, n_max):
-    # Exact F wherever F <= |n|/C, a value past |n|/C elsewhere.
+    # Exact F wherever F <= |n|/C; elsewhere floor(|n|/C) + 1, which lies
+    # in (|n|/C, F] and depends on n alone.
+    p, q = ratio.numerator, ratio.denominator
     decided = frequency_values(f, IntegerInterval(-n_max, n_max), slope=ratio)
     for n, value in zip(range(-n_max, n_max + 1), decided):
         exact = analyze_brute_force(f, n).frequency
         if exact <= abs(n) / ratio:
             assert value == exact
         else:
-            assert abs(n) / ratio < value <= exact
+            assert value == q * abs(n) // p + 1
+
+
+@DETERMINISTIC
+@given(census_signals, slopes, centres, st.integers(0, 60), st.integers(0, 60))
+@example(GRID, Fraction(3), -14, 28, 1)
+@example(PLATEAU, Fraction(10**6), -60, 120, 60)  # the second walk starts at n = 0
+@example(SQUARES, Fraction(2), -200, 400, 300)
+def test_frequency_values_with_a_slope_split_anywhere(f, ratio, lo, width, cut):
+    # Each walk carries its witness from point to point; a split anywhere
+    # starts a fresh carry and still gives the same values.
+    hi = lo + width
+    whole = _walk_values(f, ratio, lo, hi)
+    cut = lo + cut % (width + 1)
+    assert _walk_values(f, ratio, lo, cut - 1) + _walk_values(f, ratio, cut, hi) == whole
+    assert frequency_values(f, IntegerInterval(lo, hi), slope=ratio) == whole
 
 
 @DETERMINISTIC
