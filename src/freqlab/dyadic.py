@@ -53,6 +53,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence
 
+from .signal import format_int
+
 MAX_PRECISION = 1 << 16
 TABLE_BITS = 7
 _GUARD_BITS = 24  # cached constants are computed this much finer, then rounded out
@@ -232,7 +234,7 @@ def _ln_scaled(x: int, shift: int, p: int) -> Enclosure:
 def ln_int(m: int, p: int) -> Enclosure:
     """ln(m) * 2**p for an integer m >= 1."""
     if m < 1:
-        raise ValueError(f"ln needs a positive integer, got {m}")
+        raise ValueError(f"ln needs a positive integer, got {format_int(m)}")
     return _ln_scaled(m, 0, p)
 
 

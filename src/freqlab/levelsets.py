@@ -94,8 +94,8 @@ def _census(
 ) -> tuple[list[int], list[int]]:
     """Sorted count_K and count_S members in [-n_max, n_max], from one scan.
 
-    The scan takes the slope, so a non-member's walk stops once its
-    frequency is known to exceed |n| / ratio; members get their exact F.
+    The scan takes the slope, so it returns None for each n with
+    F(n) > |n| / ratio and the exact F for every other n.
     """
     p = params.ratio.numerator
     q = params.ratio.denominator
@@ -104,12 +104,12 @@ def _census(
     span = IntegerInterval(-n_max, n_max)
     freqs = frequency_values(f, span, threads=threads, slope=params.ratio)
     for n, fr in enumerate(freqs, -n_max):
-        bound = q * abs(n)
-        if p * fr <= bound:
-            if fr == 0 or not zero:
-                members_k.append(n)
-            if bound <= 2 * p * fr:
-                members_s.append(n)
+        if fr is None:
+            continue
+        if fr == 0 or not zero:
+            members_k.append(n)
+        if q * abs(n) <= 2 * p * fr:
+            members_s.append(n)
     return members_k, members_s
 
 

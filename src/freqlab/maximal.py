@@ -28,9 +28,9 @@ sits at a distance beyond every support point, and before both sides
 are exhausted all of ||f||_1 has been averaged at a smaller radius.
 A census asks only whether F(n) <= |n| / C, that is F(n) <= cap with
 cap = floor(|n| / C), so given a slope C the walk decides every other n
-early and reports cap + 1 for it, a value in (|n| / C, F(n)] that
-depends on n alone.  Two exits decide, both by strict comparisons, so a
-tie never decides and every member still walks to the prune:
+early and yields None for it.  Two exits decide, both by strict
+comparisons, so a tie never decides and every member still walks to the
+prune:
 
 * the first strict improvement at a radius r > cap.  The frequency is
   the radius of the last strict improvement, so F(n) >= r > cap.
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .signal import IntegerInterval, Signal, format_number
+from .signal import IntegerInterval, Signal, format_int, format_number
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def average(f: Signal, n: int, r: int) -> Fraction:
     Fraction(1, 3)
     """
     if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
+        raise ValueError(f"radius must be non-negative, got {format_int(r)}")
     return Fraction(f.window_sum_scaled(n - r, n + r), f.scale * (2 * r + 1))
 
 
@@ -144,9 +144,7 @@ def _candidate_walk(idx, sv, l1: int, lo: int, hi: int, p: int = 0, q: int = 1):
 
     A slope C = p/q > 0 adds the decision exit of the module docstring.
     With cap = q*|n| // p, every n with F(n) > cap is decided and yields
-    ties == [cap + 1]; best_num / best_w is then an average that exceeds
-    every average at a radius <= cap, not the maximal value.  It is
-    decided by one of two strict tests:
+    None.  It is decided by one of two strict tests:
 
     * an improvement at a radius r > cap: F(n) >= r > cap;
     * the witness rho = max(rho_prev + 1, cap + 1), tried only when the
@@ -205,7 +203,7 @@ def _candidate_walk(idx, sv, l1: int, lo: int, hi: int, p: int = 0, q: int = 1):
                 break
             if r >= stop:
                 if best_num * w_star < num_star * best_w:  # best < A*: F(n) > cap
-                    best_num, best_w, ties, carry = num_star, w_star, [cap + 1], rho
+                    ties, carry = None, rho
                     break
                 stop = far + 1
             if dl == r:
@@ -222,12 +220,12 @@ def _candidate_walk(idx, sv, l1: int, lo: int, hi: int, p: int = 0, q: int = 1):
                 best_w = w
                 bound = l1 * w
                 if r > cap:  # F(n) >= r > cap: decided, not a member
-                    ties, carry = [cap + 1], r
+                    ties, carry = None, r
                     break
                 ties = [r]
             elif lhs == rhs:
                 ties.append(r)
-        yield best_num, best_w, ties
+        yield None if ties is None else (best_num, best_w, ties)
 
 
 def analyze(f: Signal, n: int) -> FrequencyResult:
@@ -310,19 +308,24 @@ def frequency_profile(
 
 def frequency_values(
     f: Signal, span: IntegerInterval, threads: int = 1, slope: Fraction | None = None
-) -> list[int]:
+) -> list[int | None]:
     """The frequency at every n in the span, in order.
 
-    With a slope C = p/q > 0 only the frequencies with F(n) <= |n| / C
-    are exact: every other n gets q*|n| // p + 1, a value in
-    (|n| / C, F(n)] from the decision exit of `_candidate_walk`, which
-    tells a census it is no member without walking to the prune.
+    With a slope C > 0 only the frequencies with F(n) <= |n| / C are
+    kept: every other n gets None from the decision exit of
+    `_candidate_walk`, which rules it out without walking to the prune.
 
     Chunks of max(2048, ceil(points / (8 * threads))) points run on a
     process pool when `_pool_size` allows more than one worker.  Each
     task carries its chunk's data, so every start method gives the same
     rows, and the chunks come back in index order, so the output is
     identical for any worker count.
+
+    >>> delta = Signal.from_pairs([(0, 1)])
+    >>> frequency_values(delta, IntegerInterval(-2, 2))
+    [2, 1, 0, 1, 2]
+    >>> frequency_values(delta, IntegerInterval(-2, 2), slope=Fraction(2))
+    [None, None, 0, None, None]
     """
     if slope is not None and slope <= 0:
         raise ValueError(f"slope must be positive, got {format_number(slope)}")
@@ -341,10 +344,11 @@ def frequency_values(
         return [row for piece in pool.starmap(_frequencies, tasks) for row in piece]
 
 
-def _frequencies(idx, sv, l1: int, lo: int, hi: int, p: int, q: int) -> list[int]:
-    """The frequency at every n in [lo, hi], or q*|n| // p + 1 past
-    |n| / (p/q) when p > 0: one chunk of a scan."""
-    return [ties[0] for _, _, ties in _candidate_walk(idx, sv, l1, lo, hi, p, q)]
+def _frequencies(idx, sv, l1: int, lo: int, hi: int, p: int, q: int) -> list[int | None]:
+    """The frequency at every n in [lo, hi], or None past |n| / (p/q)
+    when p > 0: one chunk of a scan."""
+    walk = _candidate_walk(idx, sv, l1, lo, hi, p, q)
+    return [None if row is None else row[2][0] for row in walk]
 
 
 def _pool_size(threads: int, chunks: int) -> int:
@@ -359,7 +363,7 @@ def bilinear_average(f: Signal, g: Signal, n: int, r: int) -> Fraction:
     The window at radius r holds exactly the product terms with |k| <= r.
     """
     if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
+        raise ValueError(f"radius must be non-negative, got {format_int(r)}")
     total = sum(v for d, v in _bilinear_terms(f, g, n).items() if d <= r)
     return Fraction(total, f.scale * g.scale * (2 * r + 1))
 

@@ -154,14 +154,15 @@ class Signal:
         for index, raw in pairs:
             if isinstance(raw, float):
                 raise TypeError(
-                    f"float value {raw!r} at index {index}: signal values must be exact rationals"
+                    f"float value {raw!r} at index {format_int(index)}:"
+                    " signal values must be exact rationals"
                 )
             value = raw if isinstance(raw, Fraction) else Fraction(raw)
             cleaned.append((operator.index(index), abs(value)))
         cleaned.sort(key=lambda item: item[0])
         for (a, _), (b, _) in zip(cleaned, cleaned[1:]):
             if a == b:
-                raise ValueError(f"duplicate index {a}")
+                raise ValueError(f"duplicate index {format_int(a)}")
         cleaned = [(i, v) for i, v in cleaned if v != 0]
 
         self.indices: tuple[int, ...] = tuple(i for i, _ in cleaned)

@@ -151,6 +151,11 @@ def test_shared_build_certifies_all_at_the_doubled_precision():
     assert certify(lambda p: (just_below_three(p),), (floor_dyadic,), 0) == (2,)
 
 
+def test_ln_int_message_past_the_str_limit():
+    with pytest.raises(ValueError, match="ln needs a positive integer, got -"):
+        ln_int(-(4**7200), 64)
+
+
 def test_exact_values_are_exact():
     assert ln_int(1, 128) == (0, 0)
     assert exp((0, 0), 128) == (1 << 128, 1 << 128)

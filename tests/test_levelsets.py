@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from freqlab.levelsets import (
     CENSUS_CSV_HEADER,
     LEVELSET_MODES,
     LevelParams,
+    _census,
     census_band,
     census_csv,
     census_sublinear,
@@ -77,6 +79,21 @@ class TestSublinearCensus:
             count = len(census_sublinear(f, TWO, n_max))
             assert previous <= count <= 2 * n_max + 1
             previous = count
+
+    def test_non_members_cost_a_pointer_each(self):
+        # The scan marks a ruled-out point None, so a census of 40,001
+        # points, all but n = 0 ruled out, holds about 8 bytes per point
+        # at its peak, not a separate int object per point.
+        n_max = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert _census(DELTA, TWO, n_max) == ([0], [0])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (2 * n_max + 1)
 
 
 class TestBandCensus:

@@ -48,6 +48,12 @@ class TestAverage:
         with pytest.raises(ValueError):
             average(DELTA, 0, -1)
 
+    def test_negative_radius_past_the_str_limit(self):
+        with pytest.raises(ValueError, match="radius must be non-negative, got -"):
+            average(DELTA, 0, -(4**7200))
+        with pytest.raises(ValueError, match="radius must be non-negative, got -"):
+            bilinear_average(DELTA, DELTA, 0, -(4**7200))
+
     def test_l1_bound(self):
         rng = random.Random(3)
         for _ in range(30):

@@ -81,7 +81,7 @@ def _walk_values(f, ratio, lo, hi):
     walk = _candidate_walk(
         f.indices, f.scaled_values, f.scaled_l1, lo, hi, ratio.numerator, ratio.denominator
     )
-    return [ties[0] for _, _, ties in walk]
+    return [None if row is None else row[2][0] for row in walk]
 
 
 @DETERMINISTIC
@@ -115,16 +115,15 @@ def test_kernel_over_span_matches_brute_force(f, lo, width, cut):
 @example(FAR, Fraction(2), 60)  # support right of every n
 @example(ZERO, Fraction(2), 5)  # F = 0 everywhere
 def test_frequency_values_with_a_slope_decide_exactly(f, ratio, n_max):
-    # Exact F wherever F <= |n|/C; elsewhere floor(|n|/C) + 1, which lies
-    # in (|n|/C, F] and depends on n alone.
-    p, q = ratio.numerator, ratio.denominator
+    # Exact F wherever F <= |n|/C; None elsewhere.
     decided = frequency_values(f, IntegerInterval(-n_max, n_max), slope=ratio)
+    assert len(decided) == 2 * n_max + 1
     for n, value in zip(range(-n_max, n_max + 1), decided):
         exact = analyze_brute_force(f, n).frequency
         if exact <= abs(n) / ratio:
             assert value == exact
         else:
-            assert value == q * abs(n) // p + 1
+            assert value is None
 
 
 @DETERMINISTIC

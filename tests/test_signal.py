@@ -187,6 +187,12 @@ class TestFromPairs:
         with pytest.raises(TypeError):
             Signal.from_pairs([(0, 0.5)])
 
+    def test_messages_quote_indices_past_the_str_limit(self):
+        with pytest.raises(ValueError, match="duplicate index"):
+            Signal.from_pairs([(4**7200, 1), (4**7200, 2)])
+        with pytest.raises(TypeError, match="float value 0.5 at index"):
+            Signal.from_pairs([(4**7200, 0.5)])
+
     @pytest.mark.parametrize("index", [2.5, 2.0, "7", F(2)], ids=repr)
     def test_non_integer_index_rejected(self, index):
         with pytest.raises(TypeError):
