@@ -26,11 +26,21 @@ rescaled integers, compares averages by integer cross multiplication
 strictly below the best.  That stop always comes: an exhausted side
 sits at a distance beyond every support point, and before both sides
 are exhausted all of ||f||_1 has been averaged at a smaller radius.
+That prune is loose, so every few steps the walk also tries to certify
+its tail: it covers the radii from its next candidate up to the prune
+with blocks [a, b], b = 2a + 1 (the last one cut short at the prune),
+and bounds every radius of a block by W(n, b) / (2a + 1), its last
+window sum over its first denominator, each window two bisects into
+the signal's prefix sums.  If every block is strictly below the best,
+no later radius can improve or tie, so the walk stops with the
+attaining set already exact.  The tries come after TAIL_STEPS steps and
+then after twice as many more each time one fails, so a walk that
+cannot stop early pays a few window sums, not one per step.
 A census asks only whether F(n) <= |n| / C, that is F(n) <= cap with
 cap = floor(|n| / C), so given a slope C the walk decides every other n
 early and yields None for it.  Two exits decide, both by strict
 comparisons, so a tie never decides and every member still walks to the
-prune:
+prune or to a certified tail:
 
 * the first strict improvement at a radius r > cap.  The frequency is
   the radius of the last strict improvement, so F(n) >= r > cap.
@@ -60,6 +70,16 @@ assembled within the hulls: a pair s = n - k, t = n + k has s + t = 2n,
 so only f's support inside [2n - g.hi, 2n - g.lo] can pair.  That slice,
 mirrored through n, is intersected with g's index set in one set
 operation, and only the pairs found are multiplied.
+When n lies in both supports the radius 0 already holds the term
+t0 = |f(n) g(n)|, and `bilinear_analyze` first tries to certify that
+no other radius reaches it, without assembling any term.  Blocks
+[a, min(2a + 1, reach)] run from the farther of the nearest other
+support points of f and g out to the farthest distance at which the
+hulls leave room for a pair.  For each block a running bound on the
+window sum adds, for each mirrored side, the lesser of (mass of f) x
+(max of g) and (max of f) x (mass of g), from the prefix sums and the
+running maxima cached on each Signal.  If the bound stays strictly below
+t0 (2a + 1) at every block, E = {0}; otherwise the terms are assembled.
 `bilinear_average` sums the same terms up to its radius.
 
 `analyze_brute_force` and `bilinear_analyze_brute_force` are the
@@ -134,13 +154,27 @@ def radius_bound(f: Signal, n: int) -> int:
     return max(abs(n - hull.lo), abs(n - hull.hi))
 
 
-def _candidate_walk(idx, sv, l1: int, lo: int, hi: int, p: int = 0, q: int = 1):
+# Walk steps before the first try at certifying the tail of a walk; each
+# failed try doubles the steps to the next.
+TAIL_STEPS = 8
+
+
+def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
     """The exact candidate-radius walk at every n in [lo, hi], in order.
 
     `idx` and `sv` are sorted support indices and their positive scaled
-    values, `l1` their sum.  Yields (best_num, best_w, ties) per n: the
-    maximal value is best_num / (scale * best_w) and `ties` lists every
-    attaining radius in increasing order, so ties[0] is the frequency.
+    values, and `prefix` the prefix sums of `sv` (prefix[k] sums the
+    first k), so W(n, r) is two bisects and a difference and prefix[-1]
+    is ||f||_1.
+    Yields (best_num, best_w, ties) per n: the maximal value is
+    best_num / (scale * best_w) and `ties` lists every attaining radius
+    in increasing order, so ties[0] is the frequency.
+
+    The walk stops at the prune, or earlier once it certifies its tail:
+    after TAIL_STEPS steps, and again after twice as many more at each
+    failed try, `_tail_below` tests whether every radius from the next
+    candidate up to the prune averages strictly below the best.  If so,
+    none of them can improve or tie, so the ties are already exact.
 
     A slope C = p/q > 0 adds the decision exit of the module docstring.
     With cap = q*|n| // p, every n with F(n) > cap is decided and yields
@@ -157,15 +191,18 @@ def _candidate_walk(idx, sv, l1: int, lo: int, hi: int, p: int = 0, q: int = 1):
       radius <= cap attains and F(n) > cap.  best >= A* drops it.
 
     Wherever F(n) <= cap neither test can pass, so the walk runs to the
-    prune and yields the exact result.  The default p = 0 never exits:
-    no radius reaches its cap or its stop, both beyond `far`.
+    prune or to a certified tail and yields the exact result.  A
+    certified tail never decides a non-member: its ties[0] is the radius
+    of a strict improvement, which is at most cap.  The default p = 0
+    never exits: no radius reaches its cap or its stop, both beyond `far`.
     """
     size = len(idx)
+    l1 = prefix[-1]
     # Beyond every support distance from any n in [lo, hi]; the prune
     # stops the walk before an exhausted side is ever taken as a radius.
     far = max(hi, idx[-1]) - min(lo, idx[0]) + 1
-    if p:
-        prefix = [0, *accumulate(sv)]  # W(n, r) from two bisects
+    # The step loops count steps for the tail tries at no cost per step.
+    first_try = range(TAIL_STEPS)
     carry = -1  # the radius that decided the last decided n
     nxt = bisect_left(idx, lo)
     for n in range(lo, hi + 1):
@@ -195,37 +232,63 @@ def _candidate_walk(idx, sv, l1: int, lo: int, hi: int, p: int = 0, q: int = 1):
                 num_star = prefix[bisect_right(idx, n + rho)] - prefix[bisect_left(idx, n - rho)]
                 within = prefix[bisect_right(idx, n + cap)] - prefix[bisect_left(idx, n - cap)]
                 stop = min(cap + 1, (within * w_star // num_star + 1) // 2)
+        steps = first_try
         while True:
-            r = dl if dl < dr else dr
-            w = 2 * r + 1
-            rhs = best_num * w
-            if bound < rhs:  # l1 / w < best: no radius from r outward attains
-                break
-            if r >= stop:
-                if best_num * w_star < num_star * best_w:  # best < A*: F(n) > cap
-                    ties, carry = None, rho
+            for _ in steps:
+                r = dl if dl < dr else dr
+                w = 2 * r + 1
+                rhs = best_num * w
+                if bound < rhs:  # l1 / w < best: no radius from r outward attains
                     break
-                stop = far + 1
-            if dl == r:
-                acc += sv[i]
-                i -= 1
-                dl = n - idx[i] if i >= 0 else far
-            if dr == r:
-                acc += sv[j]
-                j += 1
-                dr = idx[j] - n if j < size else far
-            lhs = acc * best_w
-            if lhs > rhs:
-                best_num = acc
-                best_w = w
-                bound = l1 * w
-                if r > cap:  # F(n) >= r > cap: decided, not a member
-                    ties, carry = None, r
+                if r >= stop:
+                    if best_num * w_star < num_star * best_w:  # best < A*: F(n) > cap
+                        ties, carry = None, rho
+                        break
+                    stop = far + 1
+                if dl == r:
+                    acc += sv[i]
+                    i -= 1
+                    dl = n - idx[i] if i >= 0 else far
+                if dr == r:
+                    acc += sv[j]
+                    j += 1
+                    dr = idx[j] - n if j < size else far
+                lhs = acc * best_w
+                if lhs > rhs:
+                    best_num = acc
+                    best_w = w
+                    bound = l1 * w
+                    if r > cap:  # F(n) >= r > cap: decided, not a member
+                        ties, carry = None, r
+                        break
+                    ties = [r]
+                elif lhs == rhs:
+                    ties.append(r)
+            else:  # `steps` steps without an exit
+                if _tail_below(idx, prefix, n, dl if dl < dr else dr, best_num, best_w):
                     break
-                ties = [r]
-            elif lhs == rhs:
-                ties.append(r)
+                steps = range(2 * len(steps))
+                continue
+            break
         yield None if ties is None else (best_num, best_w, ties)
+
+
+def _tail_below(idx, prefix, n: int, a: int, best_num: int, best_w: int) -> bool:
+    """Whether every radius r >= a averages strictly below best_num / best_w.
+
+    Radii from end = (l1 * best_w // best_num + 1) // 2 on, the least the
+    prune stops at, average at most l1 / (2r + 1) < best.  The radii in
+    [a, end) are covered by blocks [a, min(2a + 1, end - 1)], each bound
+    by W(n, b) / (2a + 1), its last window over its first denominator.
+    """
+    end = (prefix[-1] * best_w // best_num + 1) // 2
+    while a < end:
+        b = min(2 * a + 1, end - 1)
+        window = prefix[bisect_right(idx, n + b)] - prefix[bisect_left(idx, n - b)]
+        if window * best_w >= best_num * (2 * a + 1):
+            return False
+        a = b + 1
+    return True
 
 
 def analyze(f: Signal, n: int) -> FrequencyResult:
@@ -236,7 +299,8 @@ def analyze(f: Signal, n: int) -> FrequencyResult:
     """
     if f.is_zero:
         return FrequencyResult(Fraction(0), None, 0, zero_signal=True)
-    best_num, best_w, ties = next(_candidate_walk(f.indices, f.scaled_values, f.scaled_l1, n, n))
+    walk = _candidate_walk(f.indices, f.scaled_values, f.scaled_prefix, n, n)
+    best_num, best_w, ties = next(walk)
     return FrequencyResult(
         Fraction(best_num, f.scale * best_w), tuple(ties), ties[0], zero_signal=False
     )
@@ -333,22 +397,23 @@ def frequency_values(
     if f.is_zero:
         return [0] * span.length
     chunk = max(2048, -(-span.length // (8 * max(threads, 1))))
-    data = (f.indices, f.scaled_values, f.scaled_l1)
+    data = (f.indices, f.scaled_values, f.scaled_prefix)
     starts = range(span.lo, span.hi + 1, chunk)
     tasks = [(*data, lo, min(lo + chunk - 1, span.hi), p, q) for lo in starts]
     workers = _pool_size(threads, len(tasks))
     if workers <= 1:
-        return [row for task in tasks for row in _frequencies(*task)]
+        return [row for task in tasks for row in _frequencies(task)]
     import multiprocessing  # only pooled scans pay for its import
     with multiprocessing.Pool(workers) as pool:
-        return [row for piece in pool.starmap(_frequencies, tasks) for row in piece]
+        # imap hands the chunks back in order, one at a time, so each
+        # chunk's list is freed once it is copied out
+        return [row for piece in pool.imap(_frequencies, tasks) for row in piece]
 
 
-def _frequencies(idx, sv, l1: int, lo: int, hi: int, p: int, q: int) -> list[int | None]:
+def _frequencies(task) -> list[int | None]:
     """The frequency at every n in [lo, hi], or None past |n| / (p/q)
-    when p > 0: one chunk of a scan."""
-    walk = _candidate_walk(idx, sv, l1, lo, hi, p, q)
-    return [None if row is None else row[2][0] for row in walk]
+    when p > 0: one chunk of a scan, task = (idx, sv, prefix, lo, hi, p, q)."""
+    return [None if row is None else row[2][0] for row in _candidate_walk(*task)]
 
 
 def _pool_size(threads: int, chunks: int) -> int:
@@ -391,20 +456,85 @@ def bilinear_analyze(f: Signal, g: Signal, n: int) -> BilinearFrequencyResult:
 
     Candidate radii are 0 plus the |k| for which n - k lies in the
     support of f and n + k in the support of g.  If no k qualifies the
-    supremum is 0 at every radius and the result is degenerate.
+    supremum is 0 at every radius and the result is degenerate.  When n
+    lies in both supports, `_only_zero_attains` first tries to certify
+    E = {0} without assembling the terms.
     """
+    if n in f.position and n in g.position:
+        t0 = f.scaled_value_at(n) * g.scaled_value_at(n)
+        if _only_zero_attains(f, g, n, t0):
+            return BilinearFrequencyResult(Fraction(t0, f.scale * g.scale), (0,), 0)
     terms = _bilinear_terms(f, g, n)
     if not terms:
         return BilinearFrequencyResult(Fraction(0), None, 0, degenerate=True)
     # The walk sees only distances from its centre, so the one-sided
     # support (distance d carrying terms[d]) is walked from 0.
     dists = sorted(terms)
-    best_num, best_w, ties = next(
-        _candidate_walk(dists, [terms[d] for d in dists], sum(terms.values()), 0, 0)
-    )
+    sv = [terms[d] for d in dists]
+    best_num, best_w, ties = next(_candidate_walk(dists, sv, (0, *accumulate(sv)), 0, 0))
     return BilinearFrequencyResult(
         Fraction(best_num, f.scale * g.scale * best_w), tuple(ties), ties[0]
     )
+
+
+def _only_zero_attains(f: Signal, g: Signal, n: int, t0: int) -> bool:
+    """Whether radius 0 alone attains the bilinear supremum at n, where
+    n lies in both supports and t0 = f(n) g(n), scaled.
+
+    A term at distance d >= 1 pairs a point of f and a point of g, each
+    at distance d from n, one on either side: d is at least the farther
+    of the two nearest other support points, and at most `reach`, the
+    farthest d at which the hulls leave room for such a pair.  Radii
+    outside that range hold only t0 or no new terms.  Blocks
+    [a, min(2a + 1, reach)] cover it; a running bound U on the window at
+    the block's end adds, for each mirrored side of the block, the least
+    of (mass of f) x (max of g) and (max of f) x (mass of g).  Every
+    radius in a block averages at most U / (2a + 1), and past the reach
+    the window stays at most U, so U < t0 (2a + 1) at every block proves
+    that no radius r >= 1 reaches or ties t0.
+    """
+    fi, gi = f.indices, g.indices
+    reach = max(min(n - fi[0], gi[-1] - n), min(fi[-1] - n, n - gi[0]))
+    a = max(_nearest_other(f, n), _nearest_other(g, n))
+    bound = t0
+    while a <= reach:
+        b = min(2 * a + 1, reach)
+        f_left, f_right = _mass_and_max(f, n - b, n - a), _mass_and_max(f, n + a, n + b)
+        if g is f:
+            g_left, g_right = f_left, f_right
+        else:
+            g_left, g_right = _mass_and_max(g, n - b, n - a), _mass_and_max(g, n + a, n + b)
+        # each term pairs a point s with 2n - s: sum f(s) g(2n - s) is at
+        # most (mass of f) x (max of g) and (max of f) x (mass of g)
+        bound += min(f_left[0] * g_right[1], f_left[1] * g_right[0])
+        bound += min(f_right[0] * g_left[1], f_right[1] * g_left[0])
+        if bound >= t0 * (2 * a + 1):
+            return False
+        a = b + 1
+    return True
+
+
+def _nearest_other(f: Signal, n: int) -> int:
+    """Distance from the support point n to the nearest other one of f,
+    or 1 when there is none (no pair then has d >= 1)."""
+    idx, pos = f.indices, f.position[n]
+    gaps = [n - idx[pos - 1]] if pos else []
+    if pos + 1 < len(idx):
+        gaps.append(idx[pos + 1] - n)
+    return min(gaps, default=1)
+
+
+def _mass_and_max(f: Signal, lo: int, hi: int) -> tuple[int, int]:
+    """The scaled mass of f over [lo, hi] and an upper bound on its
+    largest scaled value there: the lesser of the running maximum up to
+    the window's last point and the one from its first; (0, 0) for an
+    empty window."""
+    left = bisect_left(f.indices, lo)
+    right = bisect_right(f.indices, hi)
+    if left == right:
+        return 0, 0
+    mass = f.scaled_prefix[right] - f.scaled_prefix[left]
+    return mass, min(f.scaled_prefix_max[right - 1], f.scaled_suffix_max[left])
 
 
 def bilinear_analyze_brute_force(f: Signal, g: Signal, n: int) -> BilinearFrequencyResult:

@@ -14,10 +14,11 @@ than a dense array.  A window sum over an index interval costs two
 binary searches.
 
 A Signal caches an integer rescaling of its values (numerators over
-the least common denominator) and the prefix sums of that rescaling.
-The search loops in `freqlab.maximal` compare averages by integer cross
-multiplication of these scaled sums, which keeps exact ties exact while
-avoiding per-step Fraction normalization.
+the least common denominator), the prefix sums of that rescaling, and
+its running prefix and suffix maxima.  The search loops in
+`freqlab.maximal` compare averages by integer cross multiplication of
+these scaled sums, which keeps exact ties exact while avoiding per-step
+Fraction normalization; the maxima bound the bilinear window sums.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 FORMAT_MAGIC = "#freqlab-signal v1"
@@ -144,7 +146,9 @@ class Signal:
         "l1_norm",
         "scale",
         "scaled_values",
-        "_scaled_prefix",
+        "scaled_prefix",
+        "scaled_prefix_max",
+        "scaled_suffix_max",
         "scaled_l1",
         "position",
     )
@@ -174,14 +178,16 @@ class Signal:
         self.scaled_values: tuple[int, ...] = tuple(
             v.numerator * (scale // v.denominator) for v in self.values
         )
-        scaled_prefix = [0]
-        acc = 0
-        for sv in self.scaled_values:
-            acc += sv
-            scaled_prefix.append(acc)
-        self._scaled_prefix: tuple[int, ...] = tuple(scaled_prefix)
-        self.scaled_l1: int = acc
-        self.l1_norm: Fraction = Fraction(acc, scale)
+        # scaled_prefix[k] sums the first k scaled values, so its last
+        # entry is scaled_l1; a window sum is two bisects and a difference.
+        self.scaled_prefix: tuple[int, ...] = (0, *accumulate(self.scaled_values))
+        # max of scaled_values[:k + 1] and of scaled_values[k:]
+        self.scaled_prefix_max: tuple[int, ...] = tuple(accumulate(self.scaled_values, max))
+        self.scaled_suffix_max: tuple[int, ...] = tuple(
+            accumulate(reversed(self.scaled_values), max)
+        )[::-1]
+        self.scaled_l1: int = self.scaled_prefix[-1]
+        self.l1_norm: Fraction = Fraction(self.scaled_l1, scale)
         # index -> its position in `indices`; its keys are the support as a set
         self.position: dict[int, int] = {i: k for k, i in enumerate(self.indices)}
 
@@ -242,7 +248,7 @@ class Signal:
         """Sum of scaled values over indices in [lo, hi] (hi inclusive)."""
         left = bisect_left(self.indices, lo)
         right = bisect_right(self.indices, hi)
-        return self._scaled_prefix[right] - self._scaled_prefix[left]
+        return self.scaled_prefix[right] - self.scaled_prefix[left]
 
     def window_sum(self, interval: IntegerInterval) -> Fraction:
         """Sum of |f| over the interval, via two binary searches.

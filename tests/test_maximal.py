@@ -4,10 +4,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
-from freqlab.families import composite_jump, spike_pair
+import freqlab.maximal as maximal
+from freqlab.families import composite_jump, spike_pair, stretched_log
 from freqlab.maximal import (
     _pool_size,
     analyze,
@@ -248,8 +250,8 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def starmap(self, func, tasks):
-        return [func(*task) for task in tasks]
+    def imap(self, func, tasks):
+        return map(func, tasks)
 
 
 class TestChunkRule:
@@ -375,3 +377,24 @@ class TestBilinearAnalyze:
                 assert fast.extremal_radii == slow.extremal_radii
                 assert fast.frequency == slow.frequency
                 assert fast.degenerate == slow.degenerate
+
+    def test_stretched_upper_points_are_certified_without_terms(self):
+        # Every upper support point of stretched_log has F = 0 in both
+        # searches; the walk certifies its tail and bilinear_analyze
+        # certifies E = {0} without assembling a term.
+        f = stretched_log(F(1), 300)
+        points = [f.indices[k] for k in range(140, 291)]
+        certified, tail_below = [], maximal._tail_below
+
+        def spy(*args):
+            certified.append(tail_below(*args))
+            return certified[-1]
+
+        with patch.object(maximal, "_bilinear_terms", side_effect=AssertionError("terms built")):
+            bilinear = [bilinear_analyze(f, f, n) for n in points]
+        with patch.object(maximal, "_tail_below", spy):
+            unilinear = [analyze(f, n) for n in points]
+        assert certified == [True] * len(points)
+        assert unilinear == [analyze_brute_force(f, n) for n in points]
+        assert bilinear == [bilinear_analyze_brute_force(f, f, n) for n in points]
+        assert {(res.frequency, res.extremal_radii) for res in unilinear + bilinear} == {(0, (0,))}

@@ -5,10 +5,12 @@ tests are as deterministic as the rest of the suite.
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import freqlab.maximal as maximal
 from freqlab.levelsets import LEVELSET_MODES, LevelParams, _census
 from freqlab.maximal import (
     BilinearFrequencyResult,
@@ -59,10 +61,38 @@ slopes = st.one_of(
     st.fractions(min_value=Fraction(51, 50), max_value=50, max_denominator=50),
 )
 
+# Two signals that share the centre, where `bilinear_analyze` tries to
+# certify E = {0}: either independent, or g a multiple of f's table,
+# which pairs most of their points.  Values from 1/3 to 30 make the
+# certificate pass at some centres and fail at others; the mass and max
+# bounds it uses are tight only when the values differ.
+spread_values = st.one_of(
+    values, st.fractions(min_value=Fraction(1, 3), max_value=30, max_denominator=3)
+)
+tables = st.dictionaries(st.integers(-8, 8), spread_values, max_size=12)
+shared_centre = st.builds(
+    lambda table_f, table_g, factor, n, at_f, at_g: (
+        Signal.from_pairs({**table_f, n: at_f}.items()),
+        Signal.from_pairs(
+            {**(table_g if factor is None else {i: v * factor for i, v in table_f.items()}),
+             n: at_g}.items()
+        ),
+        n,
+    ),
+    tables,
+    tables,
+    st.one_of(st.none(), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)])),
+    st.integers(-8, 8),
+    spread_values,
+    spread_values,
+)
+
 PLATEAU = Signal.from_pairs([(i, 1) for i in range(-2, 3)])
 STEP = Signal.from_pairs([(0, 1), (1, 2)])
 WIDE = Signal.from_pairs([(i, 1 + i % 3) for i in range(-20, 21)])
 SPREAD = Signal.from_pairs([(-20, 1), (20, 2)])  # WIDE's hull, two points
+TRIO = Signal.from_pairs([(-1, 1), (0, 1), (1, 1)])
+NOTCH = Signal.from_pairs([(-1, 3), (0, 1), (1, 3)])
 FAR = Signal.from_pairs([(i + 100, 1) for i in range(-2, 3)])
 ZERO = Signal.from_pairs([])
 GRID = Signal.from_pairs([(i, 1) for i in range(-12, 13, 3)])  # evenly spaced
@@ -72,14 +102,19 @@ LATTICE = Signal.from_pairs([(i, 1) for i in range(-3, 6, 2)])  # evenly spaced
 SQUARES = Signal.from_pairs([(k * k, Fraction(1, k)) for k in range(1, 21)])
 
 
+def first_try_at_step_one():
+    """Every walk tries to certify its tail after its first step."""
+    return patch.object(maximal, "TAIL_STEPS", 1)
+
+
 def _walk_span(f, lo, hi):
-    return list(_candidate_walk(f.indices, f.scaled_values, f.scaled_l1, lo, hi))
+    return list(_candidate_walk(f.indices, f.scaled_values, f.scaled_prefix, lo, hi))
 
 
 def _walk_values(f, ratio, lo, hi):
     """The scan values of one walk over [lo, hi] with slope `ratio`."""
     walk = _candidate_walk(
-        f.indices, f.scaled_values, f.scaled_l1, lo, hi, ratio.numerator, ratio.denominator
+        f.indices, f.scaled_values, f.scaled_prefix, lo, hi, ratio.numerator, ratio.denominator
     )
     return [None if row is None else row[2][0] for row in walk]
 
@@ -100,6 +135,42 @@ def test_kernel_over_span_matches_brute_force(f, lo, width, cut):
     # A scan walks its span in chunks; a split anywhere gives the same rows.
     cut = lo + cut % (width + 1)
     assert _walk_span(f, lo, cut - 1) + _walk_span(f, cut, hi) == walked
+
+
+@DETERMINISTIC
+@given(census_signals, centres, st.integers(0, 30))
+@example(PLATEAU, -3, 6)  # radii (0, 1, 2) tie at n = 0: the first try must fail
+@example(STEP, -1, 3)  # radii (0, 1) tie at n = 0
+@example(GRID, -14, 28)
+@example(SQUARES, 340, 60)  # right of a 20-point support with a slope
+def test_certified_tails_match_brute_force(f, lo, width):
+    with first_try_at_step_one():
+        walked = _walk_span(f, lo, lo + width)
+        analyzed = [analyze(f, n) for n in range(lo, lo + width + 1)]
+    for n, (num, w, ties), fast in zip(range(lo, lo + width + 1), walked, analyzed):
+        slow = analyze_brute_force(f, n)
+        assert Fraction(num, f.scale * w) == slow.maximal_value
+        assert tuple(ties) == slow.extremal_radii
+        assert fast == slow
+
+
+@DETERMINISTIC
+@given(census_signals, slopes, st.integers(0, 60))
+@example(PLATEAU, Fraction(10**6), 60)  # at n = 0 the witness ties the best
+@example(GRID, Fraction(3), 14)  # members n = +-14 attain at r = 2, one below the stop
+@example(LATTICE, Fraction(3, 2), 60)
+@example(SQUARES, Fraction(2), 200)
+@example(SQUARES, Fraction(1001, 1000), 200)
+def test_census_with_certified_tails_decides_exactly(f, ratio, n_max):
+    with first_try_at_step_one():
+        decided = frequency_values(f, IntegerInterval(-n_max, n_max), slope=ratio)
+    assert len(decided) == 2 * n_max + 1
+    for n, value in zip(range(-n_max, n_max + 1), decided):
+        exact = analyze_brute_force(f, n).frequency
+        if exact <= abs(n) / ratio:
+            assert value == exact
+        else:
+            assert value is None
 
 
 @DETERMINISTIC
@@ -174,6 +245,22 @@ def test_census_members_match_brute_force(f, ratio, n_max):
 @example(PLATEAU, ZERO, 0)
 def test_bilinear_analyze_matches_brute_force(f, g, n):
     assert bilinear_analyze(f, g, n) == bilinear_analyze_brute_force(f, g, n)
+
+
+@DETERMINISTIC
+@given(shared_centre)
+@example((PLATEAU, PLATEAU, 0))  # radii (0, 1, 2) tie: the certificate must fail
+@example((TRIO, TRIO, 0))  # radii (0, 1) tie, and the bound at radius 1 is exact
+@example((STEP, STEP, 0))  # no pair beside the centre: radius 0 alone
+@example((NOTCH, NOTCH, 0))  # radius 1 beats radius 0
+@example((WIDE, SPREAD, 20))  # f denser than g
+@example((SPREAD, WIDE, -20))  # g denser than f
+@example((Signal.from_pairs([(0, 5), (3, 1)]), Signal.from_pairs([(-3, 1), (0, 5)]), 0))
+def test_bilinear_certificate_matches_brute_force(case):
+    f, g, n = case
+    with first_try_at_step_one():
+        assert bilinear_analyze(f, g, n) == bilinear_analyze_brute_force(f, g, n)
+        assert bilinear_analyze(f, f, n) == bilinear_analyze_brute_force(f, f, n)
 
 
 @DETERMINISTIC

@@ -208,6 +208,16 @@ class TestFromPairs:
         assert f.scaled_values == (2, 1)
         assert f.scale == 4
 
+    def test_cached_prefix_sums_and_running_maxima(self):
+        f = Signal.from_pairs([(0, 1), (1, 3), (2, 2), (5, 1)])
+        assert f.scaled_prefix == (0, 1, 4, 6, 7)
+        assert f.scaled_l1 == f.scaled_prefix[-1]
+        assert f.scaled_prefix_max == (1, 3, 3, 3)
+        assert f.scaled_suffix_max == (3, 3, 2, 1)
+        empty = Signal.from_pairs([])
+        assert empty.scaled_prefix == (0,)
+        assert empty.scaled_prefix_max == empty.scaled_suffix_max == ()
+
 
 class TestWindowSum:
     def test_delta_window(self):
