@@ -33,9 +33,8 @@ from .levelsets import (
     CENSUS_CSV_HEADER,
     LevelParams,
     LevelSetCensus,
-    census_band,
     census_csv,
-    census_sublinear,
+    census_members,
     density_curves,
     log_density_string,
 )

@@ -44,7 +44,7 @@ from .dyadic import (
     ln_int,
     mul_rational,
 )
-from .signal import Signal, format_int, format_number, format_rational
+from .signal import Signal, exact_fraction, format_int, format_number, format_rational
 
 _PARAMETERS = {
     "squares_power": ("epsilon", "cutoff", "precision_bits"),
@@ -141,19 +141,20 @@ def metadata_lines(spec: GeneratorSpec) -> list[str]:
     return lines
 
 
-def _check_positive_epsilon(epsilon: Fraction) -> Fraction:
-    epsilon = Fraction(epsilon)
+def _checked_epsilon(epsilon: Fraction, cutoff: int, least: int, precision_bits: int) -> Fraction:
+    """The arguments of an epsilon family checked in turn; returns
+    epsilon as a Fraction.  `least` is the family's smallest cutoff."""
+    epsilon = exact_fraction(epsilon, "epsilon")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {format_number(epsilon)}")
-    return epsilon
-
-
-def _check_precision_bits(precision_bits: int) -> None:
     if not 1 <= precision_bits <= dyadic.MAX_PRECISION:
         raise ValueError(
             f"precision_bits must be in 1..{dyadic.MAX_PRECISION} (dyadic.MAX_PRECISION), "
             f"got {format_int(precision_bits)}"
         )
+    if cutoff < least:
+        raise ValueError(f"cutoff must be at least {least}; support would be empty")
+    return epsilon
 
 
 def _weight(m: int, log: Enclosure, exponent: Fraction, bits: int, p: int) -> Enclosure:
@@ -171,10 +172,7 @@ def squares_power(
     >>> squares_power(Fraction(1), 3).values
     (Fraction(1, 1), Fraction(1, 4), Fraction(1, 9))
     """
-    epsilon = _check_positive_epsilon(epsilon)
-    _check_precision_bits(precision_bits)
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+    epsilon = _checked_epsilon(epsilon, cutoff, 1, precision_bits)
     exponent = 1 + epsilon
     p, q = exponent.numerator, exponent.denominator
     pairs = []
@@ -216,10 +214,7 @@ def squares_log(
     epsilon: Fraction, cutoff: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Signal:
     """Value 1/(m * ln(m)**(1 + eps/2)) at index m**2, for m = 10 .. cutoff."""
-    epsilon = _check_positive_epsilon(epsilon)
-    _check_precision_bits(precision_bits)
-    if cutoff < _MIN_LOG_INDEX:
-        raise ValueError(f"cutoff must be at least {_MIN_LOG_INDEX}; support would be empty")
+    epsilon = _checked_epsilon(epsilon, cutoff, _MIN_LOG_INDEX, precision_bits)
     exponent = 1 + epsilon / 2
     pairs = []
     for m in range(_MIN_LOG_INDEX, cutoff + 1):
@@ -255,10 +250,7 @@ def stretched_log(
     >>> stretched_log(Fraction(1), 10).indices  # ceil(10 * ln(10)**2 = 53.02...)
     (54,)
     """
-    epsilon = _check_positive_epsilon(epsilon)
-    _check_precision_bits(precision_bits)
-    if cutoff < _MIN_LOG_INDEX:
-        raise ValueError(f"cutoff must be at least {_MIN_LOG_INDEX}; support would be empty")
+    epsilon = _checked_epsilon(epsilon, cutoff, _MIN_LOG_INDEX, precision_bits)
     index_exponent = 1 + epsilon
     value_exponent = 1 + epsilon / 2
     pairs = []

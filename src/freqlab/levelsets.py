@@ -14,6 +14,10 @@ zero-threshold census F(n) = 0, a subset of the sublinear one.  The band
 census is the same in every mode.  The density columns follow
 ``count_S`` under "S" and ``count_K`` otherwise.
 
+`census_members` gives both member lists from one frequency scan that
+takes the slope and returns the points of the sublinear census only, so
+a census never holds a slot per point of [-N, N].
+
 All membership tests cross-multiply integers (C = p/q gives
 p * F(n) <= q * |n|), so censuses are exact.  Densities count / N are
 exact rationals; the log-weighted diagnostic ratio
@@ -36,7 +40,7 @@ from fractions import Fraction
 
 from .dyadic import Enclosure, certify, exp, floor_dyadic, ln, ln_int, mul_rational
 from .maximal import frequency_values
-from .signal import IntegerInterval, Signal, format_number
+from .signal import IntegerInterval, Signal, exact_fraction, format_number
 
 LEVELSET_MODES = ("K", "S", "theta-zero")
 
@@ -61,8 +65,8 @@ class LevelParams:
     mode: str = "K"
 
     def __post_init__(self):
-        object.__setattr__(self, "ratio", Fraction(self.ratio))
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "ratio", exact_fraction(self.ratio, "ratio"))
+        object.__setattr__(self, "epsilon", exact_fraction(self.epsilon, "epsilon"))
         if self.ratio <= 1:
             raise ValueError(f"ratio must exceed 1, got {format_number(self.ratio)}")
         if self.epsilon <= 0:
@@ -89,46 +93,30 @@ class LevelSetCensus:
     log_densities: tuple[str, ...]
 
 
-def _census(
+def census_members(
     f: Signal, params: LevelParams, n_max: int, threads: int = 1
 ) -> tuple[list[int], list[int]]:
-    """Sorted count_K and count_S members in [-n_max, n_max], from one scan.
+    """The sorted count_K and count_S members in [-n_max, n_max], from one scan.
 
-    The scan takes the slope, so it returns None for each n with
-    F(n) > |n| / ratio and the exact F for every other n.
+    count_K is {n : F(n) <= |n| / ratio}, or {n : F(n) = 0} under
+    "theta-zero"; count_S is {n : |n|/(2*ratio) <= F(n) <= |n|/ratio}
+    in every mode.  The zero signal has F identically 0, so every point
+    belongs to count_K.
+
+    >>> census_members(Signal.from_pairs([(0, 1)]), LevelParams(2), 100)
+    ([0], [0])
     """
     p = params.ratio.numerator
     q = params.ratio.denominator
     zero = params.mode == "theta-zero"
     members_k, members_s = [], []
     span = IntegerInterval(-n_max, n_max)
-    freqs = frequency_values(f, span, threads=threads, slope=params.ratio)
-    for n, fr in enumerate(freqs, -n_max):
-        if fr is None:
-            continue
+    for n, fr in frequency_values(f, span, threads=threads, slope=params.ratio):
         if fr == 0 or not zero:
             members_k.append(n)
         if q * abs(n) <= 2 * p * fr:
             members_s.append(n)
     return members_k, members_s
-
-
-def census_sublinear(f: Signal, params: LevelParams, n_max: int) -> set[int]:
-    """The count_K set of `params.mode` over |n| <= n_max, decided exactly.
-
-    That is {n : F(n) <= |n| / ratio}, or {n : F(n) = 0} under
-    "theta-zero".  The zero signal has F identically 0, so every point
-    belongs.
-
-    >>> census_sublinear(Signal.from_pairs([(0, 1)]), LevelParams(2), 100)
-    {0}
-    """
-    return set(_census(f, params, n_max)[0])
-
-
-def census_band(f: Signal, params: LevelParams, n_max: int) -> set[int]:
-    """{n : |n| <= n_max and |n|/(2*ratio) <= F(n) <= |n|/ratio}, exact."""
-    return set(_census(f, params, n_max)[1])
 
 
 def _log_density_enclosure(count: int, n_value: int, epsilon: Fraction, p: int) -> Enclosure:
@@ -176,7 +164,7 @@ def density_curves(
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("grid must be strictly increasing")
 
-    members_k, members_s = _census(f, params, n_grid[-1], threads)
+    members_k, members_s = census_members(f, params, n_grid[-1], threads)
 
     def window_count(members: list[int], n_value: int) -> int:
         return bisect_right(members, n_value) - bisect_left(members, -n_value)

@@ -57,9 +57,10 @@ prune or to a certified tail:
   supremum, which is at least A*, so F(n) > cap.  Otherwise the witness
   is dropped for n.
 `analyze` is the kernel at one n; `frequency_values` runs it over
-chunks of a span, serially or on a process pool, and `frequency_profile`
-reads each maximal value off as the average at the frequency, which
-attains the supremum.
+chunks of a span, serially or on a process pool, and with a slope its
+workers drop every decided n and return (n, F) for the members only.
+`frequency_profile` reads each maximal value off as the average at the
+frequency, which attains the supremum.
 
 The bilinear variants replace the window sum by
 sum over k in [-r, r] of |f(n - k) g(n + k)|.  The window at radius r
@@ -95,7 +96,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .signal import IntegerInterval, Signal, format_int, format_number
+from .signal import IntegerInterval, Signal, exact_fraction, format_int, format_number
 
 
 @dataclass(frozen=True)
@@ -372,12 +373,13 @@ def frequency_profile(
 
 def frequency_values(
     f: Signal, span: IntegerInterval, threads: int = 1, slope: Fraction | None = None
-) -> list[int | None]:
+) -> list[int] | list[tuple[int, int]]:
     """The frequency at every n in the span, in order.
 
-    With a slope C > 0 only the frequencies with F(n) <= |n| / C are
-    kept: every other n gets None from the decision exit of
-    `_candidate_walk`, which rules it out without walking to the prune.
+    With a slope C > 0 only the points with F(n) <= |n| / C are kept, as
+    (n, F(n)) pairs: the decision exit of `_candidate_walk` rules every
+    other n out without walking to the prune, and the worker drops it,
+    so the output grows with the members, not with the span.
 
     Chunks of max(2048, ceil(points / (8 * threads))) points run on a
     process pool when `_pool_size` allows more than one worker.  Each
@@ -389,13 +391,14 @@ def frequency_values(
     >>> frequency_values(delta, IntegerInterval(-2, 2))
     [2, 1, 0, 1, 2]
     >>> frequency_values(delta, IntegerInterval(-2, 2), slope=Fraction(2))
-    [None, None, 0, None, None]
+    [(0, 0)]
     """
+    slope = None if slope is None else exact_fraction(slope, "slope")
     if slope is not None and slope <= 0:
         raise ValueError(f"slope must be positive, got {format_number(slope)}")
     p, q = (0, 1) if slope is None else (slope.numerator, slope.denominator)
     if f.is_zero:
-        return [0] * span.length
+        return [(n, 0) for n in range(span.lo, span.hi + 1)] if p else [0] * span.length
     chunk = max(2048, -(-span.length // (8 * max(threads, 1))))
     data = (f.indices, f.scaled_values, f.scaled_prefix)
     starts = range(span.lo, span.hi + 1, chunk)
@@ -410,16 +413,22 @@ def frequency_values(
         return [row for piece in pool.imap(_frequencies, tasks) for row in piece]
 
 
-def _frequencies(task) -> list[int | None]:
-    """The frequency at every n in [lo, hi], or None past |n| / (p/q)
-    when p > 0: one chunk of a scan, task = (idx, sv, prefix, lo, hi, p, q)."""
-    return [None if row is None else row[2][0] for row in _candidate_walk(*task)]
+def _frequencies(task) -> list[int] | list[tuple[int, int]]:
+    """The frequency at every n in [lo, hi], or only the pairs (n, F) with
+    F <= |n| / (p/q) when p > 0: one chunk of a scan, task = (idx, sv,
+    prefix, lo, hi, p, q)."""
+    rows = _candidate_walk(*task)
+    if task[5]:
+        return [(n, row[2][0]) for n, row in enumerate(rows, task[3]) if row is not None]
+    return [row[2][0] for row in rows]
 
 
 def _pool_size(threads: int, chunks: int) -> int:
     """Worker processes for a scan: at most the threads asked for, the
-    cores present, and the chunks there are to hand out."""
-    return min(threads, os.cpu_count() or 1, chunks)
+    CPUs this process may run on, and the chunks there are to hand out."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(threads, cpus, chunks)
 
 
 def bilinear_average(f: Signal, g: Signal, n: int, r: int) -> Fraction:

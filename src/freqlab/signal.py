@@ -77,6 +77,14 @@ def format_number(value: int | Fraction) -> str:
         return format_int(value.numerator) if value.denominator == 1 else format_rational(value)
 
 
+def exact_fraction(value: int | Fraction | str, name: str) -> Fraction:
+    """Fraction(value) for an int, a Fraction or a ``p/q`` string; a
+    float is refused, as its binary value is rarely the number meant."""
+    if isinstance(value, float):
+        raise TypeError(f"{name} must be an exact rational, got float {value!r}")
+    return Fraction(value)
+
+
 class SignalFormatError(ValueError):
     """A signal file violates the freqlab-signal v1 format."""
 

@@ -43,7 +43,7 @@ from .families import (
     squares_power,
     stretched_log,
 )
-from .levelsets import LevelParams, census_band, census_sublinear
+from .levelsets import LevelParams, census_members
 from .maximal import (
     analyze,
     analyze_brute_force,
@@ -350,10 +350,9 @@ def suite_examples() -> list[Check]:
     checks.append(
         Check(
             "delta-signal censuses",
-            census_sublinear(delta, params, 100) == {0}
-            and census_band(delta, params, 50) == {0}
-            and census_sublinear(delta, LevelParams(Fraction(2), mode="theta-zero"), 10)
-            == {0},
+            census_members(delta, params, 100) == ([0], [0])
+            and census_members(delta, LevelParams(Fraction(2), mode="theta-zero"), 10)[0]
+            == [0],
             "all three censuses pin {0}",
         )
     )

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from freqlab.cli import main
 from freqlab.families import composite_jump, spike_pair, squares_power, stretched_log
-from freqlab.levelsets import LevelParams, census_band, census_sublinear, density_curves
+from freqlab.levelsets import LevelParams, census_members, density_curves
 from freqlab.maximal import (
     analyze,
     analyze_brute_force,
@@ -109,8 +109,7 @@ def test_criterion_06_delta_level_sets():
     delta = Signal.from_pairs([(0, 1)])
     params = LevelParams(Fraction(2))
     for n_max in (10, 100, 1000):
-        ok = ok and census_sublinear(delta, params, n_max) == {0}
-        ok = ok and census_band(delta, params, n_max) == {0}
+        ok = ok and census_members(delta, params, n_max) == ([0], [0])
     gate.finish(ok, "F = |n - k| on [-100, 100]; both censuses pin the support point")
 
 

@@ -1,19 +1,15 @@
 import doctest
+import importlib
+import pkgutil
 
-import freqlab.covering
-import freqlab.families
-import freqlab.levelsets
-import freqlab.maximal
-import freqlab.signal
+import freqlab
 
 
 def test_module_doctests():
-    for module in (
-        freqlab.signal,
-        freqlab.maximal,
-        freqlab.covering,
-        freqlab.families,
-        freqlab.levelsets,
-    ):
+    # Every module of the package but __main__, which runs the CLI on import.
+    names = [m.name for m in pkgutil.iter_modules(freqlab.__path__) if m.name != "__main__"]
+    assert "maximal" in names
+    for name in names:
+        module = importlib.import_module(f"freqlab.{name}")
         failures, _ = doctest.testmod(module)
         assert failures == 0, module.__name__

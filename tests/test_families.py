@@ -163,6 +163,33 @@ class TestStretchedLog:
         assert stretched.values == squares.values
 
 
+EPSILON_FAMILIES = [squares_power, squares_log, stretched_log]
+
+
+class TestEpsilonFamilyArguments:
+    @pytest.mark.parametrize("make", EPSILON_FAMILIES, ids=lambda make: make.__name__)
+    def test_float_epsilon_rejected(self, make):
+        with pytest.raises(TypeError, match="epsilon must be an exact rational, got float 0.1"):
+            make(0.1, 20)
+
+    @pytest.mark.parametrize("make", EPSILON_FAMILIES, ids=lambda make: make.__name__)
+    def test_int_fraction_and_string_epsilon_accepted(self, make):
+        assert make(1, 12) == make(F(1), 12) == make("1/1", 12)
+
+    @pytest.mark.parametrize(
+        ("make", "least"), [(squares_power, 1), (squares_log, 10), (stretched_log, 10)],
+        ids=["squares_power", "squares_log", "stretched_log"],
+    )
+    def test_checks_in_order(self, make, least):
+        # epsilon first, then precision_bits, then the cutoff
+        with pytest.raises(ValueError, match="^epsilon must be positive, got 0$"):
+            make(F(0), least - 1, 0)
+        with pytest.raises(ValueError, match=r"^precision_bits must be in 1\.\.65536 "):
+            make(F(1), least - 1, 0)
+        with pytest.raises(ValueError, match=f"^cutoff must be at least {least}; support"):
+            make(F(1), least - 1)
+
+
 class TestSpikePair:
     def test_shape(self):
         f = spike_pair(100)

@@ -10,10 +10,8 @@ from freqlab.levelsets import (
     CENSUS_CSV_HEADER,
     LEVELSET_MODES,
     LevelParams,
-    _census,
-    census_band,
     census_csv,
-    census_sublinear,
+    census_members,
     density_curves,
     log_density_string,
 )
@@ -33,6 +31,18 @@ THETA_ZERO = LevelParams(F(2), mode="theta-zero")
 
 
 class TestLevelParams:
+    def test_float_ratio_rejected(self):
+        with pytest.raises(TypeError, match="ratio must be an exact rational, got float 1.1"):
+            LevelParams(1.1)
+
+    def test_float_epsilon_rejected(self):
+        with pytest.raises(TypeError, match="epsilon must be an exact rational, got float 0.25"):
+            LevelParams(2, 0.25)
+
+    def test_ints_fractions_and_strings_accepted(self):
+        assert LevelParams(2, "1/4") == LevelParams(F(2), F(1, 4))
+        assert LevelParams("3/2").ratio == F(3, 2)
+
     def test_ratio_must_exceed_one(self):
         with pytest.raises(ValueError):
             LevelParams(F(1))
@@ -51,66 +61,67 @@ class TestLevelParams:
 
 class TestSublinearCensus:
     def test_delta(self):
-        assert census_sublinear(DELTA, TWO, 100) == {0}
+        assert census_members(DELTA, TWO, 100)[0] == [0]
 
     def test_zero_signal_contains_everything(self):
-        assert census_sublinear(ZERO, TWO, 10) == set(range(-10, 11))
+        assert census_members(ZERO, TWO, 10)[0] == list(range(-10, 11))
 
     def test_spike_pair(self):
-        assert census_sublinear(spike_pair(100), TWO, 10) == {0}
+        assert census_members(spike_pair(100), TWO, 10)[0] == [0]
 
     def test_translated_delta_membership_follows_the_definition(self):
         # frequency of a shifted delta is |n - k|; with slope 2 the
         # census solves 2|n - 5| <= |n|, which is the block {4..10},
         # not a translate of {0}.
         shifted = Signal.from_pairs([(5, 1)])
-        assert census_sublinear(shifted, TWO, 20) == set(range(4, 11))
+        assert census_members(shifted, TWO, 20)[0] == list(range(4, 11))
 
     def test_members_reverified_by_analyze(self):
         f = squares_power(F(1), 12)
         p, q = 2, 1
-        for n in census_sublinear(f, TWO, 60):
+        for n in census_members(f, TWO, 60)[0]:
             assert p * analyze(f, n).frequency <= q * abs(n)
 
     def test_counts_monotone_and_bounded(self):
         f = squares_power(F(1), 12)
         previous = 0
         for n_max in (10, 30, 60, 90):
-            count = len(census_sublinear(f, TWO, n_max))
+            count = len(census_members(f, TWO, n_max)[0])
             assert previous <= count <= 2 * n_max + 1
             previous = count
 
-    def test_non_members_cost_a_pointer_each(self):
-        # The scan marks a ruled-out point None, so a census of 40,001
-        # points, all but n = 0 ruled out, holds about 8 bytes per point
-        # at its peak, not a separate int object per point.
-        n_max = 20_000
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            assert _census(DELTA, TWO, n_max) == ([0], [0])
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * (2 * n_max + 1)
+    def test_non_members_cost_nothing(self):
+        # The scan drops each ruled-out point in the worker, so a census
+        # whose only member is n = 0 peaks at the same few KiB at every N,
+        # not at a list slot per point of [-N, N].
+        peaks = []
+        for n_max in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert census_members(DELTA, TWO, n_max) == ([0], [0])
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 64 * 1024, peaks
 
 
 class TestBandCensus:
     def test_delta(self):
-        assert census_band(DELTA, TWO, 50) == {0}
+        assert census_members(DELTA, TWO, 50)[1] == [0]
 
     def test_zero_signal(self):
-        assert census_band(ZERO, TWO, 50) == {0}
+        assert census_members(ZERO, TWO, 50)[1] == [0]
 
     def test_band_inside_sublinear(self):
-        f = squares_power(F(1), 12)
-        assert census_band(f, TWO, 80) <= census_sublinear(f, TWO, 80)
+        members_k, members_s = census_members(squares_power(F(1), 12), TWO, 80)
+        assert set(members_s) <= set(members_k)
 
     def test_squares_power_frozen_members(self):
         # independently derived with the exhaustive-sweep oracle
         f = squares_power(F(1), 40)
-        assert census_band(f, TWO, 1600) == {2}
+        assert census_members(f, TWO, 1600)[1] == [2]
         member = 2
         fr = analyze_brute_force(f, member).frequency
         assert abs(member) <= 2 * 2 * fr and 2 * fr <= abs(member)
@@ -118,21 +129,22 @@ class TestBandCensus:
 
 class TestThetaZeroMode:
     def test_zero_threshold_delta(self):
-        assert census_sublinear(DELTA, THETA_ZERO, 10) == {0}
+        assert census_members(DELTA, THETA_ZERO, 10)[0] == [0]
 
     def test_zero_threshold_zero_signal(self):
-        assert census_sublinear(ZERO, THETA_ZERO, 5) == set(range(-5, 6))
+        assert census_members(ZERO, THETA_ZERO, 5)[0] == list(range(-5, 6))
 
     def test_K_and_S_share_the_linear_census(self):
         f = squares_power(F(1), 12)
-        linear = census_sublinear(f, LevelParams(F(3, 2), mode="K"), 100)
-        assert census_sublinear(f, LevelParams(F(3, 2), mode="S"), 100) == linear
-        assert census_sublinear(f, LevelParams(F(3, 2), mode="theta-zero"), 100) <= linear
+        linear, band = census_members(f, LevelParams(F(3, 2), mode="K"), 100)
+        assert census_members(f, LevelParams(F(3, 2), mode="S"), 100) == (linear, band)
+        zero, zero_band = census_members(f, LevelParams(F(3, 2), mode="theta-zero"), 100)
+        assert set(zero) <= set(linear) and zero_band == band
 
     def test_stretched_support_has_zero_frequency(self):
         f = stretched_log(F(1, 2), 60)
-        members = census_sublinear(f, THETA_ZERO, f.indices[-1])
-        assert set(f.indices) <= members
+        members = census_members(f, THETA_ZERO, f.indices[-1])[0]
+        assert set(f.indices) <= set(members)
         for n in f.indices[::10]:
             assert analyze(f, n).frequency == 0
 
@@ -159,8 +171,7 @@ class TestDensityCurves:
     def test_counts_are_census_set_sizes(self):
         census = density_curves(DELTA, TWO, [5, 10])
         for i, n_value in enumerate(census.n_grid):
-            assert census_sublinear(DELTA, TWO, n_value) == {0}
-            assert census_band(DELTA, TWO, n_value) == {0}
+            assert census_members(DELTA, TWO, n_value) == ([0], [0])
             assert (census.counts_sublinear[i], census.counts_band[i]) == (1, 1)
 
     def test_S_mode_density_tracks_band(self):
@@ -204,8 +215,7 @@ class TestCensusOracle:
                 count_k = {n for n, fr in freq.items() if fr == 0}
             else:
                 count_k = {n for n, fr in freq.items() if fr <= abs(n) / ratio}
-            assert census_sublinear(f, params, n_max) == count_k
-            assert census_band(f, params, n_max) == band
+            assert census_members(f, params, n_max) == (sorted(count_k), sorted(band))
             census = density_curves(f, params, grid)
             assert census.counts_sublinear == grid_counts(count_k)
             assert census.counts_band == grid_counts(band)

@@ -202,6 +202,14 @@ class TestFrequencyProfile:
             with pytest.raises(ValueError, match="slope must be positive"):
                 frequency_values(TWO_POINT, span, slope=slope)
 
+    def test_float_slope_rejected(self):
+        span = IntegerInterval(-5, 5)
+        with pytest.raises(TypeError, match="slope must be an exact rational, got float 2.0"):
+            frequency_values(TWO_POINT, span, slope=2.0)
+        assert frequency_values(TWO_POINT, span, slope="2") == frequency_values(
+            TWO_POINT, span, slope=F(2)
+        )
+
     @pytest.mark.parametrize(
         ("method", "slope"),
         [
@@ -223,6 +231,7 @@ class TestFrequencyProfile:
             "from freqlab.maximal import frequency_values\n"
             "from freqlab.signal import IntegerInterval, Signal\n"
             f"multiprocessing.set_start_method({method!r})\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "os.cpu_count = lambda: 2\n"
             "f = Signal.from_pairs([(i * i, Fraction(1, i)) for i in range(1, 40)])\n"
             "span = IntegerInterval(-1200, 1200)\n"
@@ -261,6 +270,7 @@ class TestChunkRule:
 
         FakePool.sizes = []
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     SIGNAL = Signal.from_pairs([(i * i, F(1, i)) for i in range(1, 40)])
@@ -282,13 +292,26 @@ class TestChunkRule:
 
 class TestPoolSize:
     def test_capped_by_threads_cores_and_chunks(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert _pool_size(1, 16) == 1
         assert _pool_size(2, 16) == 2
         assert _pool_size(10**9, 16) == 2
         assert _pool_size(10**9, 1) == 1
 
+    def test_capped_by_the_cpus_the_process_may_use(self, monkeypatch):
+        # as under `taskset -c 0` on a machine with 8 cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _pool_size(2, 8) == 1
+
+    def test_core_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _pool_size(10**9, 16) == 2
+
     def test_unknown_core_count_means_one_worker(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _pool_size(8, 16) == 1
 

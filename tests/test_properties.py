@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import freqlab.maximal as maximal
-from freqlab.levelsets import LEVELSET_MODES, LevelParams, _census
+from freqlab.levelsets import LEVELSET_MODES, LevelParams, census_members
 from freqlab.maximal import (
     BilinearFrequencyResult,
     _candidate_walk,
@@ -111,6 +111,12 @@ def _walk_span(f, lo, hi):
     return list(_candidate_walk(f.indices, f.scaled_values, f.scaled_prefix, lo, hi))
 
 
+def _members_brute_force(f, ratio, n_max):
+    """The pairs (n, F) with F <= |n| / ratio over |n| <= n_max, by the oracle."""
+    exact = ((n, analyze_brute_force(f, n).frequency) for n in range(-n_max, n_max + 1))
+    return [(n, fr) for n, fr in exact if fr <= abs(n) / ratio]
+
+
 def _walk_values(f, ratio, lo, hi):
     """The scan values of one walk over [lo, hi] with slope `ratio`."""
     walk = _candidate_walk(
@@ -164,13 +170,7 @@ def test_certified_tails_match_brute_force(f, lo, width):
 def test_census_with_certified_tails_decides_exactly(f, ratio, n_max):
     with first_try_at_step_one():
         decided = frequency_values(f, IntegerInterval(-n_max, n_max), slope=ratio)
-    assert len(decided) == 2 * n_max + 1
-    for n, value in zip(range(-n_max, n_max + 1), decided):
-        exact = analyze_brute_force(f, n).frequency
-        if exact <= abs(n) / ratio:
-            assert value == exact
-        else:
-            assert value is None
+    assert decided == _members_brute_force(f, ratio, n_max)
 
 
 @DETERMINISTIC
@@ -186,15 +186,9 @@ def test_census_with_certified_tails_decides_exactly(f, ratio, n_max):
 @example(FAR, Fraction(2), 60)  # support right of every n
 @example(ZERO, Fraction(2), 5)  # F = 0 everywhere
 def test_frequency_values_with_a_slope_decide_exactly(f, ratio, n_max):
-    # Exact F wherever F <= |n|/C; None elsewhere.
+    # (n, exact F) wherever F <= |n|/C, in order; no other n.
     decided = frequency_values(f, IntegerInterval(-n_max, n_max), slope=ratio)
-    assert len(decided) == 2 * n_max + 1
-    for n, value in zip(range(-n_max, n_max + 1), decided):
-        exact = analyze_brute_force(f, n).frequency
-        if exact <= abs(n) / ratio:
-            assert value == exact
-        else:
-            assert value is None
+    assert decided == _members_brute_force(f, ratio, n_max)
 
 
 @DETERMINISTIC
@@ -209,7 +203,8 @@ def test_frequency_values_with_a_slope_split_anywhere(f, ratio, lo, width, cut):
     whole = _walk_values(f, ratio, lo, hi)
     cut = lo + cut % (width + 1)
     assert _walk_values(f, ratio, lo, cut - 1) + _walk_values(f, ratio, cut, hi) == whole
-    assert frequency_values(f, IntegerInterval(lo, hi), slope=ratio) == whole
+    members = [(n, fr) for n, fr in zip(range(lo, hi + 1), whole) if fr is not None]
+    assert frequency_values(f, IntegerInterval(lo, hi), slope=ratio) == members
 
 
 @DETERMINISTIC
@@ -224,7 +219,7 @@ def test_census_members_match_brute_force(f, ratio, n_max):
     linear = [n for n, fr in exact.items() if fr <= abs(n) / ratio]
     band = [n for n in linear if abs(n) / (2 * ratio) <= exact[n]]
     for mode in LEVELSET_MODES:
-        members_k, members_s = _census(f, LevelParams(ratio, mode=mode), n_max)
+        members_k, members_s = census_members(f, LevelParams(ratio, mode=mode), n_max)
         if mode == "theta-zero":
             assert members_k == [n for n in linear if exact[n] == 0]
         else:
