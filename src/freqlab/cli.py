@@ -96,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--f", dest="first", help="left signal file (bilinear)")
     p_eval.add_argument("--g", dest="second", help="right signal file (bilinear)")
     p_eval.add_argument("--n", type=_int, required=True)
+    p_eval.set_defaults(handler=_cmd_eval)
 
     p_profile = sub.add_parser("profile", help="scan a range of points to CSV")
     p_profile.add_argument("--signal", required=True)
@@ -103,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--to", dest="stop", type=_int, required=True)
     p_profile.add_argument("--out")
     p_profile.add_argument("--threads", type=_positive_int, default=1)
+    p_profile.set_defaults(handler=_cmd_profile)
 
     p_level = sub.add_parser("levelset", help="census CSV over an N grid")
     p_level.add_argument("--signal", required=True)
@@ -112,10 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_level.add_argument("--N-grid", dest="n_grid", type=_grid, required=True)
     p_level.add_argument("--out")
     p_level.add_argument("--threads", type=_positive_int, default=1)
+    p_level.set_defaults(handler=_cmd_levelset)
 
     p_cover = sub.add_parser("covering", help="greedy disjoint selection report")
     p_cover.add_argument("--input", required=True)
     p_cover.add_argument("--out")
+    p_cover.set_defaults(handler=_cmd_covering)
 
     p_gen = sub.add_parser("gen", help="generate a built-in family signal file")
     p_gen.add_argument("--family", required=True)
@@ -132,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision", type=_int, help="precision_bits (squares_*, stretched_log; default 128)"
     )
     p_gen.add_argument("--out", required=True)
+    p_gen.set_defaults(handler=_cmd_gen)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument(
@@ -139,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--trials", type=_positive_int)
     p_verify.add_argument("--seed", type=_int)
+    p_verify.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -255,16 +261,8 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "eval": _cmd_eval,
-        "profile": _cmd_profile,
-        "levelset": _cmd_levelset,
-        "covering": _cmd_covering,
-        "gen": _cmd_gen,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except OSError as exc:
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
     except (ValueError, PrecisionError) as exc:

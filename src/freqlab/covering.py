@@ -15,7 +15,7 @@ may be arbitrarily large integers.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .signal import IntegerInterval, format_int, parse_strict_int
@@ -71,19 +71,17 @@ def greedy_disjoint(intervals: list[IntegerInterval]) -> CoveringSelection:
         range(len(intervals)),
         key=lambda k: (-intervals[k].length, intervals[k].lo, k),
     )
-    kept_los: list[int] = []  # sorted left endpoints of kept intervals
-    kept_by_lo: dict[int, IntegerInterval] = {}
+    kept: list[tuple[int, int]] = []  # (lo, hi) of the kept intervals, sorted
     chosen: list[int] = []
     length_sum = 0
     for k in order:
         iv = intervals[k]
-        pos = bisect_left(kept_los, iv.lo)
-        if pos > 0 and kept_by_lo[kept_los[pos - 1]].hi >= iv.lo:
+        pos = bisect_left(kept, (iv.lo,))
+        if pos > 0 and kept[pos - 1][1] >= iv.lo:
             continue
-        if pos < len(kept_los) and kept_los[pos] <= iv.hi:
+        if pos < len(kept) and kept[pos][0] <= iv.hi:
             continue
-        insort(kept_los, iv.lo)
-        kept_by_lo[iv.lo] = iv
+        kept.insert(pos, (iv.lo, iv.hi))
         chosen.append(k)
         length_sum += iv.length
     return CoveringSelection(tuple(chosen), merged_union_size(intervals), length_sum)

@@ -1,6 +1,8 @@
 """Built-in signal families with sharply controlled frequency behavior.
 
-Five generators, all returning exact sparse `Signal` values:
+Five generators, all returning exact sparse `Signal` values.  One table
+maps each family to its generator and the `GeneratorSpec` fields it
+takes, in argument order; `GeneratorSpec` and `generate` both read it.
 
 * ``squares_power(eps, cutoff)``: value 1/m**(1+eps) at index m**2 for
   1 <= m <= cutoff.  Exact whenever 1+eps is an integer; otherwise the
@@ -46,19 +48,12 @@ from .dyadic import (
 )
 from .signal import Signal, exact_fraction, format_int, format_number, format_rational
 
-_PARAMETERS = {
-    "squares_power": ("epsilon", "cutoff", "precision_bits"),
-    "squares_log": ("epsilon", "cutoff", "precision_bits"),
-    "stretched_log": ("epsilon", "cutoff", "precision_bits"),
-    "spike_pair": ("size",),
-    "composite_jump": ("size", "cutoff"),
-}
 _OPTIONAL = ("precision_bits",)
-FAMILIES = tuple(_PARAMETERS)
 DEFAULT_PRECISION_BITS = 128
 
 _MIN_SPIKE_SIZE = 100
 _MIN_LOG_INDEX = 10  # log families start at m = 10 so ln(m) is comfortably > 1
+_LOG_TERM = "1/({0} * ln({0})**{1})"
 
 
 @dataclass(frozen=True)
@@ -83,9 +78,9 @@ class GeneratorSpec:
     precision_bits: int | None = None
 
     def __post_init__(self):
-        if self.family not in _PARAMETERS:
+        if self.family not in _GENERATORS:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        takes = _PARAMETERS[self.family]
+        takes = _GENERATORS[self.family][1]
         for field in ("epsilon", "cutoff", "size", "precision_bits"):
             given = getattr(self, field) is not None
             if field in takes and not given and field not in _OPTIONAL:
@@ -95,31 +90,19 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> Signal:
-    """Dispatch a `GeneratorSpec` to its family generator."""
-    if spec.family == "spike_pair":
-        return spike_pair(spec.size)
-    if spec.family == "composite_jump":
-        return composite_jump(spec.size, spec.cutoff)
-    make = {
-        "squares_power": squares_power,
-        "squares_log": squares_log,
-        "stretched_log": stretched_log,
-    }[spec.family]
-    return make(spec.epsilon, spec.cutoff, _precision_bits(spec))
-
-
-def _precision_bits(spec: GeneratorSpec) -> int:
-    return DEFAULT_PRECISION_BITS if spec.precision_bits is None else spec.precision_bits
+    """Call the family's generator on the spec's fields, in argument order;
+    an unset `precision_bits` leaves the generator's default."""
+    make, takes = _GENERATORS[spec.family]
+    args = [getattr(spec, field) for field in takes]
+    return make(*[arg for arg in args if arg is not None])
 
 
 def is_exact(spec: GeneratorSpec) -> bool:
     """True when the family produces its defining values with no
     dyadic approximation at all."""
-    if spec.family in ("spike_pair", "composite_jump"):
+    if spec.epsilon is None:
         return True
-    if spec.family == "squares_power":
-        return (1 + spec.epsilon).denominator == 1
-    return False
+    return spec.family == "squares_power" and (1 + spec.epsilon).denominator == 1
 
 
 def metadata_lines(spec: GeneratorSpec) -> list[str]:
@@ -137,7 +120,8 @@ def metadata_lines(spec: GeneratorSpec) -> list[str]:
     if is_exact(spec):
         lines.append("values: exact")
     else:
-        lines.append(f"values: dyadic floor at {_precision_bits(spec)} bits")
+        bits = DEFAULT_PRECISION_BITS if spec.precision_bits is None else spec.precision_bits
+        lines.append(f"values: dyadic floor at {bits} bits")
     return lines
 
 
@@ -155,6 +139,16 @@ def _checked_epsilon(epsilon: Fraction, cutoff: int, least: int, precision_bits:
     if cutoff < least:
         raise ValueError(f"cutoff must be at least {least}; support would be empty")
     return epsilon
+
+
+def _dyadic_value(scaled: int, bits: int, term: str, m: int, exponent: Fraction) -> Fraction:
+    """The dyadic value scaled / 2**bits, rejecting an underflow to 0 by
+    the family's `term`, formatted with m and the exponent."""
+    if scaled == 0:
+        raise ValueError(
+            f"{term.format(m, exponent)} underflows {bits} dyadic bits; raise precision_bits"
+        )
+    return Fraction(scaled, 1 << bits)
 
 
 def _weight(m: int, log: Enclosure, exponent: Fraction, bits: int, p: int) -> Enclosure:
@@ -190,24 +184,9 @@ def squares_power(
                     (floor_dyadic,),
                     precision_bits,
                 )
-            if scaled == 0:
-                raise ValueError(
-                    f"1/{m}**({p}/{q}) underflows {precision_bits} dyadic bits; "
-                    "raise precision_bits"
-                )
-            value = Fraction(scaled, 1 << precision_bits)
+            value = _dyadic_value(scaled, precision_bits, "1/{0}**({1})", m, exponent)
         pairs.append((m * m, value))
     return Signal.from_pairs(pairs)
-
-
-def _weight_value(scaled: int, m: int, exponent: Fraction, precision_bits: int) -> Fraction:
-    """The dyadic value scaled / 2**precision_bits, rejecting an underflow to 0."""
-    if scaled == 0:
-        raise ValueError(
-            f"1/({m} * ln({m})**{exponent}) underflows {precision_bits} dyadic bits; "
-            "raise precision_bits"
-        )
-    return Fraction(scaled, 1 << precision_bits)
 
 
 def squares_log(
@@ -223,7 +202,7 @@ def squares_log(
             (floor_dyadic,),
             precision_bits,
         )
-        pairs.append((m * m, _weight_value(scaled, m, exponent, precision_bits)))
+        pairs.append((m * m, _dyadic_value(scaled, precision_bits, _LOG_TERM, m, exponent)))
     return Signal.from_pairs(pairs)
 
 
@@ -266,7 +245,7 @@ def stretched_log(
                 f"index collision: m={m} lands on {index}, not past {previous}"
             )
         previous = index
-        pairs.append((index, _weight_value(scaled, m, value_exponent, precision_bits)))
+        pairs.append((index, _dyadic_value(scaled, precision_bits, _LOG_TERM, m, value_exponent)))
     return Signal.from_pairs(pairs)
 
 
@@ -304,3 +283,14 @@ def composite_jump(min_size: int, max_size: int) -> Signal:
         pairs.append((center, damp))
         pairs.append((center + 3 * c, 2 * c * damp))
     return Signal.from_pairs(pairs)
+
+
+# family -> (its generator, the GeneratorSpec fields it takes in argument order)
+_GENERATORS = {
+    "squares_power": (squares_power, ("epsilon", "cutoff", "precision_bits")),
+    "squares_log": (squares_log, ("epsilon", "cutoff", "precision_bits")),
+    "stretched_log": (stretched_log, ("epsilon", "cutoff", "precision_bits")),
+    "spike_pair": (spike_pair, ("size",)),
+    "composite_jump": (composite_jump, ("size", "cutoff")),
+}
+FAMILIES = tuple(_GENERATORS)

@@ -347,16 +347,9 @@ def half_mass_radius(f: Signal) -> int:
         raise ValueError("zero signal has no half-mass radius")
     l1 = f.scaled_l1
     candidates = sorted({0} | {abs(s) for s in f.indices})
-    lo, hi = 0, len(candidates) - 1
-    # window_sum([-m, m]) is nondecreasing in m and reaches l1 at the end.
-    while lo < hi:
-        mid = (lo + hi) // 2
-        m = candidates[mid]
-        if 2 * f.window_sum_scaled(-m, m) >= l1:
-            hi = mid
-        else:
-            lo = mid + 1
-    return candidates[lo]
+    # window_sum([-m, m]) is nondecreasing in m and reaches l1 at the last candidate
+    k = bisect_left(candidates, True, key=lambda m: 2 * f.window_sum_scaled(-m, m) >= l1)
+    return candidates[k]
 
 
 def frequency_profile(

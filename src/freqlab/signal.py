@@ -78,11 +78,11 @@ def format_number(value: int | Fraction) -> str:
 
 
 def exact_fraction(value: int | Fraction | str, name: str) -> Fraction:
-    """Fraction(value) for an int, a Fraction or a ``p/q`` string; a
-    float is refused, as its binary value is rarely the number meant."""
+    """`parse_rational` of a string, Fraction(value) of an int or a Fraction;
+    a float is refused, as its binary value is rarely the number meant."""
     if isinstance(value, float):
         raise TypeError(f"{name} must be an exact rational, got float {value!r}")
-    return Fraction(value)
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 class SignalFormatError(ValueError):
@@ -169,7 +169,7 @@ class Signal:
                     f"float value {raw!r} at index {format_int(index)}:"
                     " signal values must be exact rationals"
                 )
-            value = raw if isinstance(raw, Fraction) else Fraction(raw)
+            value = raw if isinstance(raw, Fraction) else exact_fraction(raw, "value")
             cleaned.append((operator.index(index), abs(value)))
         cleaned.sort(key=lambda item: item[0])
         for (a, _), (b, _) in zip(cleaned, cleaned[1:]):

@@ -15,7 +15,6 @@ from freqlab.levelsets import LevelParams, census_members, density_curves
 from freqlab.maximal import (
     analyze,
     analyze_brute_force,
-    average,
     bilinear_analyze,
     bilinear_analyze_brute_force,
 )
@@ -25,6 +24,7 @@ from freqlab.verify import (
     suite_fundamental,
     suite_invariance,
     suite_oracle,
+    suite_variational,
 )
 
 
@@ -51,19 +51,8 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_variational_jump():
     gate = _Gate("criterion 2, spike-pair frequency jump", 1)
-    failures = []
-    for size in (100, 101, 150, 1000):
-        f = spike_pair(size)
-        at0 = analyze(f, 0)
-        at1 = analyze(f, 1)
-        if not (
-            at0.frequency == 0
-            and at0.maximal_value == 1
-            and average(f, 0, 3 * size) == Fraction(4 * size + 1, 6 * size + 1)
-            and at1.frequency == 3 * size + 1
-            and at1.frequency - at0.frequency > size
-        ):
-            failures.append(size)
+    checks = suite_variational(sizes=(100, 101, 150, 1000))
+    failures = [c.name for c in checks if not c.passed]
     gate.finish(not failures, f"sizes 100,101,150,1000; failures {failures}")
 
 

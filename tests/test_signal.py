@@ -187,6 +187,13 @@ class TestFromPairs:
         with pytest.raises(TypeError):
             Signal.from_pairs([(0, 0.5)])
 
+    # Fraction() reads each of these (the last as 12/5, in Arabic-Indic digits)
+    @pytest.mark.parametrize("text", ["1.5", "1e3", "1_0/3", "\u0661\u0662/5"], ids=ascii)
+    def test_value_strings_outside_the_p_q_grammar_rejected(self, text):
+        with pytest.raises(ValueError, match="not a p/q rational"):
+            Signal.from_pairs([(0, text)])
+        assert Signal.from_pairs([(0, "-3/6")]).values == (F(1, 2),)
+
     def test_messages_quote_indices_past_the_str_limit(self):
         with pytest.raises(ValueError, match="duplicate index"):
             Signal.from_pairs([(4**7200, 1), (4**7200, 2)])
