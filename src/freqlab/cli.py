@@ -27,14 +27,9 @@ import re
 import sys
 from fractions import Fraction
 
-from . import verify as verify_mod
-from .covering import greedy_disjoint, read_intervals, triple
-from .dyadic import PrecisionError
-from .families import GeneratorSpec, generate, metadata_lines
-from .levelsets import LEVELSET_MODES, LevelParams, census_csv, density_curves
-from .maximal import analyze, bilinear_analyze, frequency_profile
 from .signal import (
     IntegerInterval,
+    PrecisionError,
     dump_signal,
     format_int,
     format_number,
@@ -46,6 +41,13 @@ from .signal import (
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
+
+# Each handler imports the modules it runs, so a command loads no other
+# code.  The parser therefore holds copies of two lists, tied to their
+# owners by tests/test_cli.py: the names of `verify.SUITES`, sorted, and
+# `levelsets.LEVELSET_MODES`.
+_SUITE_NAMES = ("covering", "examples", "fundamental", "invariance", "oracle", "variational")
+_LEVELSET_MODES = ("K", "S", "theta-zero")
 
 
 def _argument(parse):
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_level = sub.add_parser("levelset", help="census CSV over an N grid")
     p_level.add_argument("--signal", required=True)
-    p_level.add_argument("--mode", choices=LEVELSET_MODES, default="K")
+    p_level.add_argument("--mode", choices=_LEVELSET_MODES, default="K")
     p_level.add_argument("--C", dest="ratio", type=_rational, required=True)
     p_level.add_argument("--epsilon", type=_rational, default=Fraction(1))
     p_level.add_argument("--N-grid", dest="n_grid", type=_grid, required=True)
@@ -139,9 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(handler=_cmd_gen)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "--suite", required=True, choices=sorted(verify_mod.SUITES) + ["all"]
-    )
+    p_verify.add_argument("--suite", required=True, choices=[*_SUITE_NAMES, "all"])
     p_verify.add_argument("--trials", type=_positive_int)
     p_verify.add_argument("--seed", type=_int)
     p_verify.set_defaults(handler=_cmd_verify)
@@ -171,6 +171,8 @@ def _format_radii(result) -> str:
 
 
 def _cmd_eval(args) -> int:
+    from .maximal import analyze, bilinear_analyze
+
     bilinear = args.first or args.second
     if bilinear and (not args.first or not args.second or args.signal):
         raise ValueError("bilinear eval needs both --f and --g (and no --signal)")
@@ -188,6 +190,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .maximal import frequency_profile
+
     if args.start > args.stop:
         raise ValueError(f"--from {format_int(args.start)} exceeds --to {format_int(args.stop)}")
     f = _load_signal(args.signal)
@@ -199,6 +203,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_levelset(args) -> int:
+    from .levelsets import LevelParams, census_csv, density_curves
+
     f = _load_signal(args.signal)
     params = LevelParams(args.ratio, args.epsilon, args.mode)
     census = density_curves(f, params, args.n_grid, threads=args.threads)
@@ -207,6 +213,8 @@ def _cmd_levelset(args) -> int:
 
 
 def _cmd_covering(args) -> int:
+    from .covering import greedy_disjoint, read_intervals, triple
+
     try:
         intervals = read_intervals(args.input)
         sel = greedy_disjoint(intervals)
@@ -230,12 +238,16 @@ def _cmd_covering(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .families import GeneratorSpec, generate, metadata_lines
+
     spec = GeneratorSpec(args.family, args.epsilon, args.cutoff, args.size, args.precision)
     _emit(dump_signal(generate(spec), metadata_lines(spec)), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as verify_mod
+
     seeded = verify_mod.SEEDED_SUITES
     options = {key: value for key, value in (("trials", args.trials), ("seed", args.seed))
                if value is not None}

@@ -16,22 +16,21 @@ may be arbitrarily large integers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
-from .signal import IntegerInterval, format_int, parse_strict_int
+from .signal import IntegerInterval, Record, format_int, parse_strict_int
 
 
-@dataclass(frozen=True)
-class CoveringSelection:
+class CoveringSelection(Record):
     """Result of `greedy_disjoint`.
 
     `chosen` holds indices into the input list, in selection order
     (longest first).  The guarantee is 3 * chosen_length_sum >= union_size.
     """
 
-    chosen: tuple[int, ...]
-    union_size: int
-    chosen_length_sum: int
+    __slots__ = ("chosen", "union_size", "chosen_length_sum")
+
+    def __init__(self, chosen: tuple[int, ...], union_size: int, chosen_length_sum: int):
+        super().__init__(chosen, union_size, chosen_length_sum)
 
 
 def merged_union_size(intervals: list[IntegerInterval]) -> int:

@@ -53,17 +53,13 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence
 
-from .signal import format_int
+from .signal import PrecisionError, format_int
 
 MAX_PRECISION = 1 << 16
 TABLE_BITS = 7
 _GUARD_BITS = 24  # cached constants are computed this much finer, then rounded out
 
 Enclosure = tuple[int, int]
-
-
-class PrecisionError(ArithmeticError):
-    """An enclosure could not pin down the rounded value below the precision cap."""
 
 
 def _past_the_cap(reason: str) -> PrecisionError:

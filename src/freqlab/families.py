@@ -32,7 +32,6 @@ zero, so regenerating with more precision bits never decreases a value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dyadic
@@ -46,7 +45,7 @@ from .dyadic import (
     ln_int,
     mul_rational,
 )
-from .signal import Signal, exact_fraction, format_int, format_number, format_rational
+from .signal import Record, Signal, exact_fraction, format_int, format_number, format_rational
 
 _OPTIONAL = ("precision_bits",)
 DEFAULT_PRECISION_BITS = 128
@@ -56,8 +55,7 @@ _MIN_LOG_INDEX = 10  # log families start at m = 10 so ln(m) is comfortably > 1
 _LOG_TERM = "1/({0} * ln({0})**{1})"
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """Parameter bundle for `generate`.
 
     `cutoff` is the largest m for the square/stretched families and the
@@ -69,24 +67,31 @@ class GeneratorSpec:
     takes `size`, and `composite_jump` takes `size` and `cutoff`.  A spec
     must set every required field its family takes and no other; their
     ranges are checked by the family's generator, when `generate` runs.
+    `epsilon` is stored as a Fraction (see `signal.exact_fraction`).
     """
 
-    family: str
-    epsilon: Fraction | None = None
-    cutoff: int | None = None
-    size: int | None = None
-    precision_bits: int | None = None
+    __slots__ = ("family", "epsilon", "cutoff", "size", "precision_bits")
 
-    def __post_init__(self):
-        if self.family not in _GENERATORS:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        takes = _GENERATORS[self.family][1]
-        for field in ("epsilon", "cutoff", "size", "precision_bits"):
-            given = getattr(self, field) is not None
+    def __init__(
+        self,
+        family: str,
+        epsilon: Fraction | None = None,
+        cutoff: int | None = None,
+        size: int | None = None,
+        precision_bits: int | None = None,
+    ):
+        if family not in _GENERATORS:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        takes = _GENERATORS[family][1]
+        for field, value in zip(self.__slots__[1:], (epsilon, cutoff, size, precision_bits)):
+            given = value is not None
             if field in takes and not given and field not in _OPTIONAL:
-                raise ValueError(f"{self.family} requires {field}")
+                raise ValueError(f"{family} requires {field}")
             if given and field not in takes:
-                raise ValueError(f"{self.family} takes no {field}")
+                raise ValueError(f"{family} takes no {field}")
+        if epsilon is not None:
+            epsilon = exact_fraction(epsilon, "epsilon")
+        super().__init__(family, epsilon, cutoff, size, precision_bits)
 
 
 def generate(spec: GeneratorSpec) -> Signal:

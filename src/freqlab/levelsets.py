@@ -35,12 +35,11 @@ never claims a limit.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import Enclosure, certify, exp, floor_dyadic, ln, ln_int, mul_rational
 from .maximal import frequency_values
-from .signal import IntegerInterval, Signal, exact_fraction, format_number
+from .signal import IntegerInterval, Record, Signal, exact_fraction, format_number
 
 LEVELSET_MODES = ("K", "S", "theta-zero")
 
@@ -50,8 +49,7 @@ _LOG_DENSITY_DIGITS = 20
 CENSUS_CSV_HEADER = "N,count_K,count_S,density_num,density_den,log_density"
 
 
-@dataclass(frozen=True)
-class LevelParams:
+class LevelParams(Record):
     """Slope, diagnostic weight and mode of a census.
 
     `ratio` is the comparison slope C and must exceed 1.  `epsilon`
@@ -60,23 +58,21 @@ class LevelParams:
     module docstring).
     """
 
-    ratio: Fraction
-    epsilon: Fraction = Fraction(1)
-    mode: str = "K"
+    __slots__ = ("ratio", "epsilon", "mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ratio", exact_fraction(self.ratio, "ratio"))
-        object.__setattr__(self, "epsilon", exact_fraction(self.epsilon, "epsilon"))
-        if self.ratio <= 1:
-            raise ValueError(f"ratio must exceed 1, got {format_number(self.ratio)}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {format_number(self.epsilon)}")
-        if self.mode not in LEVELSET_MODES:
-            raise ValueError(f"mode must be one of {LEVELSET_MODES}, got {self.mode!r}")
+    def __init__(self, ratio: Fraction, epsilon: Fraction = Fraction(1), mode: str = "K"):
+        ratio = exact_fraction(ratio, "ratio")
+        epsilon = exact_fraction(epsilon, "epsilon")
+        if ratio <= 1:
+            raise ValueError(f"ratio must exceed 1, got {format_number(ratio)}")
+        if epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {format_number(epsilon)}")
+        if mode not in LEVELSET_MODES:
+            raise ValueError(f"mode must be one of {LEVELSET_MODES}, got {mode!r}")
+        super().__init__(ratio, epsilon, mode)
 
 
-@dataclass(frozen=True)
-class LevelSetCensus:
+class LevelSetCensus(Record):
     """Counts, densities, and diagnostics on an increasing grid of N values.
 
     `counts_sublinear` fills the ``count_K`` CSV column and
@@ -86,11 +82,17 @@ class LevelSetCensus:
     the same counts.
     """
 
-    n_grid: tuple[int, ...]
-    counts_sublinear: tuple[int, ...]
-    counts_band: tuple[int, ...]
-    densities: tuple[Fraction, ...]
-    log_densities: tuple[str, ...]
+    __slots__ = ("n_grid", "counts_sublinear", "counts_band", "densities", "log_densities")
+
+    def __init__(
+        self,
+        n_grid: tuple[int, ...],
+        counts_sublinear: tuple[int, ...],
+        counts_band: tuple[int, ...],
+        densities: tuple[Fraction, ...],
+        log_densities: tuple[str, ...],
+    ):
+        super().__init__(n_grid, counts_sublinear, counts_band, densities, log_densities)
 
 
 def census_members(

@@ -92,15 +92,13 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .signal import IntegerInterval, Signal, exact_fraction, format_int, format_number
+from .signal import IntegerInterval, Record, Signal, exact_fraction, format_int, format_number
 
 
-@dataclass(frozen=True)
-class FrequencyResult:
+class FrequencyResult(Record):
     """Maximal value, full attaining set, and least attaining radius at one point.
 
     For the zero signal every radius attains the (zero) supremum;
@@ -108,14 +106,19 @@ class FrequencyResult:
     frequency reported as 0 by convention.
     """
 
-    maximal_value: Fraction
-    extremal_radii: tuple[int, ...] | None
-    frequency: int
-    zero_signal: bool = False
+    __slots__ = ("maximal_value", "extremal_radii", "frequency", "zero_signal")
+
+    def __init__(
+        self,
+        maximal_value: Fraction,
+        extremal_radii: tuple[int, ...] | None,
+        frequency: int,
+        zero_signal: bool = False,
+    ):
+        super().__init__(maximal_value, extremal_radii, frequency, zero_signal)
 
 
-@dataclass(frozen=True)
-class BilinearFrequencyResult:
+class BilinearFrequencyResult(Record):
     """Bilinear analogue of `FrequencyResult`.
 
     `degenerate` marks points where the bilinear supremum is 0 (no k
@@ -123,10 +126,16 @@ class BilinearFrequencyResult:
     radius and the frequency is 0 by convention.
     """
 
-    maximal_value: Fraction
-    extremal_radii: tuple[int, ...] | None
-    frequency: int
-    degenerate: bool = False
+    __slots__ = ("maximal_value", "extremal_radii", "frequency", "degenerate")
+
+    def __init__(
+        self,
+        maximal_value: Fraction,
+        extremal_radii: tuple[int, ...] | None,
+        frequency: int,
+        degenerate: bool = False,
+    ):
+        super().__init__(maximal_value, extremal_radii, frequency, degenerate)
 
 
 def average(f: Signal, n: int, r: int) -> Fraction:

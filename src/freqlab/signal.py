@@ -28,7 +28,6 @@ import operator
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator
@@ -89,6 +88,14 @@ class SignalFormatError(ValueError):
     """A signal file violates the freqlab-signal v1 format."""
 
 
+class PrecisionError(ArithmeticError):
+    """An enclosure could not pin down the rounded value below the precision cap.
+
+    Raised by `freqlab.dyadic`, which re-exports it; it lives here so the
+    command line can catch it without importing the certification code.
+    """
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into an exact Fraction.
 
@@ -118,18 +125,60 @@ def format_rational(value: Fraction) -> str:
     return f"{format_int(value.numerator)}/{format_int(value.denominator)}"
 
 
-@dataclass(frozen=True)
-class IntegerInterval:
+class Record:
+    """Base of the package's records: the fields named in `__slots__`, in order.
+
+    A subclass's `__init__` checks its arguments and passes every field
+    to `Record.__init__`.  Records compare equal only to records of the
+    same class with equal fields, hash as their field tuple, show as
+    ``Name(field=value, ...)``, and refuse assignment once built.  They
+    hold no per-instance dict, and they spare every command the import of
+    `dataclasses`, which costs more than most commands' own work.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = operator.attrgetter(*cls.__slots__)
+        # each slot's own setter, which `__setattr__` below does not reach
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntegerInterval(Record):
     """The set of integers n with lo <= n <= hi (both ends included)."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(
-                f"empty interval: lo={format_int(self.lo)} > hi={format_int(self.hi)}"
-            )
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={format_int(lo)} > hi={format_int(hi)}")
+        super().__init__(lo, hi)
 
     @property
     def length(self) -> int:

@@ -32,7 +32,6 @@ Suites:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .covering import dump_intervals, greedy_disjoint, merged_union_size, triple
@@ -53,21 +52,27 @@ from .maximal import (
     frequency_profile,
     half_mass_radius,
 )
-from .signal import IntegerInterval, Signal, dump_signal
+from .signal import IntegerInterval, Record, Signal, dump_signal
 
 
-@dataclass
-class Check:
+class Check(Record):
     """One named assertion with its outcome.
 
     `replay`, when set on a failure, holds (file suffix, serialized
-    offending instance) so the exact case can be re-run.
+    offending instance) so the exact case can be re-run.  Unlike the
+    other records a Check may be changed after it is built, so it has
+    no hash.
     """
 
-    name: str
-    passed: bool
-    detail: str = ""
-    replay: tuple[str, str] | None = None
+    __slots__ = ("name", "passed", "detail", "replay")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, name: str, passed: bool, detail: str = "", replay: tuple[str, str] | None = None
+    ):
+        super().__init__(name, passed, detail, replay)
 
 
 # Random signal values are +-p/q with 1 <= p, q <= _VALUE_TERM_BOUND.

@@ -98,12 +98,12 @@ class TestProfile:
         assert capsys.readouterr().err == "error: --from 3 exceeds --to 1\n"
 
     def test_os_error_without_a_file_prints_its_text(self, delta_file, monkeypatch, capsys):
-        import freqlab.cli as cli_mod
+        import freqlab.maximal as maximal_mod
 
         def no_workers(*args, **kwargs):
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(cli_mod, "frequency_profile", no_workers)
+        monkeypatch.setattr(maximal_mod, "frequency_profile", no_workers)
         argv = ["profile", "--signal", delta_file, "--from", "0", "--to", "2", "--threads", "2"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
@@ -598,14 +598,14 @@ class TestVerify:
         assert "[PASS]" in out and "FAIL" not in out
 
     def test_failure_exits_nonzero_and_writes_replay(self, tmp_path, monkeypatch, capsys):
-        import freqlab.cli as cli_mod
+        import freqlab.verify as verify_mod
         from freqlab.verify import Check
 
         def rigged():
             return [Check("rigged assertion", False, "forced",
                           replay=("rigged.sig", "#freqlab-signal v1\n0 1/1\n"))]
 
-        monkeypatch.setitem(cli_mod.verify_mod.SUITES, "oracle", rigged)
+        monkeypatch.setitem(verify_mod.SUITES, "oracle", rigged)
         monkeypatch.chdir(tmp_path)
         assert main(["verify", "--suite", "oracle"]) == 1
         out = capsys.readouterr().out
@@ -615,13 +615,13 @@ class TestVerify:
         assert replay.read_text().startswith("#freqlab-signal v1")
 
     def test_unwritable_replay_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        import freqlab.cli as cli_mod
+        import freqlab.verify as verify_mod
         from freqlab.verify import Check
 
         def rigged():
             return [Check("rigged assertion", False, "forced", replay=("rigged.sig", "0 1/1\n"))]
 
-        monkeypatch.setitem(cli_mod.verify_mod.SUITES, "examples", rigged)
+        monkeypatch.setitem(verify_mod.SUITES, "examples", rigged)
         monkeypatch.chdir(tmp_path)
         # a directory in the way: file modes do not stop every user
         (tmp_path / "freqlab-replay-rigged.sig").mkdir()
@@ -655,7 +655,7 @@ class TestVerify:
         )
 
     def test_all_forwards_trials_and_seed_to_seeded_suites(self, monkeypatch, capsys):
-        import freqlab.cli as cli_mod
+        import freqlab.verify as verify_mod
 
         calls = []
 
@@ -666,8 +666,8 @@ class TestVerify:
 
             return record
 
-        for name in list(cli_mod.verify_mod.SUITES):
-            monkeypatch.setitem(cli_mod.verify_mod.SUITES, name, recorder(name))
+        for name in list(verify_mod.SUITES):
+            monkeypatch.setitem(verify_mod.SUITES, name, recorder(name))
         assert main(["verify", "--suite", "all", "--trials", "5", "--seed", "2"]) == 0
         seeded = {"trials": 5, "seed": 2}
         assert calls == [
@@ -725,6 +725,66 @@ def test_log_families_load_neither_mpmath_nor_multiprocessing():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Importing the CLI loads none of these: each freqlab module loads only
+# under a command that runs it, and `dataclasses` (with `inspect`) costs
+# more than most commands' own work.
+UNWANTED_AT_START = (
+    "dataclasses",
+    "inspect",
+    "random",
+    "freqlab.verify",
+    "freqlab.families",
+    "freqlab.levelsets",
+    "freqlab.covering",
+    "freqlab.dyadic",
+)
+
+
+def test_commands_import_only_what_they_run(delta_file):
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import freqlab\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('freqlab.')))\n"
+        "import freqlab.cli\n"
+        f"print(sorted(m for m in {UNWANTED_AT_START!r} if m in set(sys.modules) - before))\n"
+        "loaded = set(sys.modules)\n"
+        f"freqlab.cli.main(['eval', '--signal', {delta_file!r}, '--n', '3'])\n"
+        "print(sorted(m for m in set(sys.modules) - loaded if m.startswith('freqlab')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", "M=1/7 F=3 E={3}", "['freqlab.maximal']"]
+
+
+def test_parser_choices_match_their_owners():
+    import freqlab.cli as cli_mod
+    from freqlab.levelsets import LEVELSET_MODES
+    from freqlab.verify import SUITES
+
+    assert cli_mod._SUITE_NAMES == tuple(sorted(SUITES))
+    assert cli_mod._LEVELSET_MODES == LEVELSET_MODES
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["verify", "--suite", "nope"],
+         "freqlab verify: error: argument --suite: invalid choice: 'nope' (choose from "
+         "'covering', 'examples', 'fundamental', 'invariance', 'oracle', 'variational', 'all')"),
+        (["levelset", "--signal", "f.sig", "--C", "2", "--N-grid", "1", "--mode", "Q"],
+         "freqlab levelset: error: argument --mode: invalid choice: 'Q' "
+         "(choose from 'K', 'S', 'theta-zero')"),
+    ],
+    ids=["suite", "mode"],
+)
+def test_unknown_choice_is_usage_error(argv, error, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == error
 
 
 def test_console_entry_point_runs():

@@ -19,7 +19,7 @@ from freqlab.families import (
     squares_power,
     stretched_log,
 )
-from freqlab.signal import dump_signal
+from freqlab.signal import dump_signal, parse_rational
 
 
 def F(n, d=1):
@@ -286,6 +286,18 @@ class TestGeneratorSpec:
         assert "values: dyadic floor at 128 bits" in lines
         spec = GeneratorSpec("stretched_log", epsilon=F(1), cutoff=12, precision_bits=96)
         assert "values: dyadic floor at 96 bits" in metadata_lines(spec)
+
+    @pytest.mark.parametrize("epsilon", ["1/4", "1"])
+    def test_string_epsilon_is_stored_as_a_fraction(self, epsilon):
+        text = GeneratorSpec("squares_power", epsilon=epsilon, cutoff=5)
+        exact = GeneratorSpec("squares_power", epsilon=parse_rational(epsilon), cutoff=5)
+        assert text == exact and type(text.epsilon) is Fraction
+        assert metadata_lines(text) == metadata_lines(exact)
+        assert is_exact(text) == is_exact(exact)
+
+    def test_float_epsilon_refused_when_built(self):
+        with pytest.raises(TypeError, match="^epsilon must be an exact rational, got float 0.25$"):
+            GeneratorSpec("squares_power", epsilon=0.25, cutoff=5)
 
 
 class TestGoldenDigests:

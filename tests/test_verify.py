@@ -1,10 +1,10 @@
-import dataclasses
 import hashlib
 import random
 
 import pytest
 
 import freqlab.verify as verify_mod
+from freqlab.maximal import BilinearFrequencyResult, FrequencyResult
 from freqlab.signal import parse_signal
 from freqlab.verify import (
     SEEDED_SUITES,
@@ -93,7 +93,11 @@ def _digest(checks):
 def _bump_frequency(real, when):
     def broken(*args):
         res = real(*args)
-        return dataclasses.replace(res, frequency=res.frequency + 1) if when(*args) else res
+        if not when(*args):
+            return res
+        return FrequencyResult(
+            res.maximal_value, res.extremal_radii, res.frequency + 1, res.zero_signal
+        )
 
     return broken
 
@@ -124,7 +128,11 @@ class TestSabotagedReplays:
 
         def flip_degenerate(f, g, n):
             res = real_bilinear(f, g, n)
-            return dataclasses.replace(res, degenerate=not res.degenerate) if len(f) > len(g) else res
+            if len(f) <= len(g):
+                return res
+            return BilinearFrequencyResult(
+                res.maximal_value, res.extremal_radii, res.frequency, not res.degenerate
+            )
 
         broken = _bump_frequency(verify_mod.analyze, lambda f, n: n > 0)
         monkeypatch.setattr(verify_mod, "analyze", broken)
