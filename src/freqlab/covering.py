@@ -29,9 +29,6 @@ class CoveringSelection(Record):
 
     __slots__ = ("chosen", "union_size", "chosen_length_sum")
 
-    def __init__(self, chosen: tuple[int, ...], union_size: int, chosen_length_sum: int):
-        super().__init__(chosen, union_size, chosen_length_sum)
-
 
 def merged_union_size(intervals: list[IntegerInterval]) -> int:
     """Exact number of integers covered by the union of the intervals."""

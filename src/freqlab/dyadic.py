@@ -14,11 +14,11 @@ the same floor (or ceiling); otherwise the precision p doubles.
 The operations are `ln_int` (ln of a positive integer), `ln` and `exp`
 of an enclosure, and `mul_rational` (a product with an exact rational),
 which is all the families need: for rational e, m**e = exp(e ln m)
-and (ln m)**e = exp(e ln(ln m)).  They rest on three cached building
+and (ln m)**e = exp(e ln(ln m)).  They rest on two cached building
 blocks per precision, each computed with guard bits and rounded outward:
 
-* ln 2 = 2 * atanh(1/3);
-* ln(1 + i/2**TABLE_BITS) = 2 * atanh(i / (2**(TABLE_BITS+1) + i));
+* ln(1 + i/2**TABLE_BITS) = 2 * atanh(i / (2**(TABLE_BITS+1) + i)) for
+  0 <= i <= 2**TABLE_BITS, whose last entry is ln 2 = 2 * atanh(1/3);
 * exp(i/2**TABLE_BITS), as products of the enclosure of exp(2**-TABLE_BITS).
 
 `ln` writes x = 2**k * (1 + i/2**TABLE_BITS) * (1 + d), reads the
@@ -174,14 +174,8 @@ def _exp_taylor(r: int, p: int) -> Enclosure:
 
 
 @cache
-def _ln2(p: int) -> Enclosure:
-    lo, hi = _atanh(1, 3, p + _GUARD_BITS)
-    return _round_out((2 * lo, 2 * hi), _GUARD_BITS)
-
-
-@cache
 def _ln_table(i: int, p: int) -> Enclosure:
-    """ln(1 + i / 2**TABLE_BITS) * 2**p for 0 <= i < 2**TABLE_BITS."""
+    """ln(1 + i / 2**TABLE_BITS) * 2**p for 0 <= i <= 2**TABLE_BITS; the last is ln 2."""
     lo, hi = _atanh(i, (2 << TABLE_BITS) + i, p + _GUARD_BITS)
     return _round_out((2 * lo, 2 * hi), _GUARD_BITS)
 
@@ -220,7 +214,7 @@ def _ln_scaled(x: int, shift: int, p: int) -> Enclosure:
         c = x
     table_lo, table_hi = _ln_table(head - (1 << TABLE_BITS), p)
     rest_lo, rest_hi = _atanh(x - c, x + c, p)
-    two_lo, two_hi = _ln2(p)
+    two_lo, two_hi = _ln_table(1 << TABLE_BITS, p)
     n = k - shift
     if n < 0:
         two_lo, two_hi = two_hi, two_lo
@@ -262,7 +256,7 @@ def exp(y: Enclosure, p: int) -> Enclosure:
     which `certify` could never accept.
     """
     lo, hi = y
-    two_lo, two_hi = _ln2(p)
+    two_lo, two_hi = _ln_table(1 << TABLE_BITS, p)
     j = lo // two_hi
     z = lo - j * (two_hi if j >= 0 else two_lo)
     while z < 0:  # j < 0, and ln 2 may lie below two_hi

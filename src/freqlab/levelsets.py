@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .dyadic import Enclosure, certify, exp, floor_dyadic, ln, ln_int, mul_rational
 from .maximal import frequency_values
-from .signal import IntegerInterval, Record, Signal, exact_fraction, format_number
+from .signal import IntegerInterval, Record, Signal, exact_fraction, format_int, format_number
 
 LEVELSET_MODES = ("K", "S", "theta-zero")
 
@@ -84,16 +84,6 @@ class LevelSetCensus(Record):
 
     __slots__ = ("n_grid", "counts_sublinear", "counts_band", "densities", "log_densities")
 
-    def __init__(
-        self,
-        n_grid: tuple[int, ...],
-        counts_sublinear: tuple[int, ...],
-        counts_band: tuple[int, ...],
-        densities: tuple[Fraction, ...],
-        log_densities: tuple[str, ...],
-    ):
-        super().__init__(n_grid, counts_sublinear, counts_band, densities, log_densities)
-
 
 def census_members(
     f: Signal, params: LevelParams, n_max: int, threads: int = 1
@@ -108,6 +98,8 @@ def census_members(
     >>> census_members(Signal.from_pairs([(0, 1)]), LevelParams(2), 100)
     ([0], [0])
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {format_int(n_max)}")
     p = params.ratio.numerator
     q = params.ratio.denominator
     zero = params.mode == "theta-zero"
@@ -181,13 +173,7 @@ def density_curves(
         source = c_s if params.mode == "S" else c_k
         densities.append(Fraction(source, n_value))
         log_densities.append(log_density_string(source, n_value, params.epsilon))
-    return LevelSetCensus(
-        n_grid=tuple(n_grid),
-        counts_sublinear=tuple(counts_k),
-        counts_band=tuple(counts_s),
-        densities=tuple(densities),
-        log_densities=tuple(log_densities),
-    )
+    return LevelSetCensus(*map(tuple, (n_grid, counts_k, counts_s, densities, log_densities)))
 
 
 def census_csv(census: LevelSetCensus) -> str:

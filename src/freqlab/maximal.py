@@ -90,6 +90,7 @@ independent oracles: they bucket each term by its distance from n and
 
 from __future__ import annotations
 
+import operator
 import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -107,15 +108,7 @@ class FrequencyResult(Record):
     """
 
     __slots__ = ("maximal_value", "extremal_radii", "frequency", "zero_signal")
-
-    def __init__(
-        self,
-        maximal_value: Fraction,
-        extremal_radii: tuple[int, ...] | None,
-        frequency: int,
-        zero_signal: bool = False,
-    ):
-        super().__init__(maximal_value, extremal_radii, frequency, zero_signal)
+    _defaults = {"zero_signal": False}
 
 
 class BilinearFrequencyResult(Record):
@@ -127,15 +120,7 @@ class BilinearFrequencyResult(Record):
     """
 
     __slots__ = ("maximal_value", "extremal_radii", "frequency", "degenerate")
-
-    def __init__(
-        self,
-        maximal_value: Fraction,
-        extremal_radii: tuple[int, ...] | None,
-        frequency: int,
-        degenerate: bool = False,
-    ):
-        super().__init__(maximal_value, extremal_radii, frequency, degenerate)
+    _defaults = {"degenerate": False}
 
 
 def average(f: Signal, n: int, r: int) -> Fraction:
@@ -145,6 +130,7 @@ def average(f: Signal, n: int, r: int) -> Fraction:
     >>> average(Signal.from_pairs([(0, 1)]), 0, 1)
     Fraction(1, 3)
     """
+    n, r = operator.index(n), operator.index(r)
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {format_int(r)}")
     return Fraction(f.window_sum_scaled(n - r, n + r), f.scale * (2 * r + 1))
@@ -158,6 +144,7 @@ def radius_bound(f: Signal, n: int) -> int:
     divides the same mass by a larger count.  Raises ValueError for the
     zero signal, whose attaining set is every radius.
     """
+    n = operator.index(n)
     hull = f.support_hull()
     if hull is None:
         raise ValueError("zero signal: the attaining set is unbounded")
@@ -311,9 +298,7 @@ def analyze(f: Signal, n: int) -> FrequencyResult:
         return FrequencyResult(Fraction(0), None, 0, zero_signal=True)
     walk = _candidate_walk(f.indices, f.scaled_values, f.scaled_prefix, n, n)
     best_num, best_w, ties = next(walk)
-    return FrequencyResult(
-        Fraction(best_num, f.scale * best_w), tuple(ties), ties[0], zero_signal=False
-    )
+    return FrequencyResult(Fraction(best_num, f.scale * best_w), tuple(ties), ties[0])
 
 
 def analyze_brute_force(f: Signal, n: int) -> FrequencyResult:
@@ -325,9 +310,7 @@ def analyze_brute_force(f: Signal, n: int) -> FrequencyResult:
     for s, v in zip(f.indices, f.scaled_values):
         gains[abs(s - n)] += v
     best_num, best_w, ties = _sweep(gains)
-    return FrequencyResult(
-        Fraction(best_num, f.scale * best_w), tuple(ties), ties[0], zero_signal=False
-    )
+    return FrequencyResult(Fraction(best_num, f.scale * best_w), tuple(ties), ties[0])
 
 
 def _sweep(gains: list[int]):
@@ -438,6 +421,7 @@ def bilinear_average(f: Signal, g: Signal, n: int, r: int) -> Fraction:
 
     The window at radius r holds exactly the product terms with |k| <= r.
     """
+    n, r = operator.index(n), operator.index(r)
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {format_int(r)}")
     total = sum(v for d, v in _bilinear_terms(f, g, n).items() if d <= r)
@@ -471,6 +455,7 @@ def bilinear_analyze(f: Signal, g: Signal, n: int) -> BilinearFrequencyResult:
     lies in both supports, `_only_zero_attains` first tries to certify
     E = {0} without assembling the terms.
     """
+    n = operator.index(n)
     if n in f.position and n in g.position:
         t0 = f.scaled_value_at(n) * g.scaled_value_at(n)
         if _only_zero_attains(f, g, n, t0):

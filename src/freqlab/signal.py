@@ -128,15 +128,18 @@ def format_rational(value: Fraction) -> str:
 class Record:
     """Base of the package's records: the fields named in `__slots__`, in order.
 
-    A subclass's `__init__` checks its arguments and passes every field
-    to `Record.__init__`.  Records compare equal only to records of the
-    same class with equal fields, hash as their field tuple, show as
-    ``Name(field=value, ...)``, and refuse assignment once built.  They
-    hold no per-instance dict, and they spare every command the import of
-    `dataclasses`, which costs more than most commands' own work.
+    A record takes its fields by position or by name, a field left out
+    taking its value from `_defaults`; a missing, unknown or surplus
+    field raises TypeError.  A subclass that checks its arguments passes
+    them all, in order, to `Record.__init__`.  A record equals only a
+    record of its own class with equal fields, hashes as its field
+    tuple, shows as ``Name(field=value, ...)`` and refuses assignment.
+    Records hold no per-instance dict and spare every command the import
+    of `dataclasses`, which costs more than most commands' own work.
     """
 
     __slots__ = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -144,9 +147,28 @@ class Record:
         # each slot's own setter, which `__setattr__` below does not reach
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
-    def __init__(self, *values):
-        for set_field, value in zip(self._setters, values):
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(self._setters, args):
             set_field(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in slot order, from the arguments and `_defaults`."""
+        name, slots = cls.__qualname__, cls.__slots__
+        if len(args) > len(slots):
+            raise TypeError(f"{name} takes {len(slots)} fields, got {len(args)}")
+        for field in kwargs:
+            if field not in slots:
+                raise TypeError(f"{name} has no field {field!r}")
+            if slots.index(field) < len(args):
+                raise TypeError(f"{name} got field {field!r} by position and by name")
+        values = {**cls._defaults, **kwargs, **dict(zip(slots, args))}
+        for field in slots:
+            if field not in values:
+                raise TypeError(f"{name} is missing field {field!r}")
+        return [values[field] for field in slots]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -176,6 +198,7 @@ class IntegerInterval(Record):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: int, hi: int):
+        lo, hi = operator.index(lo), operator.index(hi)
         if lo > hi:
             raise ValueError(f"empty interval: lo={format_int(lo)} > hi={format_int(hi)}")
         super().__init__(lo, hi)

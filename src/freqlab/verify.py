@@ -59,20 +59,11 @@ class Check(Record):
     """One named assertion with its outcome.
 
     `replay`, when set on a failure, holds (file suffix, serialized
-    offending instance) so the exact case can be re-run.  Unlike the
-    other records a Check may be changed after it is built, so it has
-    no hash.
+    offending instance) so the exact case can be re-run.
     """
 
     __slots__ = ("name", "passed", "detail", "replay")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(
-        self, name: str, passed: bool, detail: str = "", replay: tuple[str, str] | None = None
-    ):
-        super().__init__(name, passed, detail, replay)
+    _defaults = {"detail": "", "replay": None}
 
 
 # Random signal values are +-p/q with 1 <= p, q <= _VALUE_TERM_BOUND.

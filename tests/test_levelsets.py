@@ -72,6 +72,10 @@ class TestSublinearCensus:
     def test_zero_signal_contains_everything(self):
         assert census_members(ZERO, TWO, 10)[0] == list(range(-10, 11))
 
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(ValueError, match="^n_max must be non-negative, got -3$"):
+            census_members(DELTA, TWO, -3)
+
     def test_spike_pair(self):
         assert census_members(spike_pair(100), TWO, 10)[0] == [0]
 

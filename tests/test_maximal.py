@@ -56,6 +56,14 @@ class TestAverage:
         with pytest.raises(ValueError, match="radius must be non-negative, got -"):
             bilinear_average(DELTA, DELTA, 0, -(4**7200))
 
+    @pytest.mark.parametrize("n,r", [(0.5, 1), (1, F(1, 2)), (1.0, 1), (1, 1.0)])
+    def test_non_integer_point_or_radius_rejected(self, n, r):
+        f = spike_pair(100)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            average(f, n, r)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            bilinear_average(f, f, n, r)
+
     def test_l1_bound(self):
         rng = random.Random(3)
         for _ in range(30):
@@ -74,6 +82,15 @@ class TestRadiusBound:
     def test_zero_signal_rejected(self):
         with pytest.raises(ValueError):
             radius_bound(ZERO, 0)
+
+    @pytest.mark.parametrize("n", [0.5, F(1, 2), 1.0])
+    def test_non_integer_point_rejected(self, n):
+        f = spike_pair(100)
+        for call in (radius_bound, analyze):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call(f, n)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            bilinear_analyze(f, f, n)
 
     def test_bound_contains_every_extremal_radius(self):
         rng = random.Random(5)

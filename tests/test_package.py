@@ -75,15 +75,47 @@ def test_record(cls, fields):
     assert record != fields
     assert pickle.loads(pickle.dumps(record)) == record
     assert not hasattr(record, "__dict__")
-    if cls is Check:  # the one record that may change after it is built
-        record.passed = False
-        assert record == cls(fields[0], False, *fields[2:])
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(record)
-    else:
-        assert hash(record) == hash(cls(*fields))
-        with pytest.raises(AttributeError, match=f"^cannot assign to field {cls.__slots__[0]!r}$"):
-            setattr(record, cls.__slots__[0], fields[0])
+    assert hash(record) == hash(cls(*fields))
+    with pytest.raises(AttributeError, match=f"^cannot assign to field {cls.__slots__[0]!r}$"):
+        setattr(record, cls.__slots__[0], fields[0])
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_refuses_a_wrong_field_list(cls, fields):
+    # the records with their own __init__ get Python's wording, the rest Record's
+    name, first = cls.__name__, cls.__slots__[0]
+    with pytest.raises(TypeError, match=rf"^{name}\b.* {first!r}"):
+        cls()
+    with pytest.raises(TypeError, match=rf"^{name}\b.* 'nope'$"):
+        cls(*fields, nope=1)
+    with pytest.raises(TypeError, match=rf"^{name}\b"):
+        cls(*fields, None)
+    with pytest.raises(TypeError, match=rf"^{name}\b.* {first!r}"):
+        cls(*fields, **{first: fields[0]})
+
+
+def test_record_messages_name_the_record_and_the_field():
+    with pytest.raises(TypeError, match="^Check is missing field 'passed'$"):
+        Check("name", detail="x")
+    with pytest.raises(TypeError, match="^Check has no field 'nope'$"):
+        Check("name", True, nope=1)
+    with pytest.raises(TypeError, match="^Check takes 4 fields, got 5$"):
+        Check("name", True, "", None, None)
+    with pytest.raises(TypeError, match="^Check got field 'passed' by position and by name$"):
+        Check("name", True, passed=False)
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_defaults_are_trailing_fields(cls, fields):
+    slots = cls.__slots__
+    assert set(cls._defaults) == set(slots[len(slots) - len(cls._defaults) :])
+
+
+def test_record_defaults_fill_fields_left_out():
+    assert FrequencyResult(Fraction(1), (0,), 0) == FrequencyResult(Fraction(1), (0,), 0, False)
+    assert BilinearFrequencyResult(Fraction(0), None, 0, degenerate=True).degenerate is True
+    assert Check("name", True) == Check("name", True, "", None)
+    assert Check(passed=False, name="n", replay=("s", "x")) == Check("n", False, "", ("s", "x"))
 
 
 def test_records_of_two_classes_never_equal():

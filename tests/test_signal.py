@@ -153,6 +153,11 @@ class TestIntegerInterval:
         with pytest.raises(ValueError):
             IntegerInterval(1, 0)
 
+    @pytest.mark.parametrize("lo,hi", [(0.5, 2.5), (0, 2.0), (F(1, 2), 3)])
+    def test_non_integer_ends_rejected(self, lo, hi):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            IntegerInterval(lo, hi)
+
 
 class TestFromPairs:
     def test_delta(self):
