@@ -12,10 +12,13 @@ leaves the pair.  The rounded integer is certified when both ends give
 the same floor (or ceiling); otherwise the precision p doubles.
 
 The operations are `ln_int` (ln of a positive integer), `ln` and `exp`
-of an enclosure, and `mul_rational` (a product with an exact rational),
-which is all the families need: for rational e, m**e = exp(e ln m)
-and (ln m)**e = exp(e ln(ln m)).  They rest on two cached building
-blocks per precision, each computed with guard bits and rounded outward:
+of an enclosure, `mul_rational` (a product with an exact rational) and
+`power` (a rational power of an enclosure), which is all the families
+need.  `power` takes x**(a/b) for b in (1, 2, 4) and a <= 8 as integer
+powers and nested integer square roots of the enclosure's ends, and
+every other exponent as exp((a/b) ln x).  The logarithms and
+exponentials rest on two cached building blocks per precision, each
+computed with guard bits and rounded outward:
 
 * ln(1 + i/2**TABLE_BITS) = 2 * atanh(i / (2**(TABLE_BITS+1) + i)) for
   0 <= i <= 2**TABLE_BITS, whose last entry is ln 2 = 2 * atanh(1/3);
@@ -33,7 +36,7 @@ section 4.4; each bound is derived in the docstring of its series.
 `certify` is the one certification rule.  A value wanted to `bits`
 fractional bits starts at p = bits + 64, and p doubles up to the cap
 MAX_PRECISION (65,536 bits).  A build may return several enclosures
-that share intermediate results (`stretched_log` encloses ln(ln m) once
+that share intermediate results (`stretched_log` encloses ln m once
 for an index and a weight).  They are certified together: p doubles
 until every one of them rounds to a single integer, and the certified
 values do not depend on the p at which that happens.
@@ -51,12 +54,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 from typing import Callable, Sequence
 
 from .signal import PrecisionError, format_int
 
 MAX_PRECISION = 1 << 16
 TABLE_BITS = 7
+_MAX_ROOT_NUMERATOR = 8  # `power` takes roots only of powers up to this one
 _GUARD_BITS = 24  # cached constants are computed this much finer, then rounded out
 
 Enclosure = tuple[int, int]
@@ -285,3 +290,41 @@ def mul_rational(x: Enclosure, q: Fraction) -> Enclosure:
     if num < 0:
         lo, hi = hi, lo
     return lo * num // den, -(-hi * num // den)
+
+
+def power(x: Enclosure, e: Fraction, p: int) -> Enclosure:
+    """The value enclosed by x raised to the rational e, at scale 2**p;
+    x's lower end must be positive.
+
+    For e = +-a/b with b in (1, 2, 4) and a <= _MAX_ROOT_NUMERATOR, the
+    ends of x, raised to the a-th power and shifted to scale 2**(p b),
+    enclose v**a 2**(p b); their b-th root, one or two nested
+    `math.isqrt` (Brent and Zimmermann, section 1.5), encloses v**(a/b)
+    2**p.  Every shift and root floors the lower end and ceils the upper
+    one, so the result is exact whenever x and v**(a/b) 2**p are
+    integers.  A negative e divides 2**(2p) by that enclosure, again
+    rounded outward.  Every other exponent, and a negative one whose
+    positive power rounds down to 0, is exp(e ln x): past
+    _MAX_ROOT_NUMERATOR the integer power costs more than those series,
+    and so does a cube or finer root by Newton's method.
+    """
+    lo, hi = x
+    if lo < 1:
+        raise ValueError("power needs an enclosure of a positive value")
+    num, b = e.numerator, e.denominator
+    a = abs(num)
+    if b in (1, 2, 4) and a <= _MAX_ROOT_NUMERATOR:
+        shift = p * (a - b)
+        if shift >= 0:
+            lo, hi = lo**a >> shift, -(-(hi**a) >> shift)
+        else:
+            lo, hi = lo**a << -shift, hi**a << -shift
+        while b > 1:
+            lo, hi = isqrt(lo), 1 + isqrt(hi - 1)
+            b //= 2
+        if num >= 0:
+            return lo, hi
+        if lo:
+            one = 1 << 2 * p
+            return one // hi, -(-one // lo)
+    return exp(mul_rational(ln(x, p), e), p)

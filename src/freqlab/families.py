@@ -12,8 +12,9 @@ takes, in argument order; `GeneratorSpec` and `generate` both read it.
   m**2 for 10 <= m <= cutoff; values are certified dyadic floors.
 * ``stretched_log(eps, cutoff)``: the same values placed at the indices
   ceil(m * ln(m)**(1+eps)); both the index ceilings and the values are
-  certified together, from one build per m that encloses ln(ln(m))
-  once.
+  certified together, from one build per m that encloses ln(m) once
+  and takes one power of it: ln(m)**(1+eps/2) is the square root of
+  ln(m) * ln(m)**(1+eps).
 * ``spike_pair(size)``: 1 at the origin flanked by two spikes of height
   2*size at distance 3*size; the least maximizing radius jumps by more
   than `size` between n = 0 and n = 1.
@@ -22,29 +23,24 @@ takes, in argument order; `GeneratorSpec` and `generate` both read it.
   of the least maximizing radius between adjacent points.
 
 Logarithms are natural logarithms.  Each inexact value is a weight
-2**precision_bits / (m * exp(e * L)), L = ln(m) for `squares_power` and
-ln(ln(m)) for the log families, on integer fixed-point enclosures (see
-`freqlab.dyadic`) that bound it from both sides and are refined until
-its floor or ceiling is pinned down.  `precision_bits` must lie in
-1..dyadic.MAX_PRECISION.  Dyadic approximation always rounds toward
-zero, so regenerating with more precision bits never decreases a value.
+2**precision_bits / (m * B**e), B = m for `squares_power` and ln(m) for
+the log families, with B**e from `dyadic.power`, on integer fixed-point
+enclosures (see `freqlab.dyadic`) that bound it from both sides and are
+refined until its floor or ceiling is pinned down.  Sizes, cutoffs and
+`precision_bits` must be integers (`operator.index`), and
+`precision_bits` must lie in 1..dyadic.MAX_PRECISION.  Dyadic
+approximation always rounds toward zero, so regenerating with more
+precision bits never decreases a value.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import isqrt
 
 from . import dyadic
-from .dyadic import (
-    Enclosure,
-    ceil_dyadic,
-    certify,
-    exp,
-    floor_dyadic,
-    ln,
-    ln_int,
-    mul_rational,
-)
+from .dyadic import Enclosure, ceil_dyadic, certify, floor_dyadic, ln_int, power
 from .signal import Record, Signal, exact_fraction, format_int, format_number, format_rational
 
 _OPTIONAL = ("precision_bits",)
@@ -91,6 +87,10 @@ class GeneratorSpec(Record):
                 raise ValueError(f"{family} takes no {field}")
         if epsilon is not None:
             epsilon = exact_fraction(epsilon, "epsilon")
+        cutoff, size, precision_bits = (
+            value if value is None else _integer(value, field)
+            for field, value in zip(self.__slots__[2:], (cutoff, size, precision_bits))
+        )
         super().__init__(family, epsilon, cutoff, size, precision_bits)
 
 
@@ -130,20 +130,33 @@ def metadata_lines(spec: GeneratorSpec) -> list[str]:
     return lines
 
 
-def _checked_epsilon(epsilon: Fraction, cutoff: int, least: int, precision_bits: int) -> Fraction:
+def _integer(value: int, name: str) -> int:
+    """operator.index(value), refusing a non-integer by the argument's name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _checked_args(
+    epsilon: Fraction, cutoff: int, least: int, precision_bits: int
+) -> tuple[Fraction, int, int]:
     """The arguments of an epsilon family checked in turn; returns
-    epsilon as a Fraction.  `least` is the family's smallest cutoff."""
+    epsilon, cutoff and precision_bits as a Fraction and two ints.
+    `least` is the family's smallest cutoff."""
     epsilon = exact_fraction(epsilon, "epsilon")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {format_number(epsilon)}")
+    precision_bits = _integer(precision_bits, "precision_bits")
     if not 1 <= precision_bits <= dyadic.MAX_PRECISION:
         raise ValueError(
             f"precision_bits must be in 1..{dyadic.MAX_PRECISION} (dyadic.MAX_PRECISION), "
             f"got {format_int(precision_bits)}"
         )
+    cutoff = _integer(cutoff, "cutoff")
     if cutoff < least:
         raise ValueError(f"cutoff must be at least {least}; support would be empty")
-    return epsilon
+    return epsilon, cutoff, precision_bits
 
 
 def _dyadic_value(scaled: int, bits: int, term: str, m: int, exponent: Fraction) -> Fraction:
@@ -156,11 +169,10 @@ def _dyadic_value(scaled: int, bits: int, term: str, m: int, exponent: Fraction)
     return Fraction(scaled, 1 << bits)
 
 
-def _weight(m: int, log: Enclosure, exponent: Fraction, bits: int, p: int) -> Enclosure:
-    """2**bits / (m * exp(exponent * L)) at scale 2**p, given L at scale 2**p:
-    L = ln(m) gives 2**bits / m**(1+exponent), L = ln(ln(m)) a log weight."""
-    lo, hi = exp(mul_rational(log, -exponent), p)
-    return (lo << bits) // m, -(-(hi << bits) // m)
+def _weight(m: int, denominator: Enclosure, bits: int, p: int) -> Enclosure:
+    """2**bits / (m * D) at scale 2**p, given D at scale 2**p."""
+    one = 1 << (bits + 2 * p)
+    return one // (m * denominator[1]), -(-one // (m * denominator[0]))
 
 
 def squares_power(
@@ -171,21 +183,23 @@ def squares_power(
     >>> squares_power(Fraction(1), 3).values
     (Fraction(1, 1), Fraction(1, 4), Fraction(1, 9))
     """
-    epsilon = _checked_epsilon(epsilon, cutoff, 1, precision_bits)
+    epsilon, cutoff, precision_bits = _checked_args(epsilon, cutoff, 1, precision_bits)
     exponent = 1 + epsilon
-    p, q = exponent.numerator, exponent.denominator
+    num, den = exponent.numerator, exponent.denominator
     pairs = []
     for m in range(1, cutoff + 1):
-        if q == 1:
-            value = Fraction(1, m**p)
+        if den == 1:
+            value = Fraction(1, m**num)
         else:
             a = m.bit_length() - 1
-            if m == 1 << a and a * p % q == 0:
-                # 2**precision_bits / m**(p/q) is an integer only here; certify cannot settle it
-                scaled = (1 << precision_bits) >> (a * p // q)
+            if m == 1 << a and a * num % den == 0:
+                # 2**precision_bits / m**exponent is an integer only here; certify cannot settle it
+                scaled = (1 << precision_bits) >> (a * num // den)
             else:
                 (scaled,) = certify(
-                    lambda scale: (_weight(m, ln_int(m, scale), epsilon, precision_bits, scale),),
+                    lambda p: (
+                        _weight(m, power((m << p, m << p), epsilon, p), precision_bits, p),
+                    ),
                     (floor_dyadic,),
                     precision_bits,
                 )
@@ -198,12 +212,14 @@ def squares_log(
     epsilon: Fraction, cutoff: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Signal:
     """Value 1/(m * ln(m)**(1 + eps/2)) at index m**2, for m = 10 .. cutoff."""
-    epsilon = _checked_epsilon(epsilon, cutoff, _MIN_LOG_INDEX, precision_bits)
+    epsilon, cutoff, precision_bits = _checked_args(
+        epsilon, cutoff, _MIN_LOG_INDEX, precision_bits
+    )
     exponent = 1 + epsilon / 2
     pairs = []
     for m in range(_MIN_LOG_INDEX, cutoff + 1):
         (scaled,) = certify(
-            lambda p: (_weight(m, ln(ln_int(m, p), p), exponent, precision_bits, p),),
+            lambda p: (_weight(m, power(ln_int(m, p), exponent, p), precision_bits, p),),
             (floor_dyadic,),
             precision_bits,
         )
@@ -212,13 +228,15 @@ def squares_log(
 
 
 def _member_enclosures(
-    m: int, index_exponent: Fraction, value_exponent: Fraction, bits: int, p: int
+    m: int, index_exponent: Fraction, bits: int, p: int
 ) -> tuple[Enclosure, Enclosure]:
-    """m * ln(m)**index_exponent and 2**bits / (m * ln(m)**value_exponent)
-    at scale 2**p, both from one enclosure of ln(ln(m))."""
-    log_log = ln(ln_int(m, p), p)
-    lo, hi = exp(mul_rational(log_log, index_exponent), p)
-    return (m * lo, m * hi), _weight(m, log_log, value_exponent, bits, p)
+    """m * L**e and 2**bits / (m * L**((1 + e)/2)) at scale 2**p, L = ln(m)
+    and e = index_exponent, from one enclosure of L and one power of it:
+    L**((1 + e)/2) is the square root of L * L**e."""
+    log_lo, log_hi = ln_int(m, p)
+    lo, hi = power((log_lo, log_hi), index_exponent, p)
+    root = isqrt(log_lo * lo), 1 + isqrt(log_hi * hi - 1)
+    return (m * lo, m * hi), _weight(m, root, bits, p)
 
 
 def stretched_log(
@@ -227,21 +245,23 @@ def stretched_log(
     """Value 1/(m * ln(m)**(1 + eps/2)) at index ceil(m * ln(m)**(1 + eps)).
 
     Index ceilings and values are certified from integer enclosures, both
-    from one build per m that encloses ln(ln(m)) once; should two
+    from one build per m that encloses ln(m) once; should two
     distinct m ever land on the same index the collision is rejected
     rather than silently merged.
 
     >>> stretched_log(Fraction(1), 10).indices  # ceil(10 * ln(10)**2 = 53.02...)
     (54,)
     """
-    epsilon = _checked_epsilon(epsilon, cutoff, _MIN_LOG_INDEX, precision_bits)
+    epsilon, cutoff, precision_bits = _checked_args(
+        epsilon, cutoff, _MIN_LOG_INDEX, precision_bits
+    )
     index_exponent = 1 + epsilon
     value_exponent = 1 + epsilon / 2
     pairs = []
     previous = None
     for m in range(_MIN_LOG_INDEX, cutoff + 1):
         index, scaled = certify(
-            lambda p: _member_enclosures(m, index_exponent, value_exponent, precision_bits, p),
+            lambda p: _member_enclosures(m, index_exponent, precision_bits, p),
             (ceil_dyadic, floor_dyadic),
             precision_bits,
         )
@@ -260,6 +280,7 @@ def spike_pair(size: int) -> Signal:
     >>> spike_pair(100).indices
     (-300, 0, 300)
     """
+    size = _integer(size, "size")
     if size < _MIN_SPIKE_SIZE:
         raise ValueError(f"size must be at least {_MIN_SPIKE_SIZE}, got {format_int(size)}")
     return Signal.from_pairs(
@@ -274,6 +295,7 @@ def composite_jump(min_size: int, max_size: int) -> Signal:
     2**-C at index 4**C and 2*C * 2**-C at indices 4**C +- 3*C.  Blocks
     never overlap because consecutive translates are a factor 4 apart.
     """
+    min_size, max_size = _integer(min_size, "min_size"), _integer(max_size, "max_size")
     if min_size < _MIN_SPIKE_SIZE:
         raise ValueError(
             f"min_size must be at least {_MIN_SPIKE_SIZE}, got {format_int(min_size)}"

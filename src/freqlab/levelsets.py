@@ -23,9 +23,10 @@ p * F(n) <= q * |n|), so censuses are exact.  Densities count / N are
 exact rationals; the log-weighted diagnostic ratio
 count * ln(N)**(1+eps) / N is the one deliberately inexact number in
 the package and is reported as a decimal string computed to 64
-certified fractional bits: ln(N)**(1+eps) is exp((1+eps) * ln(ln(N)))
-on the integer fixed-point enclosures of `freqlab.dyadic`, and the
-floor is certified once both ends of the enclosure agree on it.
+certified fractional bits: ln(N)**(1+eps) is `dyadic.power` of the
+enclosure of ln(N), on the integer fixed-point enclosures of
+`freqlab.dyadic`, and the floor is certified once both ends of the
+enclosure agree on it.
 
 Asymptotic statements about these censuses are out of reach of any
 finite scan; `density_curves` reports exact counts on a finite grid and
@@ -37,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .dyadic import Enclosure, certify, exp, floor_dyadic, ln, ln_int, mul_rational
+from .dyadic import Enclosure, certify, floor_dyadic, ln_int, power
 from .maximal import frequency_values
 from .signal import IntegerInterval, Record, Signal, exact_fraction, format_int, format_number
 
@@ -115,7 +116,7 @@ def census_members(
 
 def _log_density_enclosure(count: int, n_value: int, epsilon: Fraction, p: int) -> Enclosure:
     """2**64 * count * ln(N)**(1+eps) / N at scale 2**p, for N >= 2."""
-    lo, hi = exp(mul_rational(ln(ln_int(n_value, p), p), 1 + epsilon), p)
+    lo, hi = power(ln_int(n_value, p), 1 + epsilon, p)
     scale = count << _LOG_DENSITY_BITS
     return lo * scale // n_value, -(-hi * scale // n_value)
 

@@ -298,7 +298,7 @@ def analyze(f: Signal, n: int) -> FrequencyResult:
         return FrequencyResult(Fraction(0), None, 0, zero_signal=True)
     walk = _candidate_walk(f.indices, f.scaled_values, f.scaled_prefix, n, n)
     best_num, best_w, ties = next(walk)
-    return FrequencyResult(Fraction(best_num, f.scale * best_w), tuple(ties), ties[0])
+    return FrequencyResult(Fraction(best_num, f.scale * best_w), tuple(ties), ties[0], False)
 
 
 def analyze_brute_force(f: Signal, n: int) -> FrequencyResult:
@@ -310,7 +310,7 @@ def analyze_brute_force(f: Signal, n: int) -> FrequencyResult:
     for s, v in zip(f.indices, f.scaled_values):
         gains[abs(s - n)] += v
     best_num, best_w, ties = _sweep(gains)
-    return FrequencyResult(Fraction(best_num, f.scale * best_w), tuple(ties), ties[0])
+    return FrequencyResult(Fraction(best_num, f.scale * best_w), tuple(ties), ties[0], False)
 
 
 def _sweep(gains: list[int]):
@@ -459,7 +459,7 @@ def bilinear_analyze(f: Signal, g: Signal, n: int) -> BilinearFrequencyResult:
     if n in f.position and n in g.position:
         t0 = f.scaled_value_at(n) * g.scaled_value_at(n)
         if _only_zero_attains(f, g, n, t0):
-            return BilinearFrequencyResult(Fraction(t0, f.scale * g.scale), (0,), 0)
+            return BilinearFrequencyResult(Fraction(t0, f.scale * g.scale), (0,), 0, False)
     terms = _bilinear_terms(f, g, n)
     if not terms:
         return BilinearFrequencyResult(Fraction(0), None, 0, degenerate=True)
@@ -469,7 +469,7 @@ def bilinear_analyze(f: Signal, g: Signal, n: int) -> BilinearFrequencyResult:
     sv = [terms[d] for d in dists]
     best_num, best_w, ties = next(_candidate_walk(dists, sv, (0, *accumulate(sv)), 0, 0))
     return BilinearFrequencyResult(
-        Fraction(best_num, f.scale * g.scale * best_w), tuple(ties), ties[0]
+        Fraction(best_num, f.scale * g.scale * best_w), tuple(ties), ties[0], False
     )
 
 
@@ -546,5 +546,5 @@ def bilinear_analyze_brute_force(f: Signal, g: Signal, n: int) -> BilinearFreque
     if best_num == 0:
         return BilinearFrequencyResult(Fraction(0), None, 0, degenerate=True)
     return BilinearFrequencyResult(
-        Fraction(best_num, f.scale * g.scale * best_w), tuple(ties), ties[0]
+        Fraction(best_num, f.scale * g.scale * best_w), tuple(ties), ties[0], False
     )

@@ -235,25 +235,28 @@ class Signal:
 
     def __init__(self, pairs: Iterable[tuple[int, Fraction | int]] = ()):
         cleaned: list[tuple[int, Fraction]] = []
-        for index, raw in pairs:
-            if isinstance(raw, float):
-                raise TypeError(
-                    f"float value {raw!r} at index {format_int(index)}:"
-                    " signal values must be exact rationals"
-                )
-            value = raw if isinstance(raw, Fraction) else exact_fraction(raw, "value")
-            cleaned.append((operator.index(index), abs(value)))
+        for index, value in pairs:
+            if not isinstance(value, Fraction):
+                if isinstance(value, float):
+                    raise TypeError(
+                        f"float value {value!r} at index {format_int(index)}:"
+                        " signal values must be exact rationals"
+                    )
+                value = exact_fraction(value, "value")
+            if value.numerator < 0:
+                value = -value
+            cleaned.append((operator.index(index), value))
         cleaned.sort(key=lambda item: item[0])
         for (a, _), (b, _) in zip(cleaned, cleaned[1:]):
             if a == b:
                 raise ValueError(f"duplicate index {format_int(a)}")
-        cleaned = [(i, v) for i, v in cleaned if v != 0]
+        cleaned = [(i, v) for i, v in cleaned if v.numerator]
 
         self.indices: tuple[int, ...] = tuple(i for i, _ in cleaned)
         self.values: tuple[Fraction, ...] = tuple(v for _, v in cleaned)
 
         # Integer rescaling over the least common denominator.
-        scale = math.lcm(*(v.denominator for v in self.values)) if self.values else 1
+        scale = math.lcm(*{v.denominator for v in self.values}) if self.values else 1
         self.scale: int = scale
         self.scaled_values: tuple[int, ...] = tuple(
             v.numerator * (scale // v.denominator) for v in self.values

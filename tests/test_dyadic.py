@@ -24,6 +24,7 @@ from freqlab.dyadic import (
     ln,
     ln_int,
     mul_rational,
+    power,
 )
 from freqlab.families import _member_enclosures
 from freqlab.levelsets import _log_density_enclosure
@@ -219,9 +220,11 @@ def test_exp_past_the_cap_raises_before_building_it():
 @given(st.integers(10, 10**5), epsilons, st.sampled_from([64, 128]), precisions)
 @example(10, Fraction(1), 128, 192)
 @example(300, Fraction(1, 999), 128, 192)
+@example(5000, Fraction(1, 4), 64, 64)  # an index exponent on the 4th-root route
+@example(10**5, Fraction(3, 2), 128, 256)  # square-root route
 def test_stretched_member_contains_oracle(m, epsilon, bits, p):
     index_exponent, value_exponent = 1 + epsilon, 1 + epsilon / 2
-    index, value = _member_enclosures(m, index_exponent, value_exponent, bits, p)
+    index, value = _member_enclosures(m, index_exponent, bits, p)
 
     def log_power(exponent):
         return iv.log(iv.mpf(m)) ** iv_rational(exponent)
@@ -235,6 +238,7 @@ def test_stretched_member_contains_oracle(m, epsilon, bits, p):
 @DETERMINISTIC
 @given(st.integers(0, 10**5), st.integers(2, 10**6), epsilons, precisions)
 @example(1, 2, Fraction(1), 64)  # ln ln 2 < 0
+@example(2615, 30000, Fraction(1, 4), 128)  # the 4th-root route of `power`
 def test_log_density_ratio_contains_oracle(count, n_value, epsilon, p):
     enclosure = _log_density_enclosure(count, n_value, epsilon, p)
     ratio = oracle(
@@ -243,3 +247,77 @@ def test_log_density_ratio_contains_oracle(count, n_value, epsilon, p):
         / iv.mpf(n_value)
     )
     assert_contains(enclosure, p, ratio)
+
+
+# Exponents of both routes of `power`: denominators 1, 2 and 4 with a
+# numerator up to 8 take integer roots, every other one exp(e ln x).
+ROOT_EXPONENTS = [Fraction(a, b) for b in (1, 2, 4) for a in range(0, 9) if math.gcd(a, b) == 1]
+SERIES_EXPONENTS = [Fraction(9), Fraction(9, 2), Fraction(9, 4), Fraction(4, 3), Fraction(17, 16)]
+exponents = st.one_of(
+    st.sampled_from(ROOT_EXPONENTS + SERIES_EXPONENTS),
+    st.fractions(min_value=Fraction(1, 1000), max_value=10, max_denominator=1000),
+).flatmap(lambda e: st.sampled_from([e, -e]))
+
+
+@DETERMINISTIC
+@given(
+    st.fractions(min_value=Fraction(1, 10**3), max_value=10**4),
+    st.integers(0, 10**4),
+    exponents,
+    precisions,
+)
+@example(Fraction(5000), 0, Fraction(-1, 4), 192)  # an exact integer, the squares_power case
+@example(Fraction(1, 10**3), 0, Fraction(-8), 64)  # positive power 2**-79.7: rounds down to 0
+@example(Fraction(8519, 1000), 3, Fraction(5, 4), 192)  # ln(5000), 4th root
+def test_power_contains_oracle(x, width, e, p):
+    lo = max(1, x.numerator * (1 << p) // x.denominator)
+    enclosure = lo, lo + width
+    assert_contains(
+        power(enclosure, e, p), p, oracle(lambda: iv_enclosure(enclosure, p) ** iv_rational(e))
+    )
+
+
+@pytest.mark.parametrize(
+    "base,e,expected",
+    [
+        (4, Fraction(3, 2), Fraction(8)),
+        (16, Fraction(5, 4), Fraction(32)),
+        (3, Fraction(2), Fraction(9)),
+        (7, Fraction(0), Fraction(1)),
+        (16, Fraction(-1, 4), Fraction(1, 2)),
+        (64, Fraction(-3, 2), Fraction(1, 512)),
+    ],
+)
+def test_power_of_an_exact_integer_is_exact(base, e, expected):
+    p = 128
+    exact = expected.numerator * (1 << p) // expected.denominator
+    assert power((base << p, base << p), e, p) == (exact, exact)
+
+
+def test_power_needs_a_positive_enclosure():
+    for e in (Fraction(2), Fraction(1, 3)):
+        with pytest.raises(ValueError, match="power needs an enclosure of a positive value"):
+            power((0, 5), e, 64)
+
+
+@DETERMINISTIC
+@given(
+    st.integers(10, 10**6),
+    st.sampled_from([e for e in ROOT_EXPONENTS if e > 1]),
+    st.sampled_from([16, 64, 128, 200]),
+)
+@example(5000, Fraction(2), 128)  # the bench signal's index exponent
+@example(10, Fraction(5, 4), 16)
+def test_both_routes_certify_the_same_roundings(m, e, bits):
+    """`power` on its integer-root route and exp(e ln x) certify the same
+    ceiling of m ln(m)**e and the same floor of 2**bits ln(m)**-e."""
+
+    def certified(route):
+        def build(p):
+            lo, hi = route(ln_int(m, p), e, p)
+            inverse_lo, inverse_hi = route(ln_int(m, p), -e, p)
+            return (m * lo, m * hi), (inverse_lo << bits, inverse_hi << bits)
+
+        return certify(build, (ceil_dyadic, floor_dyadic), bits)
+
+    assert certified(power) == certified(lambda x, e, p: exp(mul_rational(ln(x, p), e), p))

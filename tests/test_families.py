@@ -299,6 +299,38 @@ class TestGeneratorSpec:
         with pytest.raises(TypeError, match="^epsilon must be an exact rational, got float 0.25$"):
             GeneratorSpec("squares_power", epsilon=0.25, cutoff=5)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"family": "squares_power", "epsilon": 1, "cutoff": 3, "precision_bits": 64.5},
+             "precision_bits must be an integer, got 64.5"),
+            ({"family": "stretched_log", "epsilon": 1, "cutoff": 30.0},
+             "cutoff must be an integer, got 30.0"),
+            ({"family": "spike_pair", "size": F(100)}, "size must be an integer, got Fraction"),
+        ],
+    )
+    def test_non_integer_field_refused_when_built(self, kwargs, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}"):
+            GeneratorSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: spike_pair(100.5), "size must be an integer, got 100.5"),
+        (lambda: composite_jump(100.0, 101), "min_size must be an integer, got 100.0"),
+        (lambda: composite_jump(100, "101"), "max_size must be an integer, got '101'"),
+        (lambda: squares_power(F(1, 4), 3, 64.5), "precision_bits must be an integer, got 64.5"),
+        (lambda: squares_log(F(1), 20.0), "cutoff must be an integer, got 20.0"),
+        (lambda: stretched_log(F(1), 20, F(64)), "precision_bits must be an integer, got Fraction"),
+    ],
+    ids=["spike_pair", "composite_jump-min", "composite_jump-max", "squares_power",
+         "squares_log", "stretched_log"],
+)
+def test_generators_refuse_non_integer_arguments(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}"):
+        call()
+
 
 class TestGoldenDigests:
     """SHA-256 of `dump_signal` output, pinned so that any change to the
@@ -331,6 +363,14 @@ class TestGoldenDigests:
                 lambda: squares_power(F(1, 2), 400, precision_bits=16),
                 "9f5b326eb77afdba471a5f6218c0b6ea35c4dd25c015de626743c9649c2c73ee",
             ),
+            (  # the bench signal: index exponent 2, value exponent 3/2
+                lambda: stretched_log(F(1), 5000),
+                "f82e55c2fcae3419e07a335864813a792ea5990c98b6d83f9be8b929a647eb75",
+            ),
+            (  # value exponent 3/2, a square root
+                lambda: squares_log(F(1), 400),
+                "feddcd674b532acb2fa93132d17c1a5322945e029a13291b02e7747bf5e8191c",
+            ),
         ],
         ids=[
             "stretched_log-1-1000",
@@ -339,6 +379,8 @@ class TestGoldenDigests:
             "squares_power-1/4-2000",
             "squares_power-1/3-300-1000bits",
             "squares_power-1/2-400-16bits",
+            "stretched_log-1-5000",
+            "squares_log-1-400",
         ],
     )
     def test_dump_digest(self, make, digest):

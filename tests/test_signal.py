@@ -188,6 +188,10 @@ class TestFromPairs:
         with pytest.raises(ValueError, match="duplicate"):
             Signal.from_pairs([(1, 1), (1, 2)])
 
+    def test_duplicate_index_rejected_before_zeros_drop(self):
+        with pytest.raises(ValueError, match="duplicate index 1"):
+            Signal.from_pairs([(1, 0), (1, F(-2))])
+
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             Signal.from_pairs([(0, 0.5)])
