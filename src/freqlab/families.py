@@ -6,8 +6,10 @@ takes, in argument order; `GeneratorSpec` and `generate` both read it.
 
 * ``squares_power(eps, cutoff)``: value 1/m**(1+eps) at index m**2 for
   1 <= m <= cutoff.  Exact whenever 1+eps is an integer; otherwise the
-  certified dyadic floor at `precision_bits` bits, which is an exact
-  shift when m = 2**a and a*(1+eps) is an integer.
+  dyadic floor at `precision_bits` bits.  When 1+eps = a/b with b = 2
+  or 4 that floor is computed exactly, as isqrt(2**(2 bits) // m**a) or
+  isqrt(isqrt(2**(4 bits) // m**a)); for any other b it is certified,
+  or an exact shift when m = 2**a and a*(1+eps) is an integer.
 * ``squares_log(eps, cutoff)``: value 1/(m * ln(m)**(1+eps/2)) at index
   m**2 for 10 <= m <= cutoff; values are certified dyadic floors.
 * ``stretched_log(eps, cutoff)``: the same values placed at the indices
@@ -22,7 +24,7 @@ takes, in argument order; `GeneratorSpec` and `generate` both read it.
   of `spike_pair` blocks translated to 4**size, giving unbounded jumps
   of the least maximizing radius between adjacent points.
 
-Logarithms are natural logarithms.  Each inexact value is a weight
+Logarithms are natural logarithms.  Every other inexact value is a weight
 2**precision_bits / (m * B**e), B = m for `squares_power` and ln(m) for
 the log families, with B**e from `dyadic.power`, on integer fixed-point
 enclosures (see `freqlab.dyadic`) that bound it from both sides and are
@@ -192,7 +194,15 @@ def squares_power(
             value = Fraction(1, m**num)
         else:
             a = m.bit_length() - 1
-            if m == 1 << a and a * num % den == 0:
+            if den in (2, 4):
+                # floor(y**(1/k)) = floor(floor(y)**(1/k)), so the floor of
+                # 2**bits / m**(num/den) is one or two integer square roots;
+                # m**num > 2**(den * bits) underflows without being built
+                big = a * num > den * precision_bits
+                scaled = 0 if big else isqrt((1 << den * precision_bits) // m**num)
+                if den == 4:
+                    scaled = isqrt(scaled)
+            elif m == 1 << a and a * num % den == 0:
                 # 2**precision_bits / m**exponent is an integer only here; certify cannot settle it
                 scaled = (1 << precision_bits) >> (a * num // den)
             else:

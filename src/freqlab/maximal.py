@@ -59,6 +59,12 @@ prune or to a certified tail:
 `analyze` is the kernel at one n; `frequency_values` runs it over
 chunks of a span, serially or on a process pool, and with a slope its
 workers drop every decided n and return (n, F) for the members only.
+A slope C > 1 also skips every n that cannot be a member without a
+walk: F(n) is 0, which needs f(n) != 0, or a distance |s - n| to a
+support point s, so a member has some s with |s - n| <= |n| / C.  For
+s > 0 those n form the interval [Cs/(C+1), Cs/(C-1)], for s < 0 its
+mirror, and for s = 0 only n = 0; `_candidate_spans` merges them once
+per scan, and only their points are cut into chunks.
 `frequency_profile` reads each maximal value off as the average at the
 frequency, which attains the supremum.
 
@@ -364,12 +370,15 @@ def frequency_values(
     With a slope C > 0 only the points with F(n) <= |n| / C are kept, as
     (n, F(n)) pairs: the decision exit of `_candidate_walk` rules every
     other n out without walking to the prune, and the worker drops it,
-    so the output grows with the members, not with the span.
+    so the output grows with the members, not with the span.  With
+    C > 1 only the points of `_candidate_spans` are walked at all.
 
-    Chunks of max(2048, ceil(points / (8 * threads))) points run on a
-    process pool when `_pool_size` allows more than one worker.  Each
-    task carries its chunk's data, so every start method gives the same
-    rows, and the chunks come back in index order, so the output is
+    The points walked are cut into chunks of max(2048, ceil(points /
+    (8 * threads))), a chunk possibly spanning several ranges, which run
+    on a process pool when `_pool_size` allows more than one worker.
+    Each worker gets the signal data once, when it starts, and each task
+    only its ranges and the slope, so every start method gives the same
+    rows; the chunks come back in index order, so the output is
     identical for any worker count.
 
     >>> delta = Signal.from_pairs([(0, 1)])
@@ -384,28 +393,87 @@ def frequency_values(
     p, q = (0, 1) if slope is None else (slope.numerator, slope.denominator)
     if f.is_zero:
         return [(n, 0) for n in range(span.lo, span.hi + 1)] if p else [0] * span.length
-    chunk = max(2048, -(-span.length // (8 * max(threads, 1))))
     data = (f.indices, f.scaled_values, f.scaled_prefix)
-    starts = range(span.lo, span.hi + 1, chunk)
-    tasks = [(*data, lo, min(lo + chunk - 1, span.hi), p, q) for lo in starts]
+    ranges = _candidate_spans(f.indices, span, p, q) if p > q else [(span.lo, span.hi)]
+    points = sum(hi - lo + 1 for lo, hi in ranges)
+    chunk = max(2048, -(-points // (8 * max(threads, 1))))
+    tasks = [(piece, p, q) for piece in _chunks(ranges, chunk)]
     workers = _pool_size(threads, len(tasks))
     if workers <= 1:
-        return [row for task in tasks for row in _frequencies(task)]
+        return _frequencies(*data, ranges, p, q)
     import multiprocessing  # only pooled scans pay for its import
-    with multiprocessing.Pool(workers) as pool:
+    with multiprocessing.Pool(workers, _hold, data) as pool:
         # imap hands the chunks back in order, one at a time, so each
         # chunk's list is freed once it is copied out
-        return [row for piece in pool.imap(_frequencies, tasks) for row in piece]
+        return [row for piece in pool.imap(_pooled, tasks) for row in piece]
 
 
-def _frequencies(task) -> list[int] | list[tuple[int, int]]:
-    """The frequency at every n in [lo, hi], or only the pairs (n, F) with
-    F <= |n| / (p/q) when p > 0: one chunk of a scan, task = (idx, sv,
-    prefix, lo, hi, p, q)."""
-    rows = _candidate_walk(*task)
-    if task[5]:
-        return [(n, row[2][0]) for n, row in enumerate(rows, task[3]) if row is not None]
-    return [row[2][0] for row in rows]
+def _candidate_spans(idx, span: IntegerInterval, p: int, q: int) -> list[tuple[int, int]]:
+    """The n in the span with |s - n| <= |n| / C for some s in `idx`, for a
+    slope C = p/q > 1, as merged (lo, hi) ranges in increasing order.
+
+    p |s - n| <= q |n| holds for s > 0 exactly when ps/(p+q) <= n <=
+    ps/(p-q), for s < 0 when ps/(p-q) <= n <= ps/(p+q), and for s = 0
+    when n = 0.  Both ends grow with s, so the ranges come in order.
+    """
+    ranges: list[tuple[int, int]] = []
+    for s in idx:
+        low, high = (p + q, p - q) if s >= 0 else (p - q, p + q)
+        lo, hi = max(-(-p * s // low), span.lo), min(p * s // high, span.hi)
+        if lo > hi:
+            continue
+        if ranges and lo <= ranges[-1][1] + 1:
+            ranges[-1] = (ranges[-1][0], hi)
+        else:
+            ranges.append((lo, hi))
+    return ranges
+
+
+def _chunks(ranges: list[tuple[int, int]], chunk: int) -> list[list[tuple[int, int]]]:
+    """The ranges cut into pieces of `chunk` points each, only the last
+    piece holding fewer; a piece is a list of (lo, hi) ranges."""
+    pieces: list[list[tuple[int, int]]] = []
+    piece: list[tuple[int, int]] = []
+    room = chunk
+    for lo, hi in ranges:
+        while lo <= hi:
+            end = min(hi, lo + room - 1)
+            piece.append((lo, end))
+            room -= end - lo + 1
+            lo = end + 1
+            if not room:
+                pieces.append(piece)
+                piece, room = [], chunk
+    if piece:
+        pieces.append(piece)
+    return pieces
+
+
+def _frequencies(idx, sv, prefix, ranges, p: int, q: int) -> list[int] | list[tuple[int, int]]:
+    """The frequency at every n of the ranges, in order, or only the pairs
+    (n, F) with F <= |n| / (p/q) when p > 0: one walk per range."""
+    rows: list = []
+    for lo, hi in ranges:
+        walk = _candidate_walk(idx, sv, prefix, lo, hi, p, q)
+        if p:
+            rows += [(n, row[2][0]) for n, row in enumerate(walk, lo) if row is not None]
+        else:
+            rows += [row[2][0] for row in walk]
+    return rows
+
+
+_signal: tuple = ()  # a pool worker's (idx, sv, prefix), set by `_hold` when it starts
+
+
+def _hold(*data) -> None:
+    """Pool initializer: keep the signal data for every task of this worker."""
+    global _signal
+    _signal = data
+
+
+def _pooled(task) -> list[int] | list[tuple[int, int]]:
+    """One chunk of a pooled scan, task = (ranges, p, q), on the worker's signal."""
+    return _frequencies(*_signal, *task)
 
 
 def _pool_size(threads: int, chunks: int) -> int:

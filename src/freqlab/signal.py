@@ -37,6 +37,8 @@ FORMAT_MAGIC = "#freqlab-signal v1"
 # plain ASCII decimal integers only: int() is laxer (underscores,
 # unicode digits) than a wire format should be
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+# a well-formed signal entry line, denominator positive, in one match
+_ENTRY_RE = re.compile(r"\s*([+-]?[0-9]+)\s+([+-]?[0-9]+)/(\+?0*[1-9][0-9]*)\s*")
 
 
 def parse_strict_int(text: str) -> int:
@@ -371,24 +373,18 @@ def parse_signal(text: str) -> Signal:
     pairs: list[tuple[int, Fraction]] = []
     previous_index: int | None = None
     for number, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise SignalFormatError(
-                f"line {number}: expected '<index> <numerator>/<denominator>', got {raw!r}"
-            )
-        try:
-            index = parse_strict_int(fields[0])
-        except ValueError:
-            raise SignalFormatError(f"line {number}: bad index {fields[0]!r}") from None
-        if "/" not in fields[1]:
-            raise SignalFormatError(f"line {number}: value {fields[1]!r} is not in p/q form")
-        try:
-            value = parse_rational(fields[1])
-        except ValueError as exc:
-            raise SignalFormatError(f"line {number}: {exc}") from None
+        match = _ENTRY_RE.fullmatch(raw)
+        entry = None
+        if match is not None:
+            try:
+                entry = int(match[1]), Fraction(int(match[2]), int(match[3]))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                pass
+        if entry is None:
+            entry = _checked_entry(number, raw)
+            if entry is None:  # blank or comment
+                continue
+        index, value = entry
         if previous_index is not None and index <= previous_index:
             raise SignalFormatError(
                 f"line {number}: indices must be strictly increasing"
@@ -397,6 +393,30 @@ def parse_signal(text: str) -> Signal:
         previous_index = index
         pairs.append((index, value))
     return Signal.from_pairs(pairs)
+
+
+def _checked_entry(number: int, raw: str) -> tuple[int, Fraction] | None:
+    """Line `number` of a signal file, checked piece by piece: None for a
+    blank or comment line, (index, value) for an entry, and otherwise a
+    SignalFormatError naming what is wrong with it."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    fields = line.split()
+    if len(fields) != 2:
+        raise SignalFormatError(
+            f"line {number}: expected '<index> <numerator>/<denominator>', got {raw!r}"
+        )
+    try:
+        index = parse_strict_int(fields[0])
+    except ValueError:
+        raise SignalFormatError(f"line {number}: bad index {fields[0]!r}") from None
+    if "/" not in fields[1]:
+        raise SignalFormatError(f"line {number}: value {fields[1]!r} is not in p/q form")
+    try:
+        return index, parse_rational(fields[1])
+    except ValueError as exc:
+        raise SignalFormatError(f"line {number}: {exc}") from None
 
 
 def write_signal(f: Signal, path, metadata: Iterable[str] = ()) -> None:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -77,7 +78,9 @@ class TestSquaresPower:
 
     @pytest.mark.parametrize("bits", [1, 2, 5, 16, 96, 128, 1000])
     @pytest.mark.parametrize(
-        "epsilon", [F(1, 4), F(1, 3), F(1, 2), F(3, 11), F(7, 8), F(5, 3), F(9, 2)], ids=str
+        "epsilon",
+        [F(1, 4), F(1, 3), F(1, 2), F(3, 11), F(7, 8), F(5, 3), F(9, 2), F(3, 4), F(9, 4)],
+        ids=str,
     )
     def test_one_sided_error(self, epsilon, bits):
         # at 1/4 the range holds m = 16 and 256, where 2**bits * m**(-5/4) is an integer
@@ -93,6 +96,24 @@ class TestSquaresPower:
         if last < 300:
             with pytest.raises(ValueError, match=re.escape(f"1/{last + 1}**({p}/{q}) underflows")):
                 squares_power(epsilon, last + 1, precision_bits=bits)
+
+    @pytest.mark.parametrize("epsilon", [F(10**9 + 1, 2), F(10**9 + 1, 4)], ids=str)
+    def test_root_route_underflow_builds_no_power(self, epsilon):
+        # 2**(1 + epsilon) has about 5 * 10**8 bits; 2**128 / it floors to 0 unbuilt
+        exponent = 1 + epsilon
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(f"1/2**({exponent}) underflows 128")):
+            squares_power(epsilon, 3)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("epsilon", [F(1, 2), F(3, 4)], ids=str)
+    def test_root_route_at_the_precision_cap(self, epsilon):
+        bits = dyadic.MAX_PRECISION
+        p, q = (1 + epsilon).numerator, (1 + epsilon).denominator
+        f = squares_power(epsilon, 5, precision_bits=bits)
+        for m in range(1, 6):
+            t = (f.value_at(m * m) * (1 << bits)).numerator
+            assert t**q * m**p <= 2 ** (q * bits) < (t + 1) ** q * m**p
 
     @pytest.mark.parametrize("m", [2, 3, 10, 255, 1000])
     @pytest.mark.parametrize("epsilon", [F(1, 1000), F(1, 100000)], ids=str)

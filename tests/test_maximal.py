@@ -11,6 +11,7 @@ import pytest
 import freqlab.maximal as maximal
 from freqlab.families import composite_jump, spike_pair, stretched_log
 from freqlab.maximal import (
+    _candidate_spans,
     _pool_size,
     analyze,
     analyze_brute_force,
@@ -261,14 +262,42 @@ class TestFrequencyProfile:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True\n"
 
+    @pytest.mark.parametrize("method", ["spawn", "forkserver", "fork"])
+    def test_pooled_slope_scan_matches_serial(self, method):
+        # a mixed-sign support whose candidates on either side of 0 make
+        # three chunks, so the pool runs; each worker gets the signal once
+        code = (
+            "import multiprocessing, os\n"
+            "from fractions import Fraction\n"
+            "from freqlab.maximal import frequency_values\n"
+            "from freqlab.signal import IntegerInterval, Signal\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "os.cpu_count = lambda: 2\n"
+            "f = Signal.from_pairs([(s * i * i, Fraction(1, i)) for i in range(1, 40)"
+            " for s in (-1, 1)])\n"
+            "span = IntegerInterval(-3000, 3000)\n"
+            "slope = Fraction(3, 2)\n"
+            "print(frequency_values(f, span, threads=2, slope=slope)"
+            " == frequency_values(f, span, slope=slope))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
+
 
 class FakePool:
-    """Stands in for multiprocessing.Pool: records its size, runs in process."""
+    """Stands in for multiprocessing.Pool: records its size and tasks, and
+    runs the initializer and every task in process."""
 
     sizes: list[int] = []
+    tasks: list = []
 
-    def __init__(self, processes):
+    def __init__(self, processes, initializer=None, initargs=()):
         FakePool.sizes.append(processes)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -277,7 +306,8 @@ class FakePool:
         return False
 
     def imap(self, func, tasks):
-        return map(func, tasks)
+        FakePool.tasks = list(tasks)
+        return map(func, FakePool.tasks)
 
 
 class TestChunkRule:
@@ -285,7 +315,7 @@ class TestChunkRule:
     def fake_pool(self, monkeypatch):
         import multiprocessing
 
-        FakePool.sizes = []
+        FakePool.sizes, FakePool.tasks = [], []
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -305,6 +335,29 @@ class TestChunkRule:
         assert FakePool.sizes == [2]
         assert pooled == frequency_values(self.SIGNAL, span)
         assert FakePool.sizes == [2]
+
+    def test_scattered_candidates_fill_whole_chunks(self):
+        # 500 spikes, each with its own short range of candidates: the
+        # tasks still number ceil(candidates / chunk), each full but the last
+        f = Signal.from_pairs([(1000 * k, F(1, k)) for k in range(1, 501)])
+        span, slope = IntegerInterval(-600_000, 600_000), F(5 * 10**4)
+        ranges = _candidate_spans(f.indices, span, slope.numerator, slope.denominator)
+        points = sum(hi - lo + 1 for lo, hi in ranges)
+        assert len(ranges) == 500 and 2 * 2048 < points < 16 * 2048
+        pooled = frequency_values(f, span, threads=2, slope=slope)
+        assert FakePool.sizes == [2]
+        assert len(FakePool.tasks) == -(-points // 2048)
+        walked = [[n for lo, hi in task[0] for n in range(lo, hi + 1)] for task in FakePool.tasks]
+        assert [len(piece) for piece in walked[:-1]] == [2048] * (len(walked) - 1)
+        assert sum(walked, []) == [n for lo, hi in ranges for n in range(lo, hi + 1)]
+        assert pooled == frequency_values(f, span, slope=slope)
+
+    def test_no_negative_point_reaches_the_pool_of_a_positive_support(self):
+        span = IntegerInterval(-3000, 3000)
+        pooled = frequency_values(self.SIGNAL, span, threads=2, slope=F(2))
+        assert FakePool.sizes == [2]
+        assert min(lo for task in FakePool.tasks for lo, _ in task[0]) == 1
+        assert pooled == frequency_values(self.SIGNAL, span, slope=F(2))
 
 
 class TestPoolSize:

@@ -14,6 +14,7 @@ import freqlab.maximal as maximal
 from freqlab.levelsets import LEVELSET_MODES, LevelParams, census_members
 from freqlab.maximal import (
     BilinearFrequencyResult,
+    _candidate_spans,
     _candidate_walk,
     analyze,
     analyze_brute_force,
@@ -205,6 +206,45 @@ def test_frequency_values_with_a_slope_split_anywhere(f, ratio, lo, width, cut):
     assert _walk_values(f, ratio, lo, cut - 1) + _walk_values(f, ratio, cut, hi) == whole
     members = [(n, fr) for n, fr in zip(range(lo, hi + 1), whole) if fr is not None]
     assert frequency_values(f, IntegerInterval(lo, hi), slope=ratio) == members
+
+
+# The slopes whose candidate spans are checked point by point.
+span_slopes = st.sampled_from(
+    [Fraction(1001, 1000), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(10**6)]
+)
+# Slopes C <= 1, for which a scan walks its whole span.
+gentle_slopes = st.sampled_from([Fraction(1), Fraction(999, 1000), Fraction(1, 2), Fraction(2, 7)])
+
+
+@DETERMINISTIC
+@given(census_signals, span_slopes, st.integers(-100, 100), st.integers(0, 200))
+@example(GRID, Fraction(7, 3), -60, 120)  # mixed signs and a support point at 0
+@example(TRIO, Fraction(10**6), -5, 10)  # n = -1, 0, 1 only
+@example(FAR, Fraction(2), -200, 400)  # support right of 0 only
+@example(SPREAD, Fraction(1001, 1000), -100, 200)
+def test_candidate_spans_are_the_points_near_the_support(f, ratio, lo, width):
+    # Exactly the n of the span with p |s - n| <= q |n| for some s, as
+    # increasing ranges with at least one point between two of them.
+    p, q = ratio.numerator, ratio.denominator
+    span = IntegerInterval(lo, lo + width)
+    ranges = _candidate_spans(f.indices, span, p, q)
+    near = [
+        n for n in range(span.lo, span.hi + 1)
+        if any(p * abs(s - n) <= q * abs(n) for s in f.indices)
+    ]
+    assert [n for a, b in ranges for n in range(a, b + 1)] == near
+    assert all(a <= b for a, b in ranges)
+    assert all(left[1] + 1 < right[0] for left, right in zip(ranges, ranges[1:]))
+
+
+@DETERMINISTIC
+@given(census_signals, gentle_slopes, st.integers(0, 60))
+@example(PLATEAU, Fraction(1), 60)
+@example(FAR, Fraction(1, 2), 60)  # support right of every n
+@example(SQUARES, Fraction(999, 1000), 200)
+def test_frequency_values_with_a_slope_at_most_one_decide_exactly(f, ratio, n_max):
+    decided = frequency_values(f, IntegerInterval(-n_max, n_max), slope=ratio)
+    assert decided == _members_brute_force(f, ratio, n_max)
 
 
 @DETERMINISTIC

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqlab.signal import (
@@ -11,6 +11,7 @@ from freqlab.signal import (
     IntegerInterval,
     Signal,
     SignalFormatError,
+    _checked_entry,
     dump_signal,
     format_int,
     format_rational,
@@ -325,6 +326,28 @@ class TestTextFormat:
     def test_underscored_index_rejected(self):
         with pytest.raises(SignalFormatError, match="bad index"):
             parse_signal(FORMAT_MAGIC + "\n1_000 1/2\n")
+
+    @DETERMINISTIC
+    @given(st.text(alphabet="0129+-/ \t#x_\u00a0\u0660", max_size=14))
+    @example(" +5\t-04/+02 ")
+    @example("5 1/0")
+    @example("5 1/-2")
+    @example("5 1/+0")
+    @example("5 1/2/3")
+    @example("5 1")
+    @example("\u00a05 1/2\u00a0")
+    def test_one_match_agrees_with_the_checks(self, line):
+        # A line gives the same entry, skip or message whether or not it
+        # matches the entry pattern at once.
+        try:
+            entry = _checked_entry(2, line)
+        except SignalFormatError as exc:
+            with pytest.raises(SignalFormatError) as raised:
+                parse_signal(f"{FORMAT_MAGIC}\n{line}\n")
+            assert str(raised.value) == str(exc)
+        else:
+            expected = Signal.from_pairs([] if entry is None else [entry])
+            assert parse_signal(f"{FORMAT_MAGIC}\n{line}\n") == expected
 
     def test_file_round_trip(self, tmp_path):
         f = Signal.from_pairs([(i * i, F(1, i)) for i in range(1, 20)])
