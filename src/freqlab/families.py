@@ -29,7 +29,7 @@ Logarithms are natural logarithms.  Every other inexact value is a weight
 the log families, with B**e from `dyadic.power`, on integer fixed-point
 enclosures (see `freqlab.dyadic`) that bound it from both sides and are
 refined until its floor or ceiling is pinned down.  Sizes, cutoffs and
-`precision_bits` must be integers (`operator.index`), and
+`precision_bits` must be integers (`signal.exact_int`), and
 `precision_bits` must lie in 1..dyadic.MAX_PRECISION.  Dyadic
 approximation always rounds toward zero, so regenerating with more
 precision bits never decreases a value.
@@ -37,13 +37,13 @@ precision bits never decreases a value.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import isqrt
 
 from . import dyadic
 from .dyadic import Enclosure, ceil_dyadic, certify, floor_dyadic, ln_int, power
-from .signal import Record, Signal, exact_fraction, format_int, format_number, format_rational
+from .signal import Record, Signal, exact_fraction, exact_int
+from .signal import format_int, format_number, format_rational
 
 _OPTIONAL = ("precision_bits",)
 DEFAULT_PRECISION_BITS = 128
@@ -90,7 +90,7 @@ class GeneratorSpec(Record):
         if epsilon is not None:
             epsilon = exact_fraction(epsilon, "epsilon")
         cutoff, size, precision_bits = (
-            value if value is None else _integer(value, field)
+            value if value is None else exact_int(value, field)
             for field, value in zip(self.__slots__[2:], (cutoff, size, precision_bits))
         )
         super().__init__(family, epsilon, cutoff, size, precision_bits)
@@ -132,14 +132,6 @@ def metadata_lines(spec: GeneratorSpec) -> list[str]:
     return lines
 
 
-def _integer(value: int, name: str) -> int:
-    """operator.index(value), refusing a non-integer by the argument's name."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _checked_args(
     epsilon: Fraction, cutoff: int, least: int, precision_bits: int
 ) -> tuple[Fraction, int, int]:
@@ -149,13 +141,13 @@ def _checked_args(
     epsilon = exact_fraction(epsilon, "epsilon")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {format_number(epsilon)}")
-    precision_bits = _integer(precision_bits, "precision_bits")
+    precision_bits = exact_int(precision_bits, "precision_bits")
     if not 1 <= precision_bits <= dyadic.MAX_PRECISION:
         raise ValueError(
             f"precision_bits must be in 1..{dyadic.MAX_PRECISION} (dyadic.MAX_PRECISION), "
             f"got {format_int(precision_bits)}"
         )
-    cutoff = _integer(cutoff, "cutoff")
+    cutoff = exact_int(cutoff, "cutoff")
     if cutoff < least:
         raise ValueError(f"cutoff must be at least {least}; support would be empty")
     return epsilon, cutoff, precision_bits
@@ -255,9 +247,9 @@ def stretched_log(
     """Value 1/(m * ln(m)**(1 + eps/2)) at index ceil(m * ln(m)**(1 + eps)).
 
     Index ceilings and values are certified from integer enclosures, both
-    from one build per m that encloses ln(m) once; should two
-    distinct m ever land on the same index the collision is rejected
-    rather than silently merged.
+    from one build per m that encloses ln(m) once.  Distinct m never share
+    an index: for m >= 10, m * ln(m)**(1 + eps) grows by more than
+    ln(10) > 1 per step, so the ceilings strictly increase.
 
     >>> stretched_log(Fraction(1), 10).indices  # ceil(10 * ln(10)**2 = 53.02...)
     (54,)
@@ -268,18 +260,12 @@ def stretched_log(
     index_exponent = 1 + epsilon
     value_exponent = 1 + epsilon / 2
     pairs = []
-    previous = None
     for m in range(_MIN_LOG_INDEX, cutoff + 1):
         index, scaled = certify(
             lambda p: _member_enclosures(m, index_exponent, precision_bits, p),
             (ceil_dyadic, floor_dyadic),
             precision_bits,
         )
-        if previous is not None and index <= previous:
-            raise ValueError(
-                f"index collision: m={m} lands on {index}, not past {previous}"
-            )
-        previous = index
         pairs.append((index, _dyadic_value(scaled, precision_bits, _LOG_TERM, m, value_exponent)))
     return Signal.from_pairs(pairs)
 
@@ -290,7 +276,7 @@ def spike_pair(size: int) -> Signal:
     >>> spike_pair(100).indices
     (-300, 0, 300)
     """
-    size = _integer(size, "size")
+    size = exact_int(size, "size")
     if size < _MIN_SPIKE_SIZE:
         raise ValueError(f"size must be at least {_MIN_SPIKE_SIZE}, got {format_int(size)}")
     return Signal.from_pairs(
@@ -305,7 +291,7 @@ def composite_jump(min_size: int, max_size: int) -> Signal:
     2**-C at index 4**C and 2*C * 2**-C at indices 4**C +- 3*C.  Blocks
     never overlap because consecutive translates are a factor 4 apart.
     """
-    min_size, max_size = _integer(min_size, "min_size"), _integer(max_size, "max_size")
+    min_size, max_size = exact_int(min_size, "min_size"), exact_int(max_size, "max_size")
     if min_size < _MIN_SPIKE_SIZE:
         raise ValueError(
             f"min_size must be at least {_MIN_SPIKE_SIZE}, got {format_int(min_size)}"

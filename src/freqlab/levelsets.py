@@ -40,7 +40,8 @@ from fractions import Fraction
 
 from .dyadic import Enclosure, certify, floor_dyadic, ln_int, power
 from .maximal import frequency_values
-from .signal import IntegerInterval, Record, Signal, exact_fraction, format_int, format_number
+from .signal import IntegerInterval, Record, Signal, exact_fraction, exact_int
+from .signal import format_int, format_number
 
 LEVELSET_MODES = ("K", "S", "theta-zero")
 
@@ -99,6 +100,7 @@ def census_members(
     >>> census_members(Signal.from_pairs([(0, 1)]), LevelParams(2), 100)
     ([0], [0])
     """
+    n_max = exact_int(n_max, "n_max")
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {format_int(n_max)}")
     p = params.ratio.numerator
@@ -128,6 +130,8 @@ def log_density_string(count: int, n_value: int, epsilon: Fraction) -> str:
     decimal places.  Diagnostic output only; never feeds a membership
     decision.
     """
+    count, n_value = exact_int(count, "count"), exact_int(n_value, "n_value")
+    epsilon = exact_fraction(epsilon, "epsilon")
     if count < 0 or n_value < 1:
         raise ValueError("count must be >= 0 and N >= 1")
     if count == 0 or n_value == 1:  # ln(1) = 0
@@ -149,9 +153,12 @@ def density_curves(
     """Counts and density diagnostics for every N in an increasing grid.
 
     A single frequency scan up to max(n_grid) feeds all grid points.
-    The density and log-density columns track ``count_S`` under mode
-    "S" and ``count_K`` otherwise.
+    The zero signal needs none: F is identically 0, so every n of
+    [-N, N] counts in ``count_K`` in every mode and only n = 0 in
+    ``count_S``.  The density and log-density columns track ``count_S``
+    under mode "S" and ``count_K`` otherwise.
     """
+    n_grid = [exact_int(n, f"n_grid[{k}]") for k, n in enumerate(n_grid)]
     if not n_grid:
         raise ValueError("empty N grid")
     if any(n < 1 for n in n_grid):
@@ -159,18 +166,15 @@ def density_curves(
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("grid must be strictly increasing")
 
-    members_k, members_s = census_members(f, params, n_grid[-1], threads)
-
-    def window_count(members: list[int], n_value: int) -> int:
-        return bisect_right(members, n_value) - bisect_left(members, -n_value)
-
-    counts_k, counts_s = [], []
+    if f.is_zero:
+        counts_k, counts_s = [2 * n + 1 for n in n_grid], [1] * len(n_grid)
+    else:
+        counts_k, counts_s = (
+            [bisect_right(members, n) - bisect_left(members, -n) for n in n_grid]
+            for members in census_members(f, params, n_grid[-1], threads)
+        )
     densities, log_densities = [], []
-    for n_value in n_grid:
-        c_k = window_count(members_k, n_value)
-        c_s = window_count(members_s, n_value)
-        counts_k.append(c_k)
-        counts_s.append(c_s)
+    for c_k, c_s, n_value in zip(counts_k, counts_s, n_grid):
         source = c_s if params.mode == "S" else c_k
         densities.append(Fraction(source, n_value))
         log_densities.append(log_density_string(source, n_value, params.epsilon))

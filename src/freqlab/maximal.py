@@ -96,13 +96,13 @@ independent oracles: they bucket each term by its distance from n and
 
 from __future__ import annotations
 
-import operator
 import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 
-from .signal import IntegerInterval, Record, Signal, exact_fraction, format_int, format_number
+from .signal import IntegerInterval, Record, Signal, exact_fraction, exact_int
+from .signal import format_int, format_number
 
 
 class FrequencyResult(Record):
@@ -136,7 +136,7 @@ def average(f: Signal, n: int, r: int) -> Fraction:
     >>> average(Signal.from_pairs([(0, 1)]), 0, 1)
     Fraction(1, 3)
     """
-    n, r = operator.index(n), operator.index(r)
+    n, r = exact_int(n, "n"), exact_int(r, "r")
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {format_int(r)}")
     return Fraction(f.window_sum_scaled(n - r, n + r), f.scale * (2 * r + 1))
@@ -150,7 +150,7 @@ def radius_bound(f: Signal, n: int) -> int:
     divides the same mass by a larger count.  Raises ValueError for the
     zero signal, whose attaining set is every radius.
     """
-    n = operator.index(n)
+    n = exact_int(n, "n")
     hull = f.support_hull()
     if hull is None:
         raise ValueError("zero signal: the attaining set is unbounded")
@@ -300,6 +300,7 @@ def analyze(f: Signal, n: int) -> FrequencyResult:
     >>> analyze(Signal.from_pairs([(0, 1)]), 7)
     FrequencyResult(maximal_value=Fraction(1, 15), extremal_radii=(7,), frequency=7, zero_signal=False)
     """
+    n = exact_int(n, "n")
     if f.is_zero:
         return FrequencyResult(Fraction(0), None, 0, zero_signal=True)
     walk = _candidate_walk(f.indices, f.scaled_values, f.scaled_prefix, n, n)
@@ -358,8 +359,9 @@ def frequency_profile(
     The frequency F attains the supremum, so the maximal value is the
     average at radius F; the frequencies come from `frequency_values`.
     """
-    freqs = frequency_values(f, span, threads)
-    return [(n, average(f, n, fr), fr) for n, fr in zip(range(span.lo, span.hi + 1), freqs)]
+    window, scale = f.window_sum_scaled, f.scale
+    rows = zip(range(span.lo, span.hi + 1), frequency_values(f, span, threads))
+    return [(n, Fraction(window(n - fr, n + fr), scale * (2 * fr + 1)), fr) for n, fr in rows]
 
 
 def frequency_values(
@@ -387,6 +389,7 @@ def frequency_values(
     >>> frequency_values(delta, IntegerInterval(-2, 2), slope=Fraction(2))
     [(0, 0)]
     """
+    threads = exact_int(threads, "threads")
     slope = None if slope is None else exact_fraction(slope, "slope")
     if slope is not None and slope <= 0:
         raise ValueError(f"slope must be positive, got {format_number(slope)}")
@@ -489,7 +492,7 @@ def bilinear_average(f: Signal, g: Signal, n: int, r: int) -> Fraction:
 
     The window at radius r holds exactly the product terms with |k| <= r.
     """
-    n, r = operator.index(n), operator.index(r)
+    n, r = exact_int(n, "n"), exact_int(r, "r")
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {format_int(r)}")
     total = sum(v for d, v in _bilinear_terms(f, g, n).items() if d <= r)
@@ -523,7 +526,7 @@ def bilinear_analyze(f: Signal, g: Signal, n: int) -> BilinearFrequencyResult:
     lies in both supports, `_only_zero_attains` first tries to certify
     E = {0} without assembling the terms.
     """
-    n = operator.index(n)
+    n = exact_int(n, "n")
     if n in f.position and n in g.position:
         t0 = f.scaled_value_at(n) * g.scaled_value_at(n)
         if _only_zero_attains(f, g, n, t0):

@@ -78,6 +78,14 @@ def format_number(value: int | Fraction) -> str:
         return format_int(value.numerator) if value.denominator == 1 else format_rational(value)
 
 
+def exact_int(value: int, name: str) -> int:
+    """operator.index(value), refusing a non-integer by the argument's name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def exact_fraction(value: int | Fraction | str, name: str) -> Fraction:
     """`parse_rational` of a string, Fraction(value) of an int or a Fraction;
     a float is refused, as its binary value is rarely the number meant."""
@@ -200,7 +208,7 @@ class IntegerInterval(Record):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: int, hi: int):
-        lo, hi = operator.index(lo), operator.index(hi)
+        lo, hi = exact_int(lo, "lo"), exact_int(hi, "hi")
         if lo > hi:
             raise ValueError(f"empty interval: lo={format_int(lo)} > hi={format_int(hi)}")
         super().__init__(lo, hi)
@@ -238,16 +246,12 @@ class Signal:
     def __init__(self, pairs: Iterable[tuple[int, Fraction | int]] = ()):
         cleaned: list[tuple[int, Fraction]] = []
         for index, value in pairs:
+            index = exact_int(index, "index")
             if not isinstance(value, Fraction):
-                if isinstance(value, float):
-                    raise TypeError(
-                        f"float value {value!r} at index {format_int(index)}:"
-                        " signal values must be exact rationals"
-                    )
-                value = exact_fraction(value, "value")
+                value = exact_fraction(value, f"value at index {format_int(index)}")
             if value.numerator < 0:
                 value = -value
-            cleaned.append((operator.index(index), value))
+            cleaned.append((index, value))
         cleaned.sort(key=lambda item: item[0])
         for (a, _), (b, _) in zip(cleaned, cleaned[1:]):
             if a == b:

@@ -4,7 +4,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
+import freqlab.levelsets as levelsets
 from freqlab.families import spike_pair, squares_power, stretched_log
 from freqlab.levelsets import (
     CENSUS_CSV_HEADER,
@@ -169,6 +171,41 @@ class TestDensityCurves:
         census = density_curves(ZERO, TWO, [10, 100])
         assert census.counts_sublinear == (21, 201)
         assert census.densities == (F(21, 10), F(201, 100))
+
+    @pytest.mark.parametrize("mode", LEVELSET_MODES)
+    def test_zero_signal_counts_match_the_scan(self, mode):
+        # F is identically 0: count_K = 2N + 1 and count_S = 1, with no scan
+        params = LevelParams(F(2), mode=mode)
+        grid = [1, 2, 7, 50, 100]
+        members_k, members_s = census_members(ZERO, params, 100)
+        census = density_curves(ZERO, params, grid)
+        for members, counts in ((members_k, census.counts_sublinear),
+                                (members_s, census.counts_band)):
+            assert counts == tuple(sum(abs(n) <= n_value for n in members) for n_value in grid)
+        source = census.counts_band if mode == "S" else census.counts_sublinear
+        assert census.densities == tuple(F(c, n_value) for c, n_value in zip(source, grid))
+
+    def test_zero_signal_census_at_scale_needs_no_scan(self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("the zero-signal census ran a frequency scan")
+
+        monkeypatch.setattr(levelsets, "frequency_values", spy)
+        n_value = 10**12
+        tracemalloc.start()
+        try:
+            census = density_curves(ZERO, TWO, [10, n_value])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        assert census.counts_sublinear == (21, 2 * n_value + 1)
+        assert census.counts_band == (1, 1)
+        assert census.densities == (F(21, 10), F(2 * n_value + 1, n_value))
+        # (2N + 1) ln(N)**(1 + eps) / N at eps = 1, truncated to 20 places
+        with mp.workdps(60):
+            exact = (2 * n_value + 1) * mp.log(n_value) ** 2 / n_value
+            digits = int(mp.floor(exact * 10**20))
+        assert census.log_densities[1] == f"{digits // 10**20}.{digits % 10**20:020d}"
 
     def test_grid_validated(self):
         with pytest.raises(ValueError):

@@ -60,9 +60,10 @@ class TestAverage:
     @pytest.mark.parametrize("n,r", [(0.5, 1), (1, F(1, 2)), (1.0, 1), (1, 1.0)])
     def test_non_integer_point_or_radius_rejected(self, n, r):
         f = spike_pair(100)
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        message = f"^{'r' if type(n) is int else 'n'} must be an integer, got "
+        with pytest.raises(TypeError, match=message):
             average(f, n, r)
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        with pytest.raises(TypeError, match=message):
             bilinear_average(f, f, n, r)
 
     def test_l1_bound(self):
@@ -88,9 +89,9 @@ class TestRadiusBound:
     def test_non_integer_point_rejected(self, n):
         f = spike_pair(100)
         for call in (radius_bound, analyze):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            with pytest.raises(TypeError, match="^n must be an integer, got "):
                 call(f, n)
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        with pytest.raises(TypeError, match="^n must be an integer, got "):
             bilinear_analyze(f, f, n)
 
     def test_bound_contains_every_extremal_radius(self):
@@ -228,21 +229,13 @@ class TestFrequencyProfile:
             TWO_POINT, span, slope=F(2)
         )
 
-    @pytest.mark.parametrize(
-        ("method", "slope"),
-        [
-            pytest.param("spawn", None, id="spawn"),
-            pytest.param("forkserver", None, id="forkserver"),
-            pytest.param("spawn", F(3, 2), id="spawn-slope"),
-            pytest.param("forkserver", F(3, 2), id="forkserver-slope"),
-            pytest.param("fork", F(3, 2), id="fork-slope"),
-        ],
-    )
-    def test_spawned_workers_match_serial(self, method, slope):
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_spawned_workers_match_serial(self, method):
         # the pool takes the default start method, set here; spawn and
         # forkserver workers share no memory with the parent and get the
-        # signal data (and the slope's p and q) with each task; with a slope
-        # each of the two chunks carries its own witness
+        # signal data once, when they start, and each task only its ranges;
+        # the 2,401 points make two chunks, so two workers run.  Pooled
+        # slope scans are covered by test_pooled_slope_scan_matches_serial
         code = (
             "import multiprocessing, os\n"
             "from fractions import Fraction\n"
@@ -253,9 +246,7 @@ class TestFrequencyProfile:
             "os.cpu_count = lambda: 2\n"
             "f = Signal.from_pairs([(i * i, Fraction(1, i)) for i in range(1, 40)])\n"
             "span = IntegerInterval(-1200, 1200)\n"
-            f"slope = {slope!r}\n"
-            "print(frequency_values(f, span, threads=2, slope=slope)"
-            " == frequency_values(f, span, slope=slope))\n"
+            "print(frequency_values(f, span, threads=2) == frequency_values(f, span))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120)

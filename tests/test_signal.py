@@ -156,7 +156,8 @@ class TestIntegerInterval:
 
     @pytest.mark.parametrize("lo,hi", [(0.5, 2.5), (0, 2.0), (F(1, 2), 3)])
     def test_non_integer_ends_rejected(self, lo, hi):
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        message = f"^{'hi' if type(lo) is int else 'lo'} must be an integer, got "
+        with pytest.raises(TypeError, match=message):
             IntegerInterval(lo, hi)
 
 
@@ -207,7 +208,8 @@ class TestFromPairs:
     def test_messages_quote_indices_past_the_str_limit(self):
         with pytest.raises(ValueError, match="duplicate index"):
             Signal.from_pairs([(4**7200, 1), (4**7200, 2)])
-        with pytest.raises(TypeError, match="float value 0.5 at index"):
+        message = "^value at index [0-9]+ must be an exact rational, got float 0.5$"
+        with pytest.raises(TypeError, match=message):
             Signal.from_pairs([(4**7200, 0.5)])
 
     @pytest.mark.parametrize("index", [2.5, 2.0, "7", F(2)], ids=repr)
