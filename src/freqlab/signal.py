@@ -87,11 +87,18 @@ def exact_int(value: int, name: str) -> int:
 
 
 def exact_fraction(value: int | Fraction | str, name: str) -> Fraction:
-    """`parse_rational` of a string, Fraction(value) of an int or a Fraction;
-    a float is refused, as its binary value is rarely the number meant."""
+    """`parse_rational` of a string, Fraction(value) of an int, a Fraction or
+    a Decimal; a float is refused, as its binary value is rarely the number
+    meant, and so is whatever Fraction() refuses, by a TypeError naming `name`."""
     if isinstance(value, float):
         raise TypeError(f"{name} must be an exact rational, got float {value!r}")
-    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    try:
+        return Fraction(value)
+    except TypeError:
+        kind = type(value).__name__
+        raise TypeError(f"{name} must be an exact rational, got {kind} {value!r}") from None
 
 
 class SignalFormatError(ValueError):

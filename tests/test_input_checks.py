@@ -1,9 +1,10 @@
 """Every public entry refuses a non-integer where an integer is due, and a
-float where an exact rational is due, with a TypeError whose message
-starts with the argument's name (`signal.exact_int` and
-`signal.exact_fraction`)."""
+float or any other inexact value where an exact rational is due, with a
+TypeError whose message starts with the argument's name (`signal.exact_int`
+and `signal.exact_fraction`)."""
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,20 @@ def test_non_integer_refused_by_name(name, call, value):
 def test_float_refused_by_name(name, call):
     with pytest.raises(TypeError, match=rf"^{name}\b.* must be an exact rational, got float 0.5$"):
         call(0.5)
+
+
+def test_what_fraction_refuses_is_refused_by_name():
+    message = r"^value at index 1 must be an exact rational, got NoneType None$"
+    with pytest.raises(TypeError, match=message):
+        Signal.from_pairs([(1, None)])
+    with pytest.raises(TypeError, match=r"^ratio must be an exact rational, got complex 1j$"):
+        LevelParams(1j)
+
+
+def test_every_exact_rational_is_accepted():
+    # an int, a Fraction, p/q text and a Decimal
+    for value in (3, Fraction(3, 2), "3/2", Decimal("1.5")):
+        assert LevelParams(value).ratio == Fraction(value)
 
 
 def test_the_value_message_names_its_index():

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import freqlab.maximal as maximal
 from freqlab.levelsets import LEVELSET_MODES, LevelParams, census_members
 from freqlab.maximal import (
+    COARSE_RATIO,
+    TAIL_STEPS,
     BilinearFrequencyResult,
     _candidate_spans,
     _candidate_walk,
@@ -70,7 +72,16 @@ slopes = st.one_of(
 spread_values = st.one_of(
     values, st.fractions(min_value=Fraction(1, 3), max_value=30, max_denominator=3)
 )
-tables = st.dictionaries(st.integers(-8, 8), spread_values, max_size=12)
+# Tables on [-60, 60] hold gaps that a block's first radius must not skip.
+tables = st.one_of(
+    st.dictionaries(st.integers(-8, 8), spread_values, max_size=12),
+    st.dictionaries(st.integers(-60, 60), spread_values, max_size=16),
+)
+# Up to 30 points over [-200, 200] with values up to 30: long tails, which
+# coarse blocks cover in few window sums far from a tie and fail near one.
+wide_signals = st.dictionaries(st.integers(-200, 200), spread_values, min_size=1, max_size=30).map(
+    lambda table: Signal.from_pairs(table.items())
+)
 shared_centre = st.builds(
     lambda table_f, table_g, factor, n, at_f, at_g: (
         Signal.from_pairs({**table_f, n: at_f}.items()),
@@ -101,6 +112,12 @@ LATTICE = Signal.from_pairs([(i, 1) for i in range(-3, 6, 2)])  # evenly spaced
 # Squares weighted like `squares_power`: a census span of 401 points
 # carries the witness from each decided n to the next.
 SQUARES = Signal.from_pairs([(k * k, Fraction(1, k)) for k in range(1, 21)])
+# At n = 0 the coarse tail block [9, 79] fails and the fine pass certifies.
+FALLBACK = Signal.from_pairs(
+    [(0, 100), *((d, 1) for d in range(1, 10)), (50, 2000), (10**4, 10**5)]
+)
+# At n = 0 the coarse bilinear block [9, 50] fails and the fine pass certifies.
+PAIRED = Signal.from_pairs([(-50, 50), (-9, 1), (0, 10), (9, 1), (50, 50)])
 
 
 def first_try_at_step_one():
@@ -145,13 +162,17 @@ def test_kernel_over_span_matches_brute_force(f, lo, width, cut):
 
 
 @DETERMINISTIC
-@given(census_signals, centres, st.integers(0, 30))
-@example(PLATEAU, -3, 6)  # radii (0, 1, 2) tie at n = 0: the first try must fail
-@example(STEP, -1, 3)  # radii (0, 1) tie at n = 0
-@example(GRID, -14, 28)
-@example(SQUARES, 340, 60)  # right of a 20-point support with a slope
-def test_certified_tails_match_brute_force(f, lo, width):
-    with first_try_at_step_one():
+@given(
+    st.one_of(census_signals, wide_signals), centres, st.integers(0, 30), st.sampled_from([1, TAIL_STEPS])
+)
+@example(PLATEAU, -3, 6, 1)  # radii (0, 1, 2) tie at n = 0: the first try must fail
+@example(STEP, -1, 3, 1)  # radii (0, 1) tie at n = 0
+@example(GRID, -14, 28, 1)
+@example(SQUARES, 340, 60, 1)  # right of a 20-point support with a slope
+@example(SQUARES, 340, 60, TAIL_STEPS)
+@example(FALLBACK, -5, 10, TAIL_STEPS)  # at n = 0 a coarse block fails, the fine pass certifies
+def test_certified_tails_match_brute_force(f, lo, width, tail_steps):
+    with patch.object(maximal, "TAIL_STEPS", tail_steps):
         walked = _walk_span(f, lo, lo + width)
         analyzed = [analyze(f, n) for n in range(lo, lo + width + 1)]
     for n, (num, w, ties), fast in zip(range(lo, lo + width + 1), walked, analyzed):
@@ -159,6 +180,33 @@ def test_certified_tails_match_brute_force(f, lo, width):
         assert Fraction(num, f.scale * w) == slow.maximal_value
         assert tuple(ties) == slow.extremal_radii
         assert fast == slow
+
+
+def _tail_tries(f, n, coarse_ratio):
+    """The states (a, best_num, best_w) at which `analyze(f, n)` tries to
+    certify its tail after every step, with the given coarse ratio."""
+    tail_below, tries = maximal._tail_below, []
+
+    def spy(*args):
+        if not tries or tries[-1] != args[3:6]:  # a fine pass repeats its try's state
+            tries.append(args[3:6])
+        return tail_below(*args)
+
+    with first_try_at_step_one(), patch.object(maximal, "COARSE_RATIO", coarse_ratio), \
+            patch.object(maximal, "_tail_below", spy):
+        analyze(f, n)
+    return tries
+
+
+@DETERMINISTIC
+@given(st.one_of(census_signals, wide_signals), centres)
+@example(FALLBACK, 0)
+@example(SQUARES, 300)
+def test_coarse_tail_certifies_whenever_the_fine_pass_does(f, n):
+    # With ratio 2 a try is the fine pass alone.  The coarse pass stops the
+    # walk at the same try or earlier, after the same tries.
+    coarse, fine = _tail_tries(f, n, COARSE_RATIO), _tail_tries(f, n, 2)
+    assert coarse == fine[: len(coarse)]
 
 
 @DETERMINISTIC
@@ -291,11 +339,23 @@ def test_bilinear_analyze_matches_brute_force(f, g, n):
 @example((WIDE, SPREAD, 20))  # f denser than g
 @example((SPREAD, WIDE, -20))  # g denser than f
 @example((Signal.from_pairs([(0, 5), (3, 1)]), Signal.from_pairs([(-3, 1), (0, 5)]), 0))
+@example((PAIRED, PAIRED, 0))  # a coarse block fails, the fine pass certifies
 def test_bilinear_certificate_matches_brute_force(case):
     f, g, n = case
     with first_try_at_step_one():
         assert bilinear_analyze(f, g, n) == bilinear_analyze_brute_force(f, g, n)
         assert bilinear_analyze(f, f, n) == bilinear_analyze_brute_force(f, f, n)
+
+
+@DETERMINISTIC
+@given(shared_centre)
+@example((PAIRED, PAIRED, 0))
+def test_bilinear_coarse_certificate_passes_whenever_the_fine_pass_does(case):
+    f, g, n = case
+    t0 = f.scaled_value_at(n) * g.scaled_value_at(n)
+    if maximal._only_zero_attains(f, g, n, t0, 2):
+        with patch.object(maximal, "_bilinear_terms", side_effect=AssertionError("terms built")):
+            assert bilinear_analyze(f, g, n).extremal_radii == (0,)
 
 
 @DETERMINISTIC
