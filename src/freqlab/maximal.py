@@ -33,13 +33,12 @@ every radius of a block by W(n, b) / (2a + 1), its last window sum over
 its first denominator, each window two bisects into the signal's prefix
 sums.  If every block is strictly below the best, no later radius can
 improve or tie, so the walk stops with the attaining set already exact.
-The bound holds for any block width, so a try first covers the tail with
-coarse blocks, b = COARSE_RATIO (a + 1) - 1, which far from a tie pass
-in fewer window sums.  Only if a coarse block fails does the fine cover,
-b = 2a + 1, run from the same a, so a try certifies wherever the fine
-cover alone would.  The tries come after TAIL_STEPS steps and then
-after twice as many more each time one fails, so a walk that cannot
-stop early pays a few window sums, not one per step.
+The bound holds for any block width, so the blocks are wide,
+b = BLOCK_RATIO (a + 1) - 1: far from a tie a few of them pass, and
+near one a try that fails leaves the walk exact all the same.  The
+tries come after TAIL_STEPS steps and then after twice as many more
+each time one fails, so a walk that cannot stop early pays a few window
+sums, not one per step.
 A census asks only whether F(n) <= |n| / C, that is F(n) <= cap with
 cap = floor(|n| / C), so given a slope C the walk decides every other n
 early and yields None for it.  Two exits decide, both by strict
@@ -86,14 +85,12 @@ t0 = |f(n) g(n)|, and `bilinear_analyze` first tries to certify that
 no other radius reaches it, without assembling any term.  Blocks
 [a, min(b, reach)] run from the farther of the nearest other support
 points of f and g out to the farthest distance at which the hulls leave
-room for a pair, coarse ones (b = COARSE_RATIO (a + 1) - 1) first and,
-if one fails, fine ones (b = 2a + 1) from the start again, as in the
-walk's tail.  For each block a running bound on the window sum adds,
-for each mirrored side, the lesser of (mass of f) x (max of g) and
-(max of f) x (mass of g), from the prefix sums and the running maxima
-cached on each Signal.  If the bound stays strictly below t0 (2a + 1)
-at every block of either cover, E = {0}; otherwise the terms are
-assembled.
+room for a pair, b = BLOCK_RATIO (a + 1) - 1 as in the walk's tail.
+For each block a running bound on the window sum adds, for each
+mirrored side, the lesser of (mass of f) x (max of g) and (max of f) x
+(mass of g), from the prefix sums and the running maxima cached on
+each Signal.  If the bound stays strictly below t0 (2a + 1)
+at every block, E = {0}; otherwise the terms are assembled.
 `bilinear_average` sums the same terms up to its radius.
 
 `analyze_brute_force` and `bilinear_analyze_brute_force` are the
@@ -167,9 +164,8 @@ def radius_bound(f: Signal, n: int) -> int:
 # Walk steps before the first try at certifying the tail of a walk; each
 # failed try doubles the steps to the next.
 TAIL_STEPS = 8
-# Both certificates first cover their radii with blocks [a, COARSE_RATIO
-# (a + 1) - 1] and fall back to [a, 2a + 1] only if a coarse block fails.
-COARSE_RATIO = 8
+# Both certificates cover their radii with blocks [a, BLOCK_RATIO (a + 1) - 1].
+BLOCK_RATIO = 8
 
 
 def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
@@ -186,11 +182,8 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
     The walk stops at the prune, or earlier once it certifies its tail:
     after TAIL_STEPS steps, and again after twice as many more at each
     failed try, `_tail_below` tests whether every radius from the next
-    candidate up to the prune averages strictly below the best, with
-    coarse blocks and then, if one fails, with fine ones.  If so, none of
-    them can improve or tie, so the ties are already exact.  A try is
-    skipped while the witness below is pending and best < A*: then rho
-    lies in the tail and averages A* > best, so no cover could pass.
+    candidate up to the prune averages strictly below the best.  If so,
+    none of them can improve or tie, so the ties are already exact.
 
     A slope C = p/q > 0 adds the decision exit of the module docstring.
     With cap = q*|n| // p, every n with F(n) > cap is decided and yields
@@ -281,12 +274,7 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
                 elif lhs == rhs:
                     ties.append(r)
             else:  # `steps` steps without an exit
-                a = dl if dl < dr else dr
-                # a pending witness with best < A* lies in the tail: no cover passes
-                if (stop > far or best_num * w_star >= num_star * best_w) and (
-                    _tail_below(idx, prefix, n, a, best_num, best_w, COARSE_RATIO)
-                    or _tail_below(idx, prefix, n, a, best_num, best_w, 2)
-                ):
+                if _tail_below(idx, prefix, n, dl if dl < dr else dr, best_num, best_w):
                     break
                 steps = range(2 * len(steps))
                 continue
@@ -294,18 +282,18 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
         yield None if ties is None else (best_num, best_w, ties)
 
 
-def _tail_below(idx, prefix, n: int, a: int, best_num: int, best_w: int, ratio: int) -> bool:
+def _tail_below(idx, prefix, n: int, a: int, best_num: int, best_w: int) -> bool:
     """Whether every radius r >= a averages strictly below best_num / best_w.
 
     Radii from end = (l1 * best_w // best_num + 1) // 2 on, the least the
     prune stops at, average at most l1 / (2r + 1) < best.  The radii in
-    [a, end) are covered by blocks [a, min(ratio (a + 1) - 1, end - 1)],
+    [a, end) are covered by blocks [a, min(BLOCK_RATIO (a + 1) - 1, end - 1)],
     each bound by W(n, b) / (2a + 1), its last window over its first
-    denominator; ratio 2 gives the fine blocks [a, 2a + 1].
+    denominator.
     """
     end = (prefix[-1] * best_w // best_num + 1) // 2
     while a < end:
-        b = min(ratio * (a + 1) - 1, end - 1)
+        b = min(BLOCK_RATIO * (a + 1) - 1, end - 1)
         window = prefix[bisect_right(idx, n + b)] - prefix[bisect_left(idx, n - b)]
         if window * best_w >= best_num * (2 * a + 1):
             return False
@@ -548,7 +536,7 @@ def bilinear_analyze(f: Signal, g: Signal, n: int) -> BilinearFrequencyResult:
     n = exact_int(n, "n")
     if n in f.position and n in g.position:
         t0 = f.scaled_value_at(n) * g.scaled_value_at(n)
-        if _only_zero_attains(f, g, n, t0, COARSE_RATIO) or _only_zero_attains(f, g, n, t0, 2):
+        if _only_zero_attains(f, g, n, t0):
             return BilinearFrequencyResult(Fraction(t0, f.scale * g.scale), (0,), 0, False)
     terms = _bilinear_terms(f, g, n)
     if not terms:
@@ -563,7 +551,7 @@ def bilinear_analyze(f: Signal, g: Signal, n: int) -> BilinearFrequencyResult:
     )
 
 
-def _only_zero_attains(f: Signal, g: Signal, n: int, t0: int, ratio: int) -> bool:
+def _only_zero_attains(f: Signal, g: Signal, n: int, t0: int) -> bool:
     """Whether radius 0 alone attains the bilinear supremum at n, where
     n lies in both supports and t0 = f(n) g(n), scaled.
 
@@ -572,20 +560,19 @@ def _only_zero_attains(f: Signal, g: Signal, n: int, t0: int, ratio: int) -> boo
     of the two nearest other support points, and at most `reach`, the
     farthest d at which the hulls leave room for such a pair.  Radii
     outside that range hold only t0 or no new terms.  Blocks
-    [a, min(ratio (a + 1) - 1, reach)] cover it, ratio 2 giving the fine
-    blocks [a, 2a + 1]; a running bound U on the window at the block's
-    end adds, for each mirrored side of the block, the least of (mass of
-    f) x (max of g) and (max of f) x (mass of g).  Every radius in a
-    block averages at most U / (2a + 1), and past the reach the window
-    stays at most U, so U < t0 (2a + 1) at every block proves that no
-    radius r >= 1 reaches or ties t0.
+    [a, min(BLOCK_RATIO (a + 1) - 1, reach)] cover it; a running bound U
+    on the window at the block's end adds, for each mirrored side of the
+    block, the least of (mass of f) x (max of g) and (max of f) x (mass
+    of g).  Every radius in a block averages at most U / (2a + 1), and
+    past the reach the window stays at most U, so U < t0 (2a + 1) at
+    every block proves that no radius r >= 1 reaches or ties t0.
     """
     fi, gi = f.indices, g.indices
     reach = max(min(n - fi[0], gi[-1] - n), min(fi[-1] - n, n - gi[0]))
     a = max(_nearest_other(f, n), _nearest_other(g, n))
     bound = t0
     while a <= reach:
-        b = min(ratio * (a + 1) - 1, reach)
+        b = min(BLOCK_RATIO * (a + 1) - 1, reach)
         f_left, f_right = _mass_and_max(f, n - b, n - a), _mass_and_max(f, n + a, n + b)
         if g is f:
             g_left, g_right = f_left, f_right

@@ -96,7 +96,7 @@ def exact_fraction(value: int | Fraction | str, name: str) -> Fraction:
         return parse_rational(value)
     try:
         return Fraction(value)
-    except TypeError:
+    except (TypeError, ValueError, OverflowError):  # None, 1j, Decimal NaN or Infinity
         kind = type(value).__name__
         raise TypeError(f"{name} must be an exact rational, got {kind} {value!r}") from None
 

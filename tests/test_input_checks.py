@@ -110,6 +110,10 @@ def test_what_fraction_refuses_is_refused_by_name():
         Signal.from_pairs([(1, None)])
     with pytest.raises(TypeError, match=r"^ratio must be an exact rational, got complex 1j$"):
         LevelParams(1j)
+    for value in ("NaN", "Infinity"):
+        message = rf"^ratio must be an exact rational, got Decimal Decimal\('{value}'\)$"
+        with pytest.raises(TypeError, match=message):
+            LevelParams(Decimal(value))
 
 
 def test_every_exact_rational_is_accepted():

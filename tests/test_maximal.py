@@ -170,28 +170,6 @@ class TestAnalyze:
                 assert fast.extremal_radii == slow.extremal_radii
                 assert fast.frequency == slow.frequency
 
-    def test_fine_tail_certifies_where_a_coarse_block_fails(self):
-        # At n = 0 the best is f(0) = 100 at r = 0.  The one try comes after
-        # the steps to 1, ..., 8, with the next candidate a = 9 and the
-        # prune at end = 511.  The coarse block [9, 79] holds the 2000 at
-        # 50, so its bound 2109/19 exceeds 100.  The fine blocks [9, 19],
-        # [20, 41] and [42, 85] bound 109/19, 109/41 and 2109/85, and the
-        # rest no more, so the fine pass certifies the tail.
-        f = Signal.from_pairs(
-            [(0, 100), *((d, 1) for d in range(1, 10)), (50, 2000), (10**4, 10**5)]
-        )
-        tail_below, tries = maximal._tail_below, []
-
-        def spy(*args):
-            tries.append((args[3], args[-1], tail_below(*args)))
-            return tries[-1][-1]
-
-        with patch.object(maximal, "_tail_below", spy):
-            res = analyze(f, 0)
-        assert tries == [(9, maximal.COARSE_RATIO, False), (9, 2, True)]
-        assert res == analyze_brute_force(f, 0)
-        assert (res.extremal_radii, res.maximal_value) == ((0,), 100)
-
 
 class TestFrequencyProfile:
     def test_delta(self):
@@ -484,45 +462,23 @@ class TestBilinearAnalyze:
                 assert fast.frequency == slow.frequency
                 assert fast.degenerate == slow.degenerate
 
-    def test_fine_certificate_passes_where_a_coarse_block_fails(self):
-        # t0 = 100 at n = 0.  The coarse block [9, 50] pairs the 50s at -50
-        # and 50, so its bound 5200 reaches t0 * 19.  The fine blocks
-        # [9, 19], [20, 41] and [42, 50] bound 200 < t0 * 19, 200 < t0 * 41
-        # and 5200 < t0 * 85, so E = {0} is certified without a term.
-        f = Signal.from_pairs([(-50, 50), (-9, 1), (0, 10), (9, 1), (50, 50)])
-        assert not maximal._only_zero_attains(f, f, 0, 100, maximal.COARSE_RATIO)
-        assert maximal._only_zero_attains(f, f, 0, 100, 2)
-        with patch.object(maximal, "_bilinear_terms", side_effect=AssertionError("terms built")):
-            res = bilinear_analyze(f, f, 0)
-        assert res == bilinear_analyze_brute_force(f, f, 0)
-        assert (res.extremal_radii, res.maximal_value) == ((0,), 100)
-
     def test_stretched_upper_points_are_certified_without_terms(self):
         # Every upper support point of stretched_log has F = 0 in both
         # searches; the walk certifies its tail and bilinear_analyze
-        # certifies E = {0} without assembling a term, both with coarse
-        # blocks alone: no fine pass runs.
+        # certifies E = {0} without assembling a term.
         f = stretched_log(F(1), 300)
         points = [f.indices[k] for k in range(140, 291)]
-        tail_below, only_zero = maximal._tail_below, maximal._only_zero_attains
-        certified, ratios = [], []
+        certified, tail_below = [], maximal._tail_below
 
-        def spy_tail(*args):
-            ratios.append(args[-1])
+        def spy(*args):
             certified.append(tail_below(*args))
             return certified[-1]
 
-        def spy_zero(*args):
-            ratios.append(args[-1])
-            return only_zero(*args)
-
-        with patch.object(maximal, "_bilinear_terms", side_effect=AssertionError("terms built")), \
-                patch.object(maximal, "_only_zero_attains", spy_zero):
+        with patch.object(maximal, "_bilinear_terms", side_effect=AssertionError("terms built")):
             bilinear = [bilinear_analyze(f, f, n) for n in points]
-        with patch.object(maximal, "_tail_below", spy_tail):
+        with patch.object(maximal, "_tail_below", spy):
             unilinear = [analyze(f, n) for n in points]
         assert certified == [True] * len(points)
-        assert ratios == [maximal.COARSE_RATIO] * (2 * len(points))
         assert unilinear == [analyze_brute_force(f, n) for n in points]
         assert bilinear == [bilinear_analyze_brute_force(f, f, n) for n in points]
         assert {(res.frequency, res.extremal_radii) for res in unilinear + bilinear} == {(0, (0,))}
