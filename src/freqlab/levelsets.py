@@ -132,8 +132,10 @@ def log_density_string(count: int, n_value: int, epsilon: Fraction) -> str:
     """
     count, n_value = exact_int(count, "count"), exact_int(n_value, "n_value")
     epsilon = exact_fraction(epsilon, "epsilon")
-    if count < 0 or n_value < 1:
-        raise ValueError("count must be >= 0 and N >= 1")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {format_int(count)}")
+    if n_value < 1:
+        raise ValueError(f"n_value must be positive, got {format_int(n_value)}")
     if count == 0 or n_value == 1:  # ln(1) = 0
         scaled = 0
     else:

@@ -47,18 +47,16 @@ prune or to a certified tail:
 
 * the first strict improvement at a radius r > cap.  The frequency is
   the radius of the last strict improvement, so F(n) >= r > cap.
-* a carried witness, when some support point lies within cap of n.
-  Write W(n, r) for the window sum.  Take rho = max(rho_prev + 1,
-  cap + 1), rho_prev being the radius that decided the last n decided
-  in the same walk, and A* = W(n, rho) / (2 rho + 1); F changes slowly
-  with n, so rho nearly always proves n no member at once.  Let stop be
-  the least r with W(n, cap) / (2r + 1) < A*, or cap + 1 if that is
-  smaller.  At the first candidate r >= stop, the best average so far
-  covers every radius below r.  If it is below A*, so is every radius
-  below r, and every radius in [r, cap] averages at most
-  W(n, cap) / (2r + 1) < A*.  No radius <= cap then reaches the
-  supremum, which is at least A*, so F(n) > cap.  Otherwise the witness
-  is dropped for n.
+* a carried witness, proved by the tail's blocks.  Take rho =
+  max(rho_prev + 1, cap + 1), rho_prev being the radius that decided the
+  last n decided in the same walk, and A* = W(n, rho) / (2 rho + 1); F
+  changes slowly with n, so rho nearly always proves n no member at
+  once.  If the best is below A*, and so are the blocks from the next
+  candidate a up to cap, then every radius below a averages at most the
+  best, no radius <= cap reaches the supremum, which is at least A*, and
+  F(n) > cap.  The walk tries this before its first step and then, while
+  the best is below A*, at each tail try in place of the tail, which
+  rho, averaging more than the best, keeps from passing.
 `analyze` is the kernel at one n; `frequency_values` runs it over
 chunks of a span, serially or on a process pool, and with a slope its
 workers drop every decided n and return (n, F) for the members only.
@@ -164,7 +162,8 @@ def radius_bound(f: Signal, n: int) -> int:
 # Walk steps before the first try at certifying the tail of a walk; each
 # failed try doubles the steps to the next.
 TAIL_STEPS = 8
-# Both certificates cover their radii with blocks [a, BLOCK_RATIO (a + 1) - 1].
+# `_blocks_below` and `_only_zero_attains` cover their radii with blocks
+# [a, BLOCK_RATIO (a + 1) - 1].
 BLOCK_RATIO = 8
 
 
@@ -181,29 +180,22 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
 
     The walk stops at the prune, or earlier once it certifies its tail:
     after TAIL_STEPS steps, and again after twice as many more at each
-    failed try, `_tail_below` tests whether every radius from the next
-    candidate up to the prune averages strictly below the best.  If so,
-    none of them can improve or tie, so the ties are already exact.
+    failed try, `_blocks_below` tests whether every radius from the next
+    candidate up to the least radius the prune stops at averages strictly
+    below the best.  If so, none of them can improve or tie, so the ties
+    are already exact.
 
-    A slope C = p/q > 0 adds the decision exit of the module docstring.
-    With cap = q*|n| // p, every n with F(n) > cap is decided and yields
-    None.  It is decided by one of two strict tests:
-
-    * an improvement at a radius r > cap: F(n) >= r > cap;
-    * the witness rho = max(rho_prev + 1, cap + 1), tried only when the
-      nearest support point is within cap (a farther one decides at the
-      first step).  With A* = W(n, rho) / (2 rho + 1) and
-      stop = min(cap + 1, (W(n, cap) * (2 rho + 1) // W(n, rho) + 1) // 2),
-      the least r with W(n, cap) / (2r + 1) < A*: at the first candidate
-      r >= stop, best < A* bounds every radius below r by best < A* and
-      every radius in [r, cap] by W(n, cap) / (2r + 1) < A*, so no
-      radius <= cap attains and F(n) > cap.  best >= A* drops it.
-
-    Wherever F(n) <= cap neither test can pass, so the walk runs to the
-    prune or to a certified tail and yields the exact result.  A
-    certified tail never decides a non-member: its ties[0] is the radius
-    of a strict improvement, which is at most cap.  The default p = 0
-    never exits: no radius reaches its cap or its stop, both beyond `far`.
+    A slope C = p/q > 0 adds the decision exits of the module docstring:
+    with cap = q*|n| // p, every n with F(n) > cap yields None, decided by
+    an improvement at a radius r > cap, or by `_blocks_below` from the
+    next candidate up to cap against the carried witness A*, tried before
+    the first step and, while best < A*, at each tail try in place of the
+    tail, which rho then keeps from passing.  Wherever F(n) <= cap neither
+    exit can pass, so the walk runs to the prune or to a certified tail
+    and yields the exact result; a certified tail never decides a
+    non-member, as its ties[0] is the radius of a strict improvement, at
+    most cap.  The default p = 0 never exits: its cap is `far`, beyond
+    every radius taken, and its A* is 0.
     """
     size = len(idx)
     l1 = prefix[-1]
@@ -213,6 +205,7 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
     # The step loops count steps for the tail tries at no cost per step.
     first_try = range(TAIL_STEPS)
     carry = -1  # the radius that decided the last decided n
+    num_star, w_star, cap = 0, 1, far
     nxt = bisect_left(idx, lo)
     for n in range(lo, hi + 1):
         i = nxt - 1
@@ -229,18 +222,17 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
         ties = [0]
         dl = n - idx[i] if i >= 0 else far
         dr = idx[j] - n if j < size else far
-        stop = far + 1
-        cap = far
         if p:
             cap = q * abs(n) // p  # p*r > q*|n| iff r > cap
-            # A farther nearest point decides at the first step anyway.  An
-            # exhausted side passes only if every real point is within cap.
-            if best_num or dl <= cap or dr <= cap:
-                rho = max(carry + 1, cap + 1)
-                w_star = 2 * rho + 1
-                num_star = prefix[bisect_right(idx, n + rho)] - prefix[bisect_left(idx, n - rho)]
-                within = prefix[bisect_right(idx, n + cap)] - prefix[bisect_left(idx, n - cap)]
-                stop = min(cap + 1, (within * w_star // num_star + 1) // 2)
+            rho = max(carry + 1, cap + 1)
+            w_star = 2 * rho + 1
+            num_star = prefix[bisect_right(idx, n + rho)] - prefix[bisect_left(idx, n - rho)]
+            if best_num * w_star < num_star and _blocks_below(
+                idx, prefix, n, dl if dl < dr else dr, cap + 1, num_star, w_star
+            ):
+                carry = rho
+                yield None
+                continue
         steps = first_try
         while True:
             for _ in steps:
@@ -249,11 +241,6 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
                 rhs = best_num * w
                 if bound < rhs:  # l1 / w < best: no radius from r outward attains
                     break
-                if r >= stop:
-                    if best_num * w_star < num_star * best_w:  # best < A*: F(n) > cap
-                        ties, carry = None, rho
-                        break
-                    stop = far + 1
                 if dl == r:
                     acc += sv[i]
                     i -= 1
@@ -274,7 +261,15 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
                 elif lhs == rhs:
                     ties.append(r)
             else:  # `steps` steps without an exit
-                if _tail_below(idx, prefix, n, dl if dl < dr else dr, best_num, best_w):
+                a = dl if dl < dr else dr
+                if best_num * w_star < num_star * best_w:  # best < A*: the witness, not the tail
+                    if _blocks_below(idx, prefix, n, a, cap + 1, num_star, w_star):
+                        ties, carry = None, rho
+                        break
+                # the prune bounds every radius from (l1 best_w // best_num + 1) // 2 on
+                elif _blocks_below(
+                    idx, prefix, n, a, (l1 * best_w // best_num + 1) // 2, best_num, best_w
+                ):
                     break
                 steps = range(2 * len(steps))
                 continue
@@ -282,20 +277,16 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
         yield None if ties is None else (best_num, best_w, ties)
 
 
-def _tail_below(idx, prefix, n: int, a: int, best_num: int, best_w: int) -> bool:
-    """Whether every radius r >= a averages strictly below best_num / best_w.
+def _blocks_below(idx, prefix, n: int, a: int, end: int, num: int, w: int) -> bool:
+    """Whether every radius r in [a, end) averages strictly below num / w.
 
-    Radii from end = (l1 * best_w // best_num + 1) // 2 on, the least the
-    prune stops at, average at most l1 / (2r + 1) < best.  The radii in
-    [a, end) are covered by blocks [a, min(BLOCK_RATIO (a + 1) - 1, end - 1)],
-    each bound by W(n, b) / (2a + 1), its last window over its first
-    denominator.
+    Blocks [a, min(BLOCK_RATIO (a + 1) - 1, end - 1)] cover them, each
+    bound by W(n, b) / (2a + 1), its last window over its first denominator.
     """
-    end = (prefix[-1] * best_w // best_num + 1) // 2
     while a < end:
         b = min(BLOCK_RATIO * (a + 1) - 1, end - 1)
         window = prefix[bisect_right(idx, n + b)] - prefix[bisect_left(idx, n - b)]
-        if window * best_w >= best_num * (2 * a + 1):
+        if window * w >= num * (2 * a + 1):
             return False
         a = b + 1
     return True

@@ -89,11 +89,15 @@ def exact_int(value: int, name: str) -> int:
 def exact_fraction(value: int | Fraction | str, name: str) -> Fraction:
     """`parse_rational` of a string, Fraction(value) of an int, a Fraction or
     a Decimal; a float is refused, as its binary value is rarely the number
-    meant, and so is whatever Fraction() refuses, by a TypeError naming `name`."""
+    meant, and so is whatever Fraction() refuses, by a TypeError naming `name`.
+    A string `parse_rational` refuses raises its ValueError, `name` first."""
     if isinstance(value, float):
         raise TypeError(f"{name} must be an exact rational, got float {value!r}")
     if isinstance(value, str):
-        return parse_rational(value)
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     try:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError):  # None, 1j, Decimal NaN or Infinity

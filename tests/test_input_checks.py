@@ -127,3 +127,28 @@ def test_the_value_message_names_its_index():
         Signal.from_pairs([(0, 1), (-5, 0.5)])
     with pytest.raises(TypeError, match=r"^n_grid\[1\] must be an integer, got 20.0$"):
         density_curves(f, TWO, [10, 20.0])
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: LevelParams("1.5"), "ratio: not a p/q rational: '1.5'"),
+        (lambda: LevelParams(2, "x"), "epsilon: not a p/q rational: 'x'"),
+        (lambda: LevelParams("3/0"), "ratio: denominator must be positive: '3/0'"),
+        (lambda: Signal.from_pairs([(1, "x")]), "value at index 1: not a p/q rational: 'x'"),
+        (lambda: frequency_values(f, SPAN, slope="1/2/3"), "slope: not a p/q rational: '1/2/3'"),
+        (lambda: squares_power("one", 3), "epsilon: not a p/q rational: 'one'"),
+    ],
+)
+def test_bad_rational_text_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "count,n_value,message",
+    [(-1, 10, "count must be non-negative, got -1"), (3, 0, "n_value must be positive, got 0")],
+)
+def test_log_density_names_the_value_it_refuses(count, n_value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        log_density_string(count, n_value, F)

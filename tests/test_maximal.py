@@ -468,15 +468,15 @@ class TestBilinearAnalyze:
         # certifies E = {0} without assembling a term.
         f = stretched_log(F(1), 300)
         points = [f.indices[k] for k in range(140, 291)]
-        certified, tail_below = [], maximal._tail_below
+        certified, blocks_below = [], maximal._blocks_below
 
         def spy(*args):
-            certified.append(tail_below(*args))
+            certified.append(blocks_below(*args))
             return certified[-1]
 
         with patch.object(maximal, "_bilinear_terms", side_effect=AssertionError("terms built")):
             bilinear = [bilinear_analyze(f, f, n) for n in points]
-        with patch.object(maximal, "_tail_below", spy):
+        with patch.object(maximal, "_blocks_below", spy):
             unilinear = [analyze(f, n) for n in points]
         assert certified == [True] * len(points)
         assert unilinear == [analyze_brute_force(f, n) for n in points]

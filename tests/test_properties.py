@@ -181,7 +181,7 @@ def test_certified_tails_match_brute_force(f, lo, width, tail_steps):
 @DETERMINISTIC
 @given(census_signals, slopes, st.integers(0, 60))
 @example(PLATEAU, Fraction(10**6), 60)  # at n = 0 the witness ties the best
-@example(GRID, Fraction(3), 14)  # members n = +-14 attain at r = 2, one below the stop
+@example(GRID, Fraction(3), 14)  # members n = +-14 attain at r = 2, in the witness block [2, 4]
 @example(LATTICE, Fraction(3, 2), 60)
 @example(SQUARES, Fraction(2), 200)
 @example(SQUARES, Fraction(1001, 1000), 200)
@@ -197,7 +197,7 @@ def test_census_with_certified_tails_decides_exactly(f, ratio, n_max):
 @example(PLATEAU, Fraction(1001, 1000), 40)
 @example(PLATEAU, Fraction(10**6), 60)  # at n = 0 the witness ties the best
 @example(GRID, Fraction(3, 2), 40)
-@example(GRID, Fraction(3), 14)  # members n = +-14 attain at r = 2, one below the stop
+@example(GRID, Fraction(3), 14)  # members n = +-14 attain at r = 2, in the witness block [2, 4]
 @example(GRID, Fraction(10**6), 40)
 @example(LATTICE, Fraction(3, 2), 60)  # at n = -5 the witness ties the best
 @example(SQUARES, Fraction(2), 200)
@@ -207,6 +207,62 @@ def test_frequency_values_with_a_slope_decide_exactly(f, ratio, n_max):
     # (n, exact F) wherever F <= |n|/C, in order; no other n.
     decided = frequency_values(f, IntegerInterval(-n_max, n_max), slope=ratio)
     assert decided == _members_brute_force(f, ratio, n_max)
+
+
+def _spied_census(f, ratio, n_max, tail_steps):
+    """The members of a census scan over |n| <= n_max, and every
+    `_blocks_below` call of its walks as (n, a, end, num, w, passed)."""
+    calls, blocks_below = [], maximal._blocks_below
+
+    def spy(idx, prefix, n, a, end, num, w):
+        calls.append((n, a, end, num, w, blocks_below(idx, prefix, n, a, end, num, w)))
+        return calls[-1][-1]
+
+    with patch.object(maximal, "TAIL_STEPS", tail_steps), patch.object(maximal, "_blocks_below", spy):
+        members = frequency_values(f, IntegerInterval(-n_max, n_max), slope=ratio)
+    return members, calls
+
+
+def _witness_decisions(f, ratio, calls):
+    """{n: "start" or "try"} for every n the witness decided, before any
+    step or at a later tail try; checks the order and the arguments of
+    the calls at each n on the way."""
+    decided, by_point = {}, {}
+    for call in calls:
+        by_point.setdefault(call[0], []).append(call)
+    for n, point_calls in by_point.items():
+        cap = ratio.denominator * abs(n) // ratio.numerator
+        # A witness radius exceeds cap; a tail's best is attained within cap.
+        witness = [call for call in point_calls if call[4] > 2 * cap + 1]
+        tails = [call for call in point_calls if call[4] <= 2 * cap + 1]
+        if not witness:
+            continue
+        assert point_calls[: len(witness)] == witness  # the witness is tried first
+        assert {(end, num, w) for _, _, end, num, w, _ in witness} == {(cap + 1, *witness[0][3:5])}
+        # its first try comes before any step, from the nearest support point
+        nearest = min((abs(s - n) for s in f.indices if s != n), default=witness[0][1])
+        assert witness[0][1] == nearest
+        assert not any(passed for *_, passed in witness[:-1])
+        # no tail is tried while the best is below A*
+        num_star, w_star = witness[0][3:5]
+        assert all(num * w_star >= num_star * w for _, _, _, num, w, _ in tails)
+        if witness[-1][-1]:
+            assert not tails
+            decided[n] = "start" if len(witness) == 1 else "try"
+    return decided
+
+
+@DETERMINISTIC
+@given(census_signals, slopes, st.integers(0, 60), st.sampled_from([1, TAIL_STEPS]))
+@example(SQUARES, Fraction(2), 200, 1)
+@example(SQUARES, Fraction(2), 200, TAIL_STEPS)
+def test_witness_blocks_decide_exactly(f, ratio, n_max, tail_steps):
+    members, calls = _spied_census(f, ratio, n_max, tail_steps)
+    assert members == _members_brute_force(f, ratio, n_max)
+    decided = _witness_decisions(f, ratio, calls)
+    assert not decided.keys() & {n for n, _ in members}
+    if f is SQUARES:  # the pinned examples: the witness decides both before and after steps
+        assert set(decided.values()) == {"start", "try"}
 
 
 @DETERMINISTIC
