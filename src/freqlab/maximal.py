@@ -41,7 +41,7 @@ each time one fails, so a walk that cannot stop early pays a few window
 sums, not one per step.
 A census asks only whether F(n) <= |n| / C, that is F(n) <= cap with
 cap = floor(|n| / C), so given a slope C the walk decides every other n
-early and yields None for it.  Two exits decide, both by strict
+early and yields nothing for it.  Three exits decide, all by strict
 comparisons, so a tie never decides and every member still walks to the
 prune or to a certified tail:
 
@@ -57,15 +57,15 @@ prune or to a certified tail:
   F(n) > cap.  The walk tries this before its first step and then, while
   the best is below A*, at each tail try in place of the tail, which
   rho, averaging more than the best, keeps from passing.
+* a run R = [n0, n1] of one sign with no support point, d from the
+  support, cap its largest cap and rho > cap.  Every n of R has
+  A(n, rho) >= A_R = W([n1 - rho, n0 + rho]) / (2 rho + 1), no mass at
+  a radius below d, and at most W([n0 - b, n1 + b]) / (2a + 1) on a block
+  [a, b] with a >= d.  Blocks from d up to cap strictly below A_R decide all of
+  R; with d > cap none is needed, as no radius up to cap sees any mass.
 `analyze` is the kernel at one n; `frequency_values` runs it over
-chunks of a span, serially or on a process pool, and with a slope its
-workers drop every decided n and return (n, F) for the members only.
-A slope C > 1 also skips every n that cannot be a member without a
-walk: F(n) is 0, which needs f(n) != 0, or a distance |s - n| to a
-support point s, so a member has some s with |s - n| <= |n| / C.  For
-s > 0 those n form the interval [Cs/(C+1), Cs/(C-1)], for s < 0 its
-mirror, and for s = 0 only n = 0; `_candidate_spans` merges them once
-per scan, and only their points are cut into chunks.
+chunks of a span, serially or on a process pool, and with a slope the
+walk yields (n, F) for the members only.
 `frequency_profile` reads each maximal value off as the average at the
 frequency, which attains the supremum.
 
@@ -185,17 +185,24 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
     below the best.  If so, none of them can improve or tie, so the ties
     are already exact.
 
-    A slope C = p/q > 0 adds the decision exits of the module docstring:
-    with cap = q*|n| // p, every n with F(n) > cap yields None, decided by
-    an improvement at a radius r > cap, or by `_blocks_below` from the
-    next candidate up to cap against the carried witness A*, tried before
-    the first step and, while best < A*, at each tail try in place of the
-    tail, which rho then keeps from passing.  Wherever F(n) <= cap neither
-    exit can pass, so the walk runs to the prune or to a certified tail
-    and yields the exact result; a certified tail never decides a
-    non-member, as its ties[0] is the radius of a strict improvement, at
-    most cap.  The default p = 0 never exits: its cap is `far`, beyond
-    every radius taken, and its A* is 0.
+    A slope C = p/q > 0 adds the decision exits and the runs of the module
+    docstring, and the walk yields (n, F) for the members alone: with
+    cap = q*|n| // p, every n with F(n) > cap is decided by an improvement
+    at a radius r > cap, or by `_blocks_below` from the next candidate up
+    to cap against the carried witness A*, tried before the first step
+    and, while best < A*, at each tail try in place of the tail, which rho
+    then keeps from passing.  After an n decided before any step, the walk
+    tries the run [n + 1, n1], n1 at most n + L, of n's sign and short of
+    the next support point, by `_blocks_below` from its distance d to the
+    support up to its cap against A_R.  Its rho = max(carry + n1 - n,
+    cap + 1) keeps the window of the carried rho, whose mass made the last
+    witness pass.  A pass decides the whole run, moves n to n1 and doubles
+    L; a failure halves L, down to 2: a single point is left to its own
+    witness.  Wherever F(n) <= cap no exit can pass, so the walk
+    runs to the prune or to a certified tail and yields the exact result;
+    a certified tail never decides a non-member, as its ties[0] is the
+    radius of a strict improvement, at most cap.  The default p = 0 never
+    exits: its cap is `far`, beyond every radius taken, and its A* is 0.
     """
     size = len(idx)
     l1 = prefix[-1]
@@ -206,8 +213,11 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
     first_try = range(TAIL_STEPS)
     carry = -1  # the radius that decided the last decided n
     num_star, w_star, cap = 0, 1, far
+    run = 2  # L, the most points the next run try may decide
     nxt = bisect_left(idx, lo)
-    for n in range(lo, hi + 1):
+    n = lo - 1
+    while n < hi:
+        n += 1
         i = nxt - 1
         j = nxt
         if j < size and idx[j] == n:
@@ -228,10 +238,25 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
             w_star = 2 * rho + 1
             num_star = prefix[bisect_right(idx, n + rho)] - prefix[bisect_left(idx, n - rho)]
             if best_num * w_star < num_star and _blocks_below(
-                idx, prefix, n, dl if dl < dr else dr, cap + 1, num_star, w_star
+                idx, prefix, n, n, dl if dl < dr else dr, cap + 1, num_star, w_star
             ):
                 carry = rho
-                yield None
+                while True:  # the runs [n + 1, n1]
+                    n1 = min(n + run, hi, idx[j] - 1 if j < size else hi, hi if n >= 0 else -1)
+                    if n1 <= n + 1:  # a single point is left to its own witness
+                        break
+                    cap = q * (n1 if n >= 0 else -n - 1) // p  # over the run
+                    rho = max(carry + n1 - n, cap + 1)
+                    d = min(n + 1 - idx[j - 1] if j else far, idx[j] - n1 if j < size else far)
+                    w_star = 2 * rho + 1
+                    # with d > cap no radius up to cap sees any mass, so no window is needed
+                    num_star = d <= cap and (
+                        prefix[bisect_right(idx, n + 1 + rho)] - prefix[bisect_left(idx, n1 - rho)]
+                    )
+                    if not _blocks_below(idx, prefix, n + 1, n1, d, cap + 1, num_star, w_star):
+                        run = max(run // 2, 2)
+                        break
+                    n, carry, run = n1, rho, 2 * run
                 continue
         steps = first_try
         while True:
@@ -263,29 +288,34 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
             else:  # `steps` steps without an exit
                 a = dl if dl < dr else dr
                 if best_num * w_star < num_star * best_w:  # best < A*: the witness, not the tail
-                    if _blocks_below(idx, prefix, n, a, cap + 1, num_star, w_star):
+                    if _blocks_below(idx, prefix, n, n, a, cap + 1, num_star, w_star):
                         ties, carry = None, rho
                         break
                 # the prune bounds every radius from (l1 best_w // best_num + 1) // 2 on
                 elif _blocks_below(
-                    idx, prefix, n, a, (l1 * best_w // best_num + 1) // 2, best_num, best_w
+                    idx, prefix, n, n, a, (l1 * best_w // best_num + 1) // 2, best_num, best_w
                 ):
                     break
                 steps = range(2 * len(steps))
                 continue
             break
-        yield None if ties is None else (best_num, best_w, ties)
+        if not p:
+            yield best_num, best_w, ties
+        elif ties is not None:
+            yield n, ties[0]
 
 
-def _blocks_below(idx, prefix, n: int, a: int, end: int, num: int, w: int) -> bool:
-    """Whether every radius r in [a, end) averages strictly below num / w.
+def _blocks_below(idx, prefix, n0: int, n1: int, a: int, end: int, num: int, w: int) -> bool:
+    """Whether every radius r in [a, end) averages strictly below num / w
+    at every n in [n0, n1].
 
     Blocks [a, min(BLOCK_RATIO (a + 1) - 1, end - 1)] cover them, each
-    bound by W(n, b) / (2a + 1), its last window over its first denominator.
+    bound by W([n0 - b, n1 + b]) / (2a + 1), the last window of every n
+    over its first denominator.
     """
     while a < end:
         b = min(BLOCK_RATIO * (a + 1) - 1, end - 1)
-        window = prefix[bisect_right(idx, n + b)] - prefix[bisect_left(idx, n - b)]
+        window = prefix[bisect_right(idx, n1 + b)] - prefix[bisect_left(idx, n0 - b)]
         if window * w >= num * (2 * a + 1):
             return False
         a = b + 1
@@ -368,18 +398,20 @@ def frequency_values(
     """The frequency at every n in the span, in order.
 
     With a slope C > 0 only the points with F(n) <= |n| / C are kept, as
-    (n, F(n)) pairs: the decision exit of `_candidate_walk` rules every
-    other n out without walking to the prune, and the worker drops it,
-    so the output grows with the members, not with the span.  With
-    C > 1 only the points of `_candidate_spans` are walked at all.
+    (n, F(n)) pairs: the decision exits and the runs of `_candidate_walk`
+    rule every other n out without walking to the prune, and the walk
+    yields the members alone, so the output grows with the members, and
+    a stretch far from the support costs a few runs, not a step per point.
 
-    The points walked are cut into chunks of max(2048, ceil(points /
-    (8 * threads))), a chunk possibly spanning several ranges, which run
-    on a process pool when `_pool_size` allows more than one worker.
-    Each worker gets the signal data once, when it starts, and each task
-    only its ranges and the slope, so every start method gives the same
-    rows; the chunks come back in index order, so the output is
-    identical for any worker count.
+    When `_pool_size` allows more than one worker, at most one per 2048
+    points, the span is cut into chunks of max(2048, ceil(points / (8 *
+    workers))) points, one walk each, which run on a process pool; a
+    serial scan is one walk.  Sizing the chunks by the workers, not by the
+    threads asked for, keeps their count within 8 per CPU.  Each worker
+    gets the signal data once, when it starts, and each task only its
+    ends and the slope, so every start method gives the same rows; the
+    chunks come back in index order, so the output is identical for any
+    worker count.
 
     >>> delta = Signal.from_pairs([(0, 1)])
     >>> frequency_values(delta, IntegerInterval(-2, 2))
@@ -395,13 +427,11 @@ def frequency_values(
     if f.is_zero:
         return [(n, 0) for n in range(span.lo, span.hi + 1)] if p else [0] * span.length
     data = (f.indices, f.scaled_values, f.scaled_prefix)
-    ranges = _candidate_spans(f.indices, span, p, q) if p > q else [(span.lo, span.hi)]
-    points = sum(hi - lo + 1 for lo, hi in ranges)
-    chunk = max(2048, -(-points // (8 * max(threads, 1))))
-    tasks = [(piece, p, q) for piece in _chunks(ranges, chunk)]
-    workers = _pool_size(threads, len(tasks))
+    workers = _pool_size(threads, -(-span.length // 2048))
     if workers <= 1:
-        return _frequencies(*data, ranges, p, q)
+        return _frequencies(*data, span.lo, span.hi, p, q)
+    chunk = max(2048, -(-span.length // (8 * workers)))
+    tasks = [(lo, min(lo + chunk - 1, span.hi), p, q) for lo in range(span.lo, span.hi + 1, chunk)]
     import multiprocessing  # only pooled scans pay for its import
     with multiprocessing.Pool(workers, _hold, data) as pool:
         # imap hands the chunks back in order, one at a time, so each
@@ -409,58 +439,13 @@ def frequency_values(
         return [row for piece in pool.imap(_pooled, tasks) for row in piece]
 
 
-def _candidate_spans(idx, span: IntegerInterval, p: int, q: int) -> list[tuple[int, int]]:
-    """The n in the span with |s - n| <= |n| / C for some s in `idx`, for a
-    slope C = p/q > 1, as merged (lo, hi) ranges in increasing order.
-
-    p |s - n| <= q |n| holds for s > 0 exactly when ps/(p+q) <= n <=
-    ps/(p-q), for s < 0 when ps/(p-q) <= n <= ps/(p+q), and for s = 0
-    when n = 0.  Both ends grow with s, so the ranges come in order.
-    """
-    ranges: list[tuple[int, int]] = []
-    for s in idx:
-        low, high = (p + q, p - q) if s >= 0 else (p - q, p + q)
-        lo, hi = max(-(-p * s // low), span.lo), min(p * s // high, span.hi)
-        if lo > hi:
-            continue
-        if ranges and lo <= ranges[-1][1] + 1:
-            ranges[-1] = (ranges[-1][0], hi)
-        else:
-            ranges.append((lo, hi))
-    return ranges
-
-
-def _chunks(ranges: list[tuple[int, int]], chunk: int) -> list[list[tuple[int, int]]]:
-    """The ranges cut into pieces of `chunk` points each, only the last
-    piece holding fewer; a piece is a list of (lo, hi) ranges."""
-    pieces: list[list[tuple[int, int]]] = []
-    piece: list[tuple[int, int]] = []
-    room = chunk
-    for lo, hi in ranges:
-        while lo <= hi:
-            end = min(hi, lo + room - 1)
-            piece.append((lo, end))
-            room -= end - lo + 1
-            lo = end + 1
-            if not room:
-                pieces.append(piece)
-                piece, room = [], chunk
-    if piece:
-        pieces.append(piece)
-    return pieces
-
-
-def _frequencies(idx, sv, prefix, ranges, p: int, q: int) -> list[int] | list[tuple[int, int]]:
-    """The frequency at every n of the ranges, in order, or only the pairs
-    (n, F) with F <= |n| / (p/q) when p > 0: one walk per range."""
-    rows: list = []
-    for lo, hi in ranges:
-        walk = _candidate_walk(idx, sv, prefix, lo, hi, p, q)
-        if p:
-            rows += [(n, row[2][0]) for n, row in enumerate(walk, lo) if row is not None]
-        else:
-            rows += [row[2][0] for row in walk]
-    return rows
+def _frequencies(
+    idx, sv, prefix, lo: int, hi: int, p: int, q: int
+) -> list[int] | list[tuple[int, int]]:
+    """The frequency at every n in [lo, hi], in order, or only the pairs
+    (n, F) with F <= |n| / (p/q) when p > 0: one walk."""
+    walk = _candidate_walk(idx, sv, prefix, lo, hi, p, q)
+    return list(walk) if p else [row[2][0] for row in walk]
 
 
 _signal: tuple = ()  # a pool worker's (idx, sv, prefix), set by `_hold` when it starts
@@ -473,7 +458,7 @@ def _hold(*data) -> None:
 
 
 def _pooled(task) -> list[int] | list[tuple[int, int]]:
-    """One chunk of a pooled scan, task = (ranges, p, q), on the worker's signal."""
+    """One chunk of a pooled scan, task = (lo, hi, p, q), on the worker's signal."""
     return _frequencies(*_signal, *task)
 
 

@@ -9,9 +9,8 @@ from unittest.mock import patch
 import pytest
 
 import freqlab.maximal as maximal
-from freqlab.families import composite_jump, spike_pair, stretched_log
+from freqlab.families import composite_jump, spike_pair, squares_power, stretched_log
 from freqlab.maximal import (
-    _candidate_spans,
     _pool_size,
     analyze,
     analyze_brute_force,
@@ -277,6 +276,26 @@ class TestFrequencyProfile:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True\n"
 
+    def test_far_span_costs_logarithmically_many_runs(self):
+        # |n| <= 10^9 around a support in [1, 900]: the runs gallop, so the
+        # scan makes O(log N) run tries (198: 45 near the support, about four
+        # per halving of |n| left of it) and keeps the 136 members
+        f = squares_power(F(1, 4), 30)
+        runs, blocks_below = [], maximal._blocks_below
+
+        def spy(idx, prefix, n0, n1, a, end, num, w):
+            if n0 < n1:
+                runs.append((n0, n1))
+            return blocks_below(idx, prefix, n0, n1, a, end, num, w)
+
+        with patch.object(maximal, "_blocks_below", spy):
+            members = frequency_values(f, IntegerInterval(-(10**9), 10**9), slope=F(2))
+        assert len(members) == 136
+        assert 1 <= members[0][0] and members[-1][0] <= 1800
+        assert members == frequency_values(f, IntegerInterval(-1800, 1800), slope=F(2))
+        assert len(runs) < 250
+        assert sum(n1 - n0 + 1 for n0, n1 in runs) > 2 * 10**9 - 2000
+
 
 class FakePool:
     """Stands in for multiprocessing.Pool: records its size and tasks, and
@@ -327,28 +346,54 @@ class TestChunkRule:
         assert pooled == frequency_values(self.SIGNAL, span)
         assert FakePool.sizes == [2]
 
-    def test_scattered_candidates_fill_whole_chunks(self):
-        # 500 spikes, each with its own short range of candidates: the
-        # tasks still number ceil(candidates / chunk), each full but the last
+    def test_tasks_are_contiguous_pieces_of_the_span(self):
+        # 500 spikes, each with its own short stretch of members: the tasks
+        # are ceil(points / chunk) pieces (lo, hi, p, q) that cover the span
+        # in order, each full but the last
         f = Signal.from_pairs([(1000 * k, F(1, k)) for k in range(1, 501)])
         span, slope = IntegerInterval(-600_000, 600_000), F(5 * 10**4)
-        ranges = _candidate_spans(f.indices, span, slope.numerator, slope.denominator)
-        points = sum(hi - lo + 1 for lo, hi in ranges)
-        assert len(ranges) == 500 and 2 * 2048 < points < 16 * 2048
+        chunk = -(-span.length // 16)
+        assert chunk > 2048 and span.length % chunk
         pooled = frequency_values(f, span, threads=2, slope=slope)
         assert FakePool.sizes == [2]
-        assert len(FakePool.tasks) == -(-points // 2048)
-        walked = [[n for lo, hi in task[0] for n in range(lo, hi + 1)] for task in FakePool.tasks]
-        assert [len(piece) for piece in walked[:-1]] == [2048] * (len(walked) - 1)
-        assert sum(walked, []) == [n for lo, hi in ranges for n in range(lo, hi + 1)]
+        assert len(FakePool.tasks) == -(-span.length // chunk)
+        assert {task[2:] for task in FakePool.tasks} == {(slope.numerator, slope.denominator)}
+        pieces = [range(lo, hi + 1) for lo, hi, _, _ in FakePool.tasks]
+        assert [len(piece) for piece in pieces[:-1]] == [chunk] * (len(pieces) - 1)
+        assert 0 < len(pieces[-1]) < chunk
+        assert [n for piece in pieces for n in piece] == list(range(span.lo, span.hi + 1))
         assert pooled == frequency_values(f, span, slope=slope)
 
-    def test_no_negative_point_reaches_the_pool_of_a_positive_support(self):
-        span = IntegerInterval(-3000, 3000)
-        pooled = frequency_values(self.SIGNAL, span, threads=2, slope=F(2))
+    def test_chunks_are_sized_by_the_workers_not_the_threads(self):
+        # a billion threads asked for on 2 CPUs: 16 chunks, not one per
+        # 2048 points of the 2,000,001
+        span = IntegerInterval(-(10**6), 10**6)
+        pooled = frequency_values(self.SIGNAL, span, threads=10**9, slope=F(2))
         assert FakePool.sizes == [2]
-        assert min(lo for task in FakePool.tasks for lo, _ in task[0]) == 1
+        assert len(FakePool.tasks) == 16
         assert pooled == frequency_values(self.SIGNAL, span, slope=F(2))
+
+    def test_negative_half_of_a_positive_support_is_decided_by_window_free_runs(self):
+        # every n < 0 is farther from the support [1, 1521] than |n| / 2;
+        # the runs that decide the negative half all have d > cap, so they
+        # need no block and no window sum, and few points are left to
+        # their own witness
+        span = IntegerInterval(-3000, 3000)
+        calls, blocks_below = [], maximal._blocks_below
+
+        def spy(idx, prefix, n0, n1, a, end, num, w):
+            calls.append((n0, n1, a, end, num, blocks_below(idx, prefix, n0, n1, a, end, num, w)))
+            return calls[-1][-1]
+
+        with patch.object(maximal, "_blocks_below", spy):
+            pooled = frequency_values(self.SIGNAL, span, threads=2, slope=F(2))
+        assert FakePool.sizes == [2]
+        assert pooled == frequency_values(self.SIGNAL, span, slope=F(2))
+        assert min(n for n, _ in pooled) == 1
+        runs = [call for call in calls if call[0] < call[1] < 0 and call[-1]]
+        assert all(a >= end and num == 0 for _, _, a, end, num, _ in runs)
+        assert sum(n1 - n0 + 1 for n0, n1, *_ in runs) >= 2950
+        assert len(runs) <= 16 * len(FakePool.tasks)
 
 
 class TestPoolSize:

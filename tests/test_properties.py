@@ -15,7 +15,6 @@ from freqlab.levelsets import LEVELSET_MODES, LevelParams, census_members
 from freqlab.maximal import (
     TAIL_STEPS,
     BilinearFrequencyResult,
-    _candidate_spans,
     _candidate_walk,
     analyze,
     analyze_brute_force,
@@ -62,6 +61,8 @@ slopes = st.one_of(
     st.sampled_from([Fraction(1001, 1000), Fraction(3, 2), Fraction(2), Fraction(10**6)]),
     st.fractions(min_value=Fraction(51, 50), max_value=50, max_denominator=50),
 )
+# Slopes C <= 1, under which points far from the support can be members.
+gentle_slopes = st.sampled_from([Fraction(1), Fraction(999, 1000), Fraction(1, 2), Fraction(2, 7)])
 
 # Two signals that share the centre, where `bilinear_analyze` tries to
 # certify E = {0}: either independent, or g a multiple of f's table,
@@ -131,11 +132,10 @@ def _members_brute_force(f, ratio, n_max):
 
 
 def _walk_values(f, ratio, lo, hi):
-    """The scan values of one walk over [lo, hi] with slope `ratio`."""
-    walk = _candidate_walk(
+    """The members (n, F) one walk over [lo, hi] with slope `ratio` yields."""
+    return list(_candidate_walk(
         f.indices, f.scaled_values, f.scaled_prefix, lo, hi, ratio.numerator, ratio.denominator
-    )
-    return [None if row is None else row[2][0] for row in walk]
+    ))
 
 
 @DETERMINISTIC
@@ -211,11 +211,11 @@ def test_frequency_values_with_a_slope_decide_exactly(f, ratio, n_max):
 
 def _spied_census(f, ratio, n_max, tail_steps):
     """The members of a census scan over |n| <= n_max, and every
-    `_blocks_below` call of its walks as (n, a, end, num, w, passed)."""
+    `_blocks_below` call of its walks as (n0, n1, a, end, num, w, passed)."""
     calls, blocks_below = [], maximal._blocks_below
 
-    def spy(idx, prefix, n, a, end, num, w):
-        calls.append((n, a, end, num, w, blocks_below(idx, prefix, n, a, end, num, w)))
+    def spy(idx, prefix, n0, n1, a, end, num, w):
+        calls.append((n0, n1, a, end, num, w, blocks_below(idx, prefix, n0, n1, a, end, num, w)))
         return calls[-1][-1]
 
     with patch.object(maximal, "TAIL_STEPS", tail_steps), patch.object(maximal, "_blocks_below", spy):
@@ -223,32 +223,53 @@ def _spied_census(f, ratio, n_max, tail_steps):
     return members, calls
 
 
-def _witness_decisions(f, ratio, calls):
-    """{n: "start" or "try"} for every n the witness decided, before any
-    step or at a later tail try; checks the order and the arguments of
-    the calls at each n on the way."""
-    decided, by_point = {}, {}
+def _decisions(f, ratio, calls):
+    """{n: "start", "try" or "run"} for every n decided by the witness,
+    before any step or at a later tail try, or by a run; checks the order
+    and the arguments of the calls on the way.  A point call has
+    n0 = n1, a run call n0 < n1."""
+    p, q = ratio.numerator, ratio.denominator
+    decided, by_point, runs = {}, {}, []
     for call in calls:
-        by_point.setdefault(call[0], []).append(call)
+        if call[0] < call[1]:
+            runs.append(call)
+        else:
+            by_point.setdefault(call[0], []).append(call)
     for n, point_calls in by_point.items():
-        cap = ratio.denominator * abs(n) // ratio.numerator
+        cap = q * abs(n) // p
         # A witness radius exceeds cap; a tail's best is attained within cap.
-        witness = [call for call in point_calls if call[4] > 2 * cap + 1]
-        tails = [call for call in point_calls if call[4] <= 2 * cap + 1]
+        witness = [call for call in point_calls if call[5] > 2 * cap + 1]
+        tails = [call for call in point_calls if call[5] <= 2 * cap + 1]
         if not witness:
             continue
         assert point_calls[: len(witness)] == witness  # the witness is tried first
-        assert {(end, num, w) for _, _, end, num, w, _ in witness} == {(cap + 1, *witness[0][3:5])}
+        assert {call[3:6] for call in witness} == {(cap + 1, *witness[0][4:6])}
         # its first try comes before any step, from the nearest support point
-        nearest = min((abs(s - n) for s in f.indices if s != n), default=witness[0][1])
-        assert witness[0][1] == nearest
-        assert not any(passed for *_, passed in witness[:-1])
+        nearest = min((abs(s - n) for s in f.indices if s != n), default=witness[0][2])
+        assert witness[0][2] == nearest
+        assert not any(call[-1] for call in witness[:-1])
         # no tail is tried while the best is below A*
-        num_star, w_star = witness[0][3:5]
-        assert all(num * w_star >= num_star * w for _, _, _, num, w, _ in tails)
+        num_star, w_star = witness[0][4:6]
+        assert all(num * w_star >= num_star * w for *_, num, w, _ in tails)
         if witness[-1][-1]:
             assert not tails
             decided[n] = "start" if len(witness) == 1 else "try"
+    # A run follows an n decided before any step, or a passing run, and
+    # widens that decision's rho by its length.
+    rho_at = {call[1]: (call[5] - 1) // 2 for call in calls if call[-1]}
+    for n0, n1, a, end, num, w, passed in runs:
+        assert decided.get(n0 - 1) in ("start", "run")
+        assert n0 > 0 or n1 < 0  # of one sign
+        assert not any(n0 <= s <= n1 for s in f.indices)
+        cap = q * max(abs(n0), abs(n1)) // p
+        rho = (w - 1) // 2
+        assert end == cap + 1 and rho == max(rho_at[n0 - 1] + n1 - n0 + 1, cap + 1)
+        assert a == min(abs(s - n) for s in f.indices for n in (n0, n1))
+        if a < end:  # A_R: the window every n of the run holds at rho
+            assert num == f.window_sum_scaled(n1 - rho, n0 + rho)
+        if passed:
+            assert not by_point.keys() & set(range(n0, n1 + 1))
+            decided.update(dict.fromkeys(range(n0, n1 + 1), "run"))
     return decided
 
 
@@ -259,10 +280,31 @@ def _witness_decisions(f, ratio, calls):
 def test_witness_blocks_decide_exactly(f, ratio, n_max, tail_steps):
     members, calls = _spied_census(f, ratio, n_max, tail_steps)
     assert members == _members_brute_force(f, ratio, n_max)
-    decided = _witness_decisions(f, ratio, calls)
+    decided = _decisions(f, ratio, calls)
     assert not decided.keys() & {n for n, _ in members}
     if f is SQUARES:  # the pinned examples: the witness decides both before and after steps
-        assert set(decided.values()) == {"start", "try"}
+        assert set(decided.values()) == {"start", "try", "run"}
+
+
+@DETERMINISTIC
+@given(census_signals, st.one_of(slopes, gentle_slopes), st.integers(0, 60),
+       st.sampled_from([1, TAIL_STEPS]))
+@example(SQUARES, Fraction(5), 200, 1)
+@example(SQUARES, Fraction(5), 200, TAIL_STEPS)
+@example(SQUARES, Fraction(1001, 1000), 200, 1)  # runs left of 0
+@example(SQUARES, Fraction(1), 200, TAIL_STEPS)
+def test_runs_decide_exactly(f, ratio, n_max, tail_steps):
+    members, calls = _spied_census(f, ratio, n_max, tail_steps)
+    assert members == _members_brute_force(f, ratio, n_max)
+    decided = _decisions(f, ratio, calls)
+    assert not decided.keys() & {n for n, _ in members}
+    if f is SQUARES:
+        # single points and runs both decide, runs at least 40% of the
+        # non-members, and some run needs its window A_R to pass
+        kinds = list(decided.values())
+        assert "start" in kinds
+        assert 10 * kinds.count("run") >= 4 * (2 * n_max + 1 - len(members))
+        assert any(call[-1] and call[0] < call[1] and call[2] < call[3] for call in calls)
 
 
 @DETERMINISTIC
@@ -270,44 +312,16 @@ def test_witness_blocks_decide_exactly(f, ratio, n_max, tail_steps):
 @example(GRID, Fraction(3), -14, 28, 1)
 @example(PLATEAU, Fraction(10**6), -60, 120, 60)  # the second walk starts at n = 0
 @example(SQUARES, Fraction(2), -200, 400, 300)
+@example(SQUARES, Fraction(2), -200, 400, 60)  # cuts the run [-168, -137] of the whole walk
 def test_frequency_values_with_a_slope_split_anywhere(f, ratio, lo, width, cut):
-    # Each walk carries its witness from point to point; a split anywhere
-    # starts a fresh carry and still gives the same values.
+    # Each walk carries its witness and its run length from point to point;
+    # a split anywhere, inside a run too, starts both afresh and still
+    # gives the same members.
     hi = lo + width
     whole = _walk_values(f, ratio, lo, hi)
     cut = lo + cut % (width + 1)
     assert _walk_values(f, ratio, lo, cut - 1) + _walk_values(f, ratio, cut, hi) == whole
-    members = [(n, fr) for n, fr in zip(range(lo, hi + 1), whole) if fr is not None]
-    assert frequency_values(f, IntegerInterval(lo, hi), slope=ratio) == members
-
-
-# The slopes whose candidate spans are checked point by point.
-span_slopes = st.sampled_from(
-    [Fraction(1001, 1000), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(10**6)]
-)
-# Slopes C <= 1, for which a scan walks its whole span.
-gentle_slopes = st.sampled_from([Fraction(1), Fraction(999, 1000), Fraction(1, 2), Fraction(2, 7)])
-
-
-@DETERMINISTIC
-@given(census_signals, span_slopes, st.integers(-100, 100), st.integers(0, 200))
-@example(GRID, Fraction(7, 3), -60, 120)  # mixed signs and a support point at 0
-@example(TRIO, Fraction(10**6), -5, 10)  # n = -1, 0, 1 only
-@example(FAR, Fraction(2), -200, 400)  # support right of 0 only
-@example(SPREAD, Fraction(1001, 1000), -100, 200)
-def test_candidate_spans_are_the_points_near_the_support(f, ratio, lo, width):
-    # Exactly the n of the span with p |s - n| <= q |n| for some s, as
-    # increasing ranges with at least one point between two of them.
-    p, q = ratio.numerator, ratio.denominator
-    span = IntegerInterval(lo, lo + width)
-    ranges = _candidate_spans(f.indices, span, p, q)
-    near = [
-        n for n in range(span.lo, span.hi + 1)
-        if any(p * abs(s - n) <= q * abs(n) for s in f.indices)
-    ]
-    assert [n for a, b in ranges for n in range(a, b + 1)] == near
-    assert all(a <= b for a, b in ranges)
-    assert all(left[1] + 1 < right[0] for left, right in zip(ranges, ranges[1:]))
+    assert frequency_values(f, IntegerInterval(lo, hi), slope=ratio) == whole
 
 
 @DETERMINISTIC
