@@ -47,22 +47,21 @@ prune or to a certified tail:
 
 * the first strict improvement at a radius r > cap.  The frequency is
   the radius of the last strict improvement, so F(n) >= r > cap.
-* a carried witness, proved by the tail's blocks.  Take rho =
-  max(rho_prev + 1, cap + 1), rho_prev being the radius that decided the
-  last n decided in the same walk, and A* = W(n, rho) / (2 rho + 1); F
-  changes slowly with n, so rho nearly always proves n no member at
-  once.  If the best is below A*, and so are the blocks from the next
-  candidate a up to cap, then every radius below a averages at most the
-  best, no radius <= cap reaches the supremum, which is at least A*, and
-  F(n) > cap.  The walk tries this before its first step and then, while
-  the best is below A*, at each tail try in place of the tail, which
-  rho, averaging more than the best, keeps from passing.
-* a run R = [n0, n1] of one sign with no support point, d from the
-  support, cap its largest cap and rho > cap.  Every n of R has
-  A(n, rho) >= A_R = W([n1 - rho, n0 + rho]) / (2 rho + 1), no mass at
-  a radius below d, and at most W([n0 - b, n1 + b]) / (2a + 1) on a block
-  [a, b] with a >= d.  Blocks from d up to cap strictly below A_R decide all of
-  R; with d > cap none is needed, as no radius up to cap sees any mass.
+* one try before any step, at a span R = [n, n1]: n alone at a support
+  point, else a run of one sign with no support point.  Every m of R has
+  M(m) >= A = W([n1 - rho, n + rho]) / (2 rho + 1) for any rho, no mass
+  but f(n) at a radius below the distance a from R to the rest of the
+  support, and at most W([n - b, n1 + b]) / (2a' + 1) on a block [a', b]
+  with a' >= a.  So f(n) < A and blocks from a up to top, the largest cap
+  over R, strictly below A decide all of R; with no mass at n and a > top
+  no radius up to top sees any mass, and A is not needed.  F changes
+  slowly, so rho = max(carry + n1 - n + 1, top + 1), carry being the
+  radius that decided the last decided n, keeps the window that did.
+* the tail-try witness.  Any lower bound on M(n) serves as A*, so after
+  a failed try the walk keeps its A.  While the best is below A*, each
+  tail try tests the blocks from the next candidate up to cap against A*
+  in place of the tail, which rho keeps from passing: if they pass, every
+  radius up to cap averages below A* <= M(n), and F(n) > cap.
 `analyze` is the kernel at one n; `frequency_values` runs it over
 chunks of a span, serially or on a process pool, and with a slope the
 walk yields (n, F) for the members only.
@@ -185,24 +184,16 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
     below the best.  If so, none of them can improve or tie, so the ties
     are already exact.
 
-    A slope C = p/q > 0 adds the decision exits and the runs of the module
-    docstring, and the walk yields (n, F) for the members alone: with
-    cap = q*|n| // p, every n with F(n) > cap is decided by an improvement
-    at a radius r > cap, or by `_blocks_below` from the next candidate up
-    to cap against the carried witness A*, tried before the first step
-    and, while best < A*, at each tail try in place of the tail, which rho
-    then keeps from passing.  After an n decided before any step, the walk
-    tries the run [n + 1, n1], n1 at most n + L, of n's sign and short of
-    the next support point, by `_blocks_below` from its distance d to the
-    support up to its cap against A_R.  Its rho = max(carry + n1 - n,
-    cap + 1) keeps the window of the carried rho, whose mass made the last
-    witness pass.  A pass decides the whole run, moves n to n1 and doubles
-    L; a failure halves L, down to 2: a single point is left to its own
-    witness.  Wherever F(n) <= cap no exit can pass, so the walk
-    runs to the prune or to a certified tail and yields the exact result;
-    a certified tail never decides a non-member, as its ties[0] is the
-    radius of a strict improvement, at most cap.  The default p = 0 never
-    exits: its cap is `far`, beyond every radius taken, and its A* is 0.
+    A slope C = p/q > 0 adds the three decision exits of the module
+    docstring, and the walk yields (n, F) for the members alone.  A try
+    spans at most L points; a pass moves n to n1 and doubles L, and a
+    failure halves L, down to 1, and steps at n with its own cap
+    q*|n| // p, keeping the try's A as A* for the tail tries.
+    Wherever F(n) <= cap no exit can pass, so the walk runs to the prune
+    or to a certified tail and yields the exact result; a certified tail
+    never decides a non-member, as its ties[0] is the radius of a strict
+    improvement, at most cap.  The default p = 0 never exits: its cap is
+    `far`, beyond every radius taken, and its A* is 0.
     """
     size = len(idx)
     l1 = prefix[-1]
@@ -213,7 +204,7 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
     first_try = range(TAIL_STEPS)
     carry = -1  # the radius that decided the last decided n
     num_star, w_star, cap = 0, 1, far
-    run = 2  # L, the most points the next run try may decide
+    run = 1  # L, the most points the next try may decide
     nxt = bisect_left(idx, lo)
     n = lo - 1
     while n < hi:
@@ -234,30 +225,27 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
         dr = idx[j] - n if j < size else far
         if p:
             cap = q * abs(n) // p  # p*r > q*|n| iff r > cap
-            rho = max(carry + 1, cap + 1)
+            # the try: n alone at a support point and while L is 1, else up to
+            # L points of n's sign, short of the next support point and of the chunk's end
+            n1 = n
+            if run > 1 and not best_num:
+                n1 = min(n + run, n + dr, hi + 1, 0 if n < 0 else hi + 1) - 1
+            top = q * n1 // p if n1 > n >= 0 else cap  # the largest cap over [n, n1]
+            # rho = max(carry + n1 - n + 1, top + 1) and a, the distance from
+            # [n, n1] to the support other than n, with no call per try
+            rho = carry + n1 - n + 1 if carry + n1 - n > top else top + 1
+            a = dr + n - n1 if dr + n - n1 < dl else dl
             w_star = 2 * rho + 1
-            num_star = prefix[bisect_right(idx, n + rho)] - prefix[bisect_left(idx, n - rho)]
-            if best_num * w_star < num_star and _blocks_below(
-                idx, prefix, n, n, dl if dl < dr else dr, cap + 1, num_star, w_star
+            # with no mass at n and a > top no radius up to top sees any, so no window is needed
+            num_star = (best_num or a <= top) and (
+                prefix[bisect_right(idx, n + rho)] - prefix[bisect_left(idx, n1 - rho)]
+            )
+            if (not best_num or best_num * w_star < num_star) and _blocks_below(
+                idx, prefix, n, n1, a, top + 1, num_star, w_star
             ):
-                carry = rho
-                while True:  # the runs [n + 1, n1]
-                    n1 = min(n + run, hi, idx[j] - 1 if j < size else hi, hi if n >= 0 else -1)
-                    if n1 <= n + 1:  # a single point is left to its own witness
-                        break
-                    cap = q * (n1 if n >= 0 else -n - 1) // p  # over the run
-                    rho = max(carry + n1 - n, cap + 1)
-                    d = min(n + 1 - idx[j - 1] if j else far, idx[j] - n1 if j < size else far)
-                    w_star = 2 * rho + 1
-                    # with d > cap no radius up to cap sees any mass, so no window is needed
-                    num_star = d <= cap and (
-                        prefix[bisect_right(idx, n + 1 + rho)] - prefix[bisect_left(idx, n1 - rho)]
-                    )
-                    if not _blocks_below(idx, prefix, n + 1, n1, d, cap + 1, num_star, w_star):
-                        run = max(run // 2, 2)
-                        break
-                    n, carry, run = n1, rho, 2 * run
+                n, carry, run = n1, rho, 2 * run
                 continue
+            run = run // 2 or 1
         steps = first_try
         while True:
             for _ in steps:
@@ -398,10 +386,10 @@ def frequency_values(
     """The frequency at every n in the span, in order.
 
     With a slope C > 0 only the points with F(n) <= |n| / C are kept, as
-    (n, F(n)) pairs: the decision exits and the runs of `_candidate_walk`
-    rule every other n out without walking to the prune, and the walk
-    yields the members alone, so the output grows with the members, and
-    a stretch far from the support costs a few runs, not a step per point.
+    (n, F(n)) pairs: the decision exits of `_candidate_walk` rule every
+    other n out without walking to the prune, and the walk yields the
+    members alone, so the output grows with the members, and a stretch
+    far from the support costs a few runs, not a step per point.
 
     When `_pool_size` allows more than one worker, at most one per 2048
     points, the span is cut into chunks of max(2048, ceil(points / (8 *
@@ -420,6 +408,8 @@ def frequency_values(
     [(0, 0)]
     """
     threads = exact_int(threads, "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {format_int(threads)}")
     slope = None if slope is None else exact_fraction(slope, "slope")
     if slope is not None and slope <= 0:
         raise ValueError(f"slope must be positive, got {format_number(slope)}")

@@ -145,6 +145,22 @@ def test_bad_rational_text_is_refused_by_name(call, message):
         call()
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: frequency_values(f, SPAN, threads=x),
+        lambda x: frequency_profile(f, SPAN, threads=x),
+        lambda x: census_members(f, TWO, 3, threads=x),
+        lambda x: density_curves(f, TWO, [3], threads=x),
+    ],
+    ids=["frequency_values", "frequency_profile", "census_members", "density_curves"],
+)
+def test_fewer_than_one_thread_is_refused(call, threads):
+    with pytest.raises(ValueError, match=f"^threads must be at least 1, got {threads}$"):
+        call(threads)
+
+
 @pytest.mark.parametrize(
     "count,n_value,message",
     [(-1, 10, "count must be non-negative, got -1"), (3, 0, "n_value must be positive, got 0")],

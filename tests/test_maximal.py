@@ -278,8 +278,9 @@ class TestFrequencyProfile:
 
     def test_far_span_costs_logarithmically_many_runs(self):
         # |n| <= 10^9 around a support in [1, 900]: the runs gallop, so the
-        # scan makes O(log N) run tries (198: 45 near the support, about four
-        # per halving of |n| left of it) and keeps the 136 members
+        # scan makes O(log N) tries at runs of two or more points (199: 134
+        # left of 0, about four per halving of |n|, and 65 right of it) and
+        # keeps the 136 members
         f = squares_power(F(1, 4), 30)
         runs, blocks_below = [], maximal._blocks_below
 
@@ -375,9 +376,9 @@ class TestChunkRule:
 
     def test_negative_half_of_a_positive_support_is_decided_by_window_free_runs(self):
         # every n < 0 is farther from the support [1, 1521] than |n| / 2;
-        # the runs that decide the negative half all have d > cap, so they
-        # need no block and no window sum, and few points are left to
-        # their own witness
+        # the runs that decide the negative half are all farther from the
+        # support than their largest cap, so they need no block and no
+        # window sum, and few points are tried alone
         span = IntegerInterval(-3000, 3000)
         calls, blocks_below = [], maximal._blocks_below
 

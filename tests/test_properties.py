@@ -223,53 +223,78 @@ def _spied_census(f, ratio, n_max, tail_steps):
     return members, calls
 
 
-def _decisions(f, ratio, calls):
-    """{n: "start", "try" or "run"} for every n decided by the witness,
-    before any step or at a later tail try, or by a run; checks the order
-    and the arguments of the calls on the way.  A point call has
-    n0 = n1, a run call n0 < n1."""
+def _first_improvement_past(f, n, cap):
+    """The least radius r > cap whose average beats every smaller radius's,
+    by the oracle's buckets: the radius an improvement past cap decides at."""
+    gains = [0] * (radius_bound(f, n) + 1)
+    for s, v in zip(f.indices, f.scaled_values):
+        gains[abs(s - n)] += v
+    acc, best_num, best_w = 0, 0, 1
+    for r, gain in enumerate(gains):
+        acc += gain
+        if acc * best_w > best_num * (2 * r + 1):
+            if r > cap:
+                return r
+            best_num, best_w = acc, 2 * r + 1
+    raise AssertionError(f"F({n}) <= {cap}")
+
+
+def _decisions(f, ratio, n_max, members, calls):
+    """{n: "one", "run" or "tail"} for every n of the census walk over
+    |n| <= n_max decided by a try at n alone before any step, by a try
+    at a run of two or more points, or by the witness at a later tail try.
+
+    Replays the walk from n = -n_max with the oracle's members and its
+    radii of improvement past cap, so that the carried radius and L are
+    known at every try, and checks every `_blocks_below` call on the way:
+    each try's span, distance, end, window and rho; that a passing try's
+    points get no other call; and that a tail-try witness uses its try's
+    (num, w) up to n's own cap."""
     p, q = ratio.numerator, ratio.denominator
-    decided, by_point, runs = {}, {}, []
+    idx, members = f.indices, dict(members)
+    by_n = {}
     for call in calls:
-        if call[0] < call[1]:
-            runs.append(call)
+        by_n.setdefault(call[0], []).append(call)
+    # the walk's distance to a side with no support point
+    far = max(n_max, idx[-1]) - min(-n_max, idx[0]) + 1
+    decided, carry, run, n = {}, -1, 1, -n_max
+    while n <= n_max:
+        own, mass = by_n.pop(n, []), f.scaled_value_at(n)
+        nxt = min((s for s in idx if s > n), default=n_max + 1)
+        n1 = n if mass else min(n + run - 1, n_max, nxt - 1, -1 if n < 0 else n_max)
+        top = q * max(abs(n), abs(n1)) // p
+        rho = max(carry + n1 - n + 1, top + 1)
+        a = min((abs(s - m) for s in idx if s != n for m in (n, n1)), default=far)
+        num = f.window_sum_scaled(n1 - rho, n + rho) if mass or a <= top else 0
+        try_call = (n, n1, a, top + 1, num, 2 * rho + 1)
+        if mass and mass * (2 * rho + 1) >= num:  # f(n) >= A: no blocks are tried
+            passed = False
         else:
-            by_point.setdefault(call[0], []).append(call)
-    for n, point_calls in by_point.items():
+            assert own and own[0][:6] == try_call, (own[:1], try_call)
+            passed, own = own[0][6], own[1:]
+        if passed:
+            assert not own and not by_n.keys() & set(range(n, n1 + 1))
+            decided.update(dict.fromkeys(range(n, n1 + 1), "run" if n < n1 else "one"))
+            carry, run, n = rho, 2 * run, n1 + 1
+            continue
+        run = max(run // 2, 1)
         cap = q * abs(n) // p
         # A witness radius exceeds cap; a tail's best is attained within cap.
-        witness = [call for call in point_calls if call[5] > 2 * cap + 1]
-        tails = [call for call in point_calls if call[5] <= 2 * cap + 1]
-        if not witness:
-            continue
-        assert point_calls[: len(witness)] == witness  # the witness is tried first
-        assert {call[3:6] for call in witness} == {(cap + 1, *witness[0][4:6])}
-        # its first try comes before any step, from the nearest support point
-        nearest = min((abs(s - n) for s in f.indices if s != n), default=witness[0][2])
-        assert witness[0][2] == nearest
+        witness = [call for call in own if call[5] > 2 * cap + 1]
+        tails = [call for call in own if call[5] <= 2 * cap + 1]
+        assert own[: len(witness)] == witness  # no tail is tried while the best is below A
+        for call in witness:  # from a candidate radius up to n's own cap, against the try's A
+            assert call[:2] == (n, n) and call[3:6] == (cap + 1, num, 2 * rho + 1)
+            assert call[2] in {abs(s - n) for s in idx}
         assert not any(call[-1] for call in witness[:-1])
-        # no tail is tried while the best is below A*
-        num_star, w_star = witness[0][4:6]
-        assert all(num * w_star >= num_star * w for *_, num, w, _ in tails)
-        if witness[-1][-1]:
-            assert not tails
-            decided[n] = "start" if len(witness) == 1 else "try"
-    # A run follows an n decided before any step, or a passing run, and
-    # widens that decision's rho by its length.
-    rho_at = {call[1]: (call[5] - 1) // 2 for call in calls if call[-1]}
-    for n0, n1, a, end, num, w, passed in runs:
-        assert decided.get(n0 - 1) in ("start", "run")
-        assert n0 > 0 or n1 < 0  # of one sign
-        assert not any(n0 <= s <= n1 for s in f.indices)
-        cap = q * max(abs(n0), abs(n1)) // p
-        rho = (w - 1) // 2
-        assert end == cap + 1 and rho == max(rho_at[n0 - 1] + n1 - n0 + 1, cap + 1)
-        assert a == min(abs(s - n) for s in f.indices for n in (n0, n1))
-        if a < end:  # A_R: the window every n of the run holds at rho
-            assert num == f.window_sum_scaled(n1 - rho, n0 + rho)
-        if passed:
-            assert not by_point.keys() & set(range(n0, n1 + 1))
-            decided.update(dict.fromkeys(range(n0, n1 + 1), "run"))
+        assert all(t_num * (2 * rho + 1) >= num * t_w for *_, t_num, t_w, _ in tails)
+        if witness and witness[-1][-1]:
+            assert not tails and n not in members
+            decided[n], carry = "tail", rho
+        elif n not in members:
+            carry = _first_improvement_past(f, n, cap)
+        n += 1
+    assert not by_n  # every call belongs to a point the walk stepped at
     return decided
 
 
@@ -280,10 +305,10 @@ def _decisions(f, ratio, calls):
 def test_witness_blocks_decide_exactly(f, ratio, n_max, tail_steps):
     members, calls = _spied_census(f, ratio, n_max, tail_steps)
     assert members == _members_brute_force(f, ratio, n_max)
-    decided = _decisions(f, ratio, calls)
+    decided = _decisions(f, ratio, n_max, members, calls)
     assert not decided.keys() & {n for n, _ in members}
-    if f is SQUARES:  # the pinned examples: the witness decides both before and after steps
-        assert set(decided.values()) == {"start", "try", "run"}
+    if f is SQUARES:  # the pinned examples: tries at one point and at runs, and tail-try witnesses
+        assert set(decided.values()) == {"one", "run", "tail"}
 
 
 @DETERMINISTIC
@@ -296,13 +321,13 @@ def test_witness_blocks_decide_exactly(f, ratio, n_max, tail_steps):
 def test_runs_decide_exactly(f, ratio, n_max, tail_steps):
     members, calls = _spied_census(f, ratio, n_max, tail_steps)
     assert members == _members_brute_force(f, ratio, n_max)
-    decided = _decisions(f, ratio, calls)
+    decided = _decisions(f, ratio, n_max, members, calls)
     assert not decided.keys() & {n for n, _ in members}
     if f is SQUARES:
-        # single points and runs both decide, runs at least 40% of the
-        # non-members, and some run needs its window A_R to pass
+        # tries at one point and at runs both decide, runs at least 40% of
+        # the non-members, and some run needs its window A to pass
         kinds = list(decided.values())
-        assert "start" in kinds
+        assert "one" in kinds
         assert 10 * kinds.count("run") >= 4 * (2 * n_max + 1 - len(members))
         assert any(call[-1] and call[0] < call[1] and call[2] < call[3] for call in calls)
 
@@ -312,7 +337,7 @@ def test_runs_decide_exactly(f, ratio, n_max, tail_steps):
 @example(GRID, Fraction(3), -14, 28, 1)
 @example(PLATEAU, Fraction(10**6), -60, 120, 60)  # the second walk starts at n = 0
 @example(SQUARES, Fraction(2), -200, 400, 300)
-@example(SQUARES, Fraction(2), -200, 400, 60)  # cuts the run [-168, -137] of the whole walk
+@example(SQUARES, Fraction(2), -200, 400, 60)  # cuts the run [-169, -138] of the whole walk
 def test_frequency_values_with_a_slope_split_anywhere(f, ratio, lo, width, cut):
     # Each walk carries its witness and its run length from point to point;
     # a split anywhere, inside a run too, starts both afresh and still
