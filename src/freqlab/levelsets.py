@@ -39,7 +39,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .dyadic import Enclosure, certify, floor_dyadic, ln_int, power
-from .maximal import frequency_values
+from .maximal import checked_threads, frequency_values
 from .signal import IntegerInterval, Record, Signal, exact_fraction, exact_int
 from .signal import format_int, format_number
 
@@ -167,6 +167,8 @@ def density_curves(
         raise ValueError("grid values must be positive")
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("grid must be strictly increasing")
+    # the zero signal's census calls no scan, which would check threads
+    threads = checked_threads(threads)
 
     if f.is_zero:
         counts_k, counts_s = [2 * n + 1 for n in n_grid], [1] * len(n_grid)

@@ -27,18 +27,20 @@ strictly below the best.  That stop always comes: an exhausted side
 sits at a distance beyond every support point, and before both sides
 are exhausted all of ||f||_1 has been averaged at a smaller radius.
 That prune is loose, so every few steps the walk also tries to certify
-its tail: it covers the radii from its next candidate up to the prune
-with blocks [a, b] (the last one cut short at the prune), and bounds
-every radius of a block by W(n, b) / (2a + 1), its last window sum over
-its first denominator, each window two bisects into the signal's prefix
-sums.  If every block is strictly below the best, no later radius can
-improve or tie, so the walk stops with the attaining set already exact.
-The bound holds for any block width, so the blocks are wide,
-b = BLOCK_RATIO (a + 1) - 1: far from a tie a few of them pass, and
-near one a try that fails leaves the walk exact all the same.  The
-tries come after TAIL_STEPS steps and then after twice as many more
-each time one fails, so a walk that cannot stop early pays a few window
-sums, not one per step.
+its tail: whether every radius from its next candidate up to the prune
+averages strictly below the best.  `_blocks_below` answers that exactly.
+Most tries that fail already fail at the next candidate, so its window
+comes first, and the rest goes by descent from the far end.  The window
+W(n, b) at the top radius b left, two bisects into the signal's prefix
+sums, bounds the window at every radius below b, so it clears at once
+every r with best (2r + 1) > W(n, b); the largest r it does not clear is
+the next top.  The descent fails once a top reaches the best and passes
+once the top falls to the next candidate.  If it passes, no later radius
+can improve or tie, so the walk stops with the attaining set already
+exact; a try that fails leaves the walk exact all the same.  The tries come
+after TAIL_STEPS steps and then after twice as many more each time one
+fails, so a walk that cannot stop early pays a few tries, not one per
+step.
 A census asks only whether F(n) <= |n| / C, that is F(n) <= cap with
 cap = floor(|n| / C), so given a slope C the walk decides every other n
 early and yields nothing for it.  Three exits decide, all by strict
@@ -51,15 +53,16 @@ prune or to a certified tail:
   point, else a run of one sign with no support point.  Every m of R has
   M(m) >= A = W([n1 - rho, n + rho]) / (2 rho + 1) for any rho, no mass
   but f(n) at a radius below the distance a from R to the rest of the
-  support, and at most W([n - b, n1 + b]) / (2a' + 1) on a block [a', b]
-  with a' >= a.  So f(n) < A and blocks from a up to top, the largest cap
-  over R, strictly below A decide all of R; with no mass at n and a > top
-  no radius up to top sees any mass, and A is not needed.  F changes
+  support, and at most V(r) / (2r + 1) at a radius r >= a, where
+  V(r) = W([n - r, n1 + r]).  So f(n) < A and that bound strictly below A
+  at every r from a up to top, the largest cap over R, decide all of R;
+  with no mass at n and a > top no radius up to top sees any mass, and A
+  is not needed.  F changes
   slowly, so rho = max(carry + n1 - n + 1, top + 1), carry being the
   radius that decided the last decided n, keeps the window that did.
 * the tail-try witness.  Any lower bound on M(n) serves as A*, so after
   a failed try the walk keeps its A.  While the best is below A*, each
-  tail try tests the blocks from the next candidate up to cap against A*
+  tail try tests the radii from the next candidate up to cap against A*
   in place of the tail, which rho keeps from passing: if they pass, every
   radius up to cap averages below A* <= M(n), and F(n) > cap.
 `analyze` is the kernel at one n; `frequency_values` runs it over
@@ -82,12 +85,14 @@ t0 = |f(n) g(n)|, and `bilinear_analyze` first tries to certify that
 no other radius reaches it, without assembling any term.  Blocks
 [a, min(b, reach)] run from the farther of the nearest other support
 points of f and g out to the farthest distance at which the hulls leave
-room for a pair, b = BLOCK_RATIO (a + 1) - 1 as in the walk's tail.
+room for a pair, b = BLOCK_RATIO (a + 1) - 1.
 For each block a running bound on the window sum adds, for each
 mirrored side, the lesser of (mass of f) x (max of g) and (max of f) x
 (mass of g), from the prefix sums and the running maxima cached on
 each Signal.  If the bound stays strictly below t0 (2a + 1)
-at every block, E = {0}; otherwise the terms are assembled.
+at every block, E = {0}; otherwise the terms are assembled.  The bound
+at a radius is a sum over the blocks inside it, built outward, so the
+descent of the walk's tail tries does not apply here.
 `bilinear_average` sums the same terms up to its radius.
 
 `analyze_brute_force` and `bilinear_analyze_brute_force` are the
@@ -161,8 +166,7 @@ def radius_bound(f: Signal, n: int) -> int:
 # Walk steps before the first try at certifying the tail of a walk; each
 # failed try doubles the steps to the next.
 TAIL_STEPS = 8
-# `_blocks_below` and `_only_zero_attains` cover their radii with blocks
-# [a, BLOCK_RATIO (a + 1) - 1].
+# `_only_zero_attains` covers its radii with blocks [a, BLOCK_RATIO (a + 1) - 1].
 BLOCK_RATIO = 8
 
 
@@ -295,18 +299,31 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
 
 def _blocks_below(idx, prefix, n0: int, n1: int, a: int, end: int, num: int, w: int) -> bool:
     """Whether every radius r in [a, end) averages strictly below num / w
-    at every n in [n0, n1].
+    at every n in [n0, n1], that is V(r) w < num (2r + 1) for
+    V(r) = W([n0 - r, n1 + r]), which holds every n's window at r.
 
-    Blocks [a, min(BLOCK_RATIO (a + 1) - 1, end - 1)] cover them, each
-    bound by W([n0 - b, n1 + b]) / (2a + 1), the last window of every n
-    over its first denominator.
+    The answer is exact.  Most tries that fail already fail at a, so the
+    window there comes first; with num = 0, as at run tries whose window
+    misses the support, it always fails, since nothing is strictly below
+    0.  The rest goes by descent from the far end: V grows with r, so the
+    window V(b) at the top radius b left bounds every radius below it,
+    and it is strictly below at every r with num (2r + 1) > V(b) w, which
+    is every r past (V(b) w - num) // (2 num).  If b itself is not past
+    that radius, it reaches num / w and the answer is no; otherwise the
+    descent goes on from there, so each window clears the largest block
+    it can, until the top falls to a.
     """
-    while a < end:
-        b = min(BLOCK_RATIO * (a + 1) - 1, end - 1)
-        window = prefix[bisect_right(idx, n1 + b)] - prefix[bisect_left(idx, n0 - b)]
+    if a < end:
+        window = prefix[bisect_right(idx, n1 + a)] - prefix[bisect_left(idx, n0 - a)]
         if window * w >= num * (2 * a + 1):
             return False
-        a = b + 1
+    b = end - 1
+    while b > a:
+        window = prefix[bisect_right(idx, n1 + b)] - prefix[bisect_left(idx, n0 - b)]
+        r = (window * w - num) // (2 * num)  # the largest r with num (2r + 1) <= window * w
+        if r >= b:  # the radius b itself reaches num / w
+            return False
+        b = r  # every radius in (r, b] is strictly below
     return True
 
 
@@ -407,9 +424,7 @@ def frequency_values(
     >>> frequency_values(delta, IntegerInterval(-2, 2), slope=Fraction(2))
     [(0, 0)]
     """
-    threads = exact_int(threads, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {format_int(threads)}")
+    threads = checked_threads(threads)
     slope = None if slope is None else exact_fraction(slope, "slope")
     if slope is not None and slope <= 0:
         raise ValueError(f"slope must be positive, got {format_number(slope)}")
@@ -427,6 +442,14 @@ def frequency_values(
         # imap hands the chunks back in order, one at a time, so each
         # chunk's list is freed once it is copied out
         return [row for piece in pool.imap(_pooled, tasks) for row in piece]
+
+
+def checked_threads(threads: int) -> int:
+    """`threads` as an int, refused unless it is an integer of at least 1."""
+    threads = exact_int(threads, "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {format_int(threads)}")
+    return threads
 
 
 def _frequencies(

@@ -33,6 +33,7 @@ F = Fraction(1)
 f = Signal.from_pairs([(0, 1), (3, 2)])
 SPAN = IntegerInterval(-3, 3)
 TWO = LevelParams(2)
+ZERO = Signal.from_pairs([])
 
 # (argument name, a call passing `x` as that argument)
 INTEGER_ARGUMENTS = [
@@ -64,6 +65,7 @@ INTEGER_ARGUMENTS = [
     ("cutoff", lambda x: GeneratorSpec("squares_power", epsilon=1, cutoff=x)),
     ("precision_bits", lambda x: GeneratorSpec("squares_power", 1, 3, precision_bits=x)),
     ("size", lambda x: GeneratorSpec("spike_pair", size=x)),
+    ("threads", lambda x: density_curves(ZERO, TWO, [3], threads=x)),
 ]
 # a float, a Fraction where an integer is due, a str
 NON_INTEGERS = [150.5, Fraction(150), "150"]
@@ -153,8 +155,12 @@ def test_bad_rational_text_is_refused_by_name(call, message):
         lambda x: frequency_profile(f, SPAN, threads=x),
         lambda x: census_members(f, TWO, 3, threads=x),
         lambda x: density_curves(f, TWO, [3], threads=x),
+        lambda x: density_curves(ZERO, TWO, [3], threads=x),
     ],
-    ids=["frequency_values", "frequency_profile", "census_members", "density_curves"],
+    ids=[
+        "frequency_values", "frequency_profile", "census_members", "density_curves",
+        "density_curves_zero_signal",
+    ],
 )
 def test_fewer_than_one_thread_is_refused(call, threads):
     with pytest.raises(ValueError, match=f"^threads must be at least 1, got {threads}$"):

@@ -278,15 +278,16 @@ class TestFrequencyProfile:
 
     def test_far_span_costs_logarithmically_many_runs(self):
         # |n| <= 10^9 around a support in [1, 900]: the runs gallop, so the
-        # scan makes O(log N) tries at runs of two or more points (199: 134
-        # left of 0, about four per halving of |n|, and 65 right of it) and
-        # keeps the 136 members
+        # scan makes O(log N) tries at runs of two or more points starting
+        # outside [0, 1800] (154: 134 left of 0, about four per halving of
+        # |n|, and 20 right of 1800) and keeps the 136 members.  All
+        # `_blocks_below` calls, the tries near the support and the tail
+        # tries of its points included, number 690.
         f = squares_power(F(1, 4), 30)
-        runs, blocks_below = [], maximal._blocks_below
+        calls, blocks_below = [], maximal._blocks_below
 
         def spy(idx, prefix, n0, n1, a, end, num, w):
-            if n0 < n1:
-                runs.append((n0, n1))
+            calls.append((n0, n1))
             return blocks_below(idx, prefix, n0, n1, a, end, num, w)
 
         with patch.object(maximal, "_blocks_below", spy):
@@ -294,7 +295,9 @@ class TestFrequencyProfile:
         assert len(members) == 136
         assert 1 <= members[0][0] and members[-1][0] <= 1800
         assert members == frequency_values(f, IntegerInterval(-1800, 1800), slope=F(2))
-        assert len(runs) < 250
+        runs = [(n0, n1) for n0, n1 in calls if n0 < n1]
+        assert len([n0 for n0, _ in runs if n0 < 0 or n0 > 1800]) < 250
+        assert len(calls) < 1000
         assert sum(n1 - n0 + 1 for n0, n1 in runs) > 2 * 10**9 - 2000
 
 

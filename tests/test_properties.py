@@ -179,6 +179,37 @@ def test_certified_tails_match_brute_force(f, lo, width, tail_steps):
 
 
 @DETERMINISTIC
+@given(
+    st.one_of(signals, wide_signals), centres, st.integers(0, 6), st.integers(0, 120),
+    st.integers(-5, 250), st.none() | st.integers(-120, 250), st.integers(-2, 2),
+)
+@example(FAR, 0, 0, 0, 10, 5, 0)  # num = 0 with a < end: nothing is strictly below 0
+@example(PLATEAU, 0, 0, 7, -4, -5, 0)  # a >= end: no radius to bound
+@example(PLATEAU, 0, 0, 2, 1, 0, 0)  # V(2) w = num (2 * 2 + 1): the tie does not pass
+@example(PLATEAU, 0, 0, 3, 7, -1, 0)  # every radius past the tie passes
+@example(FAR, 0, 0, 0, 200, 102, 0)  # a tie at 102, far inside [a, end), that the descent meets
+@example(SQUARES, -10, 3, 20, 380, -10, 0)  # the run [-10, -7] passes: a, then a descent of four
+def test_blocks_below_is_exact(f, n0, width, a, length, offset, shift):
+    # `_blocks_below` answers exactly whether V(r) w < num (2r + 1) at
+    # every r in [a, end), V(r) being the window [n0 - r, n1 + r].  num
+    # and w are the average at a radius rho, give or take: rho = a +
+    # offset, or with no offset the radius of the largest average in
+    # [a, end), so that the threshold ties or nearly ties the answer.
+    n1, end = n0 + width, a + length
+
+    def window(r):
+        return f.window_sum_scaled(n0 - r, n1 + r)
+
+    if offset is None:
+        rho = max(range(a, max(end, a + 1)), key=lambda r: Fraction(window(r), 2 * r + 1))
+    else:
+        rho = max(a + offset, 0)
+    num, w = max(window(rho) + shift, 0), 2 * rho + 1
+    exact = all(window(r) * w < num * (2 * r + 1) for r in range(a, end))
+    assert maximal._blocks_below(f.indices, f.scaled_prefix, n0, n1, a, end, num, w) is exact
+
+
+@DETERMINISTIC
 @given(census_signals, slopes, st.integers(0, 60))
 @example(PLATEAU, Fraction(10**6), 60)  # at n = 0 the witness ties the best
 @example(GRID, Fraction(3), 14)  # members n = +-14 attain at r = 2, in the witness block [2, 4]
