@@ -82,17 +82,14 @@ mirrored through n, is intersected with g's index set in one set
 operation, and only the pairs found are multiplied.
 When n lies in both supports the radius 0 already holds the term
 t0 = |f(n) g(n)|, and `bilinear_analyze` first tries to certify that
-no other radius reaches it, without assembling any term.  Blocks
-[a, min(b, reach)] run from the farther of the nearest other support
-points of f and g out to the farthest distance at which the hulls leave
-room for a pair, b = BLOCK_RATIO (a + 1) - 1.
-For each block a running bound on the window sum adds, for each
-mirrored side, the lesser of (mass of f) x (max of g) and (max of f) x
-(mass of g), from the prefix sums and the running maxima cached on
-each Signal.  If the bound stays strictly below t0 (2a + 1)
-at every block, E = {0}; otherwise the terms are assembled.  The bound
-at a radius is a sum over the blocks inside it, built outward, so the
-descent of the walk's tail tries does not apply here.
+no other radius reaches it, without assembling any term.  It descends
+like the tail tries, from the farthest distance at which the hulls leave
+room for a pair: the window at a top b is bounded, for each mirrored
+side of [1, b], by the lesser of (mass of f) x (max of g) and (max of
+f) x (mass of g), from the prefix sums and the running maxima cached on
+each Signal, and clears every radius whose average it keeps strictly
+below t0.  If the top falls below 1, E = {0}; if a top is not cleared,
+the terms are assembled.
 `bilinear_average` sums the same terms up to its radius.
 
 `analyze_brute_force` and `bilinear_analyze_brute_force` are the
@@ -166,8 +163,6 @@ def radius_bound(f: Signal, n: int) -> int:
 # Walk steps before the first try at certifying the tail of a walk; each
 # failed try doubles the steps to the next.
 TAIL_STEPS = 8
-# `_only_zero_attains` covers its radii with blocks [a, BLOCK_RATIO (a + 1) - 1].
-BLOCK_RATIO = 8
 
 
 def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
@@ -545,46 +540,33 @@ def _only_zero_attains(f: Signal, g: Signal, n: int, t0: int) -> bool:
     n lies in both supports and t0 = f(n) g(n), scaled.
 
     A term at distance d >= 1 pairs a point of f and a point of g, each
-    at distance d from n, one on either side: d is at least the farther
-    of the two nearest other support points, and at most `reach`, the
-    farthest d at which the hulls leave room for such a pair.  Radii
-    outside that range hold only t0 or no new terms.  Blocks
-    [a, min(BLOCK_RATIO (a + 1) - 1, reach)] cover it; a running bound U
-    on the window at the block's end adds, for each mirrored side of the
-    block, the least of (mass of f) x (max of g) and (max of f) x (mass
-    of g).  Every radius in a block averages at most U / (2a + 1), and
-    past the reach the window stays at most U, so U < t0 (2a + 1) at
-    every block proves that no radius r >= 1 reaches or ties t0.
+    at distance d from n, one on either side, so d is at most `reach`,
+    the farthest d at which the hulls leave room for such a pair; past
+    it the window stays put while 2r + 1 grows.  The descent starts at
+    b = reach.  The window at every radius up to b is at most t0 + U(b),
+    where U adds, for each mirrored side of [1, b], the lesser of (mass
+    of f) x (max of g) and (max of f) x (mass of g), so every r with
+    t0 (2r + 1) > t0 + U(b) is strictly below t0.  If b itself is not,
+    the answer is no; otherwise the next top is the largest r that is
+    not, and the answer is yes once the top falls below 1.
     """
     fi, gi = f.indices, g.indices
-    reach = max(min(n - fi[0], gi[-1] - n), min(fi[-1] - n, n - gi[0]))
-    a = max(_nearest_other(f, n), _nearest_other(g, n))
-    bound = t0
-    while a <= reach:
-        b = min(BLOCK_RATIO * (a + 1) - 1, reach)
-        f_left, f_right = _mass_and_max(f, n - b, n - a), _mass_and_max(f, n + a, n + b)
+    b = max(min(n - fi[0], gi[-1] - n), min(fi[-1] - n, n - gi[0]))
+    while b >= 1:
+        f_left, f_right = _mass_and_max(f, n - b, n - 1), _mass_and_max(f, n + 1, n + b)
         if g is f:
             g_left, g_right = f_left, f_right
         else:
-            g_left, g_right = _mass_and_max(g, n - b, n - a), _mass_and_max(g, n + a, n + b)
+            g_left, g_right = _mass_and_max(g, n - b, n - 1), _mass_and_max(g, n + 1, n + b)
         # each term pairs a point s with 2n - s: sum f(s) g(2n - s) is at
         # most (mass of f) x (max of g) and (max of f) x (mass of g)
-        bound += min(f_left[0] * g_right[1], f_left[1] * g_right[0])
+        bound = min(f_left[0] * g_right[1], f_left[1] * g_right[0])
         bound += min(f_right[0] * g_left[1], f_right[1] * g_left[0])
-        if bound >= t0 * (2 * a + 1):
+        r = bound // (2 * t0)  # the largest r with t0 (2r + 1) <= t0 + U(b)
+        if r >= b:  # the radius b itself may reach t0
             return False
-        a = b + 1
+        b = r  # every radius in (r, b] is strictly below
     return True
-
-
-def _nearest_other(f: Signal, n: int) -> int:
-    """Distance from the support point n to the nearest other one of f,
-    or 1 when there is none (no pair then has d >= 1)."""
-    idx, pos = f.indices, f.position[n]
-    gaps = [n - idx[pos - 1]] if pos else []
-    if pos + 1 < len(idx):
-        gaps.append(idx[pos + 1] - n)
-    return min(gaps, default=1)
 
 
 def _mass_and_max(f: Signal, lo: int, hi: int) -> tuple[int, int]:

@@ -514,20 +514,36 @@ class TestBilinearAnalyze:
     def test_stretched_upper_points_are_certified_without_terms(self):
         # Every upper support point of stretched_log has F = 0 in both
         # searches; the walk certifies its tail and bilinear_analyze
-        # certifies E = {0} without assembling a term.
+        # certifies E = {0} without assembling a term, in at most three
+        # windows of two `_mass_and_max` calls each.  `tied` at 0 has E = {0}
+        # too, though one bound over all of [1, 3] ties t0 (2 + 1) = 48: the
+        # descent from 3 clears radii 2 and 3 and then finds no pair at 1.
         f = stretched_log(F(1), 300)
         points = [f.indices[k] for k in range(140, 291)]
+        tied = Signal.from_pairs([(-3, 4), (0, 4), (1, 1), (3, 4)])
+        inputs = [(f, n) for n in points] + [(tied, 0)]
         certified, blocks_below = [], maximal._blocks_below
+        calls, mass_and_max = [], maximal._mass_and_max
 
         def spy(*args):
             certified.append(blocks_below(*args))
             return certified[-1]
 
+        def counted(*args):
+            calls[-1] += 1
+            return mass_and_max(*args)
+
+        def certify(g, n):
+            calls.append(0)
+            return bilinear_analyze(g, g, n)
+
         with patch.object(maximal, "_bilinear_terms", side_effect=AssertionError("terms built")):
-            bilinear = [bilinear_analyze(f, f, n) for n in points]
+            with patch.object(maximal, "_mass_and_max", counted):
+                bilinear = [certify(g, n) for g, n in inputs]
         with patch.object(maximal, "_blocks_below", spy):
             unilinear = [analyze(f, n) for n in points]
         assert certified == [True] * len(points)
+        assert max(calls) <= 6
         assert unilinear == [analyze_brute_force(f, n) for n in points]
-        assert bilinear == [bilinear_analyze_brute_force(f, f, n) for n in points]
+        assert bilinear == [bilinear_analyze_brute_force(g, g, n) for g, n in inputs]
         assert {(res.frequency, res.extremal_radii) for res in unilinear + bilinear} == {(0, (0,))}

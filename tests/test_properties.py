@@ -105,7 +105,7 @@ WIDE = Signal.from_pairs([(i, 1 + i % 3) for i in range(-20, 21)])
 SPREAD = Signal.from_pairs([(-20, 1), (20, 2)])  # WIDE's hull, two points
 TRIO = Signal.from_pairs([(-1, 1), (0, 1), (1, 1)])
 NOTCH = Signal.from_pairs([(-1, 3), (0, 1), (1, 3)])
-# TRIO's tie at radius 1 inside one block [1, 10]: its bound must divide by 2a + 1.
+# TRIO's tie at radius 1 under pairs at 10: the top from reach 10 must not clear it.
 FAR_TRIO = Signal.from_pairs([(-10, Fraction(1, 3)), (-1, 1), (0, 1), (1, 1), (10, Fraction(1, 3))])
 FAR = Signal.from_pairs([(i + 100, 1) for i in range(-2, 3)])
 ZERO = Signal.from_pairs([])
@@ -429,7 +429,7 @@ def test_bilinear_analyze_matches_brute_force(f, g, n):
 @given(shared_centre)
 @example((PLATEAU, PLATEAU, 0))  # radii (0, 1, 2) tie: the certificate must fail
 @example((TRIO, TRIO, 0))  # radii (0, 1) tie, and the bound at radius 1 is exact
-@example((FAR_TRIO, FAR_TRIO, 0))  # radii (0, 1) tie at the first radius of a wide block
+@example((FAR_TRIO, FAR_TRIO, 0))  # radii (0, 1) tie below the top at reach 10
 @example((STEP, STEP, 0))  # no pair beside the centre: radius 0 alone
 @example((NOTCH, NOTCH, 0))  # radius 1 beats radius 0
 @example((WIDE, SPREAD, 20))  # f denser than g
