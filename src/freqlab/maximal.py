@@ -60,14 +60,19 @@ prune or to a certified tail:
   is not needed.  F changes
   slowly, so rho = max(carry + n1 - n + 1, top + 1), carry being the
   radius that decided the last decided n, keeps the window that did.
+  A scan's walk starts with carry = F(lo), from one walk at its first
+  point lo alone, so that a walk starting inside a span, as each chunk
+  of a pooled scan does, has strong witnesses from its first try.  The
+  carry only picks rho, so the rows do not depend on it.
 * the tail-try witness.  Any lower bound on M(n) serves as A*, so after
   a failed try the walk keeps its A.  While the best is below A*, each
   tail try tests the radii from the next candidate up to cap against A*
   in place of the tail, which rho keeps from passing: if they pass, every
   radius up to cap averages below A* <= M(n), and F(n) > cap.
-`analyze` is the kernel at one n; `frequency_values` runs it over
-chunks of a span, serially or on a process pool, and with a slope the
-walk yields (n, F) for the members only.
+`analyze` is the kernel at one n; `frequency_values` runs it over a
+span, as one walk or as chunks that the calling process and its child
+processes walk side by side, and with a slope the walk yields (n, F) for
+the members only.
 `frequency_profile` reads each maximal value off as the average at the
 frequency, which attains the supremum.
 
@@ -165,7 +170,7 @@ def radius_bound(f: Signal, n: int) -> int:
 TAIL_STEPS = 8
 
 
-def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
+def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1, carry: int = -1):
     """The exact candidate-radius walk at every n in [lo, hi], in order.
 
     `idx` and `sv` are sorted support indices and their positive scaled
@@ -187,7 +192,9 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
     docstring, and the walk yields (n, F) for the members alone.  A try
     spans at most L points; a pass moves n to n1 and doubles L, and a
     failure halves L, down to 1, and steps at n with its own cap
-    q*|n| // p, keeping the try's A as A* for the tail tries.
+    q*|n| // p, keeping the try's A as A* for the tail tries.  `carry` is
+    the radius that decided the point before lo, or -1 for none; it only
+    picks rho.
     Wherever F(n) <= cap no exit can pass, so the walk runs to the prune
     or to a certified tail and yields the exact result; a certified tail
     never decides a non-member, as its ties[0] is the radius of a strict
@@ -201,7 +208,6 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1):
     far = max(hi, idx[-1]) - min(lo, idx[0]) + 1
     # The step loops count steps for the tail tries at no cost per step.
     first_try = range(TAIL_STEPS)
-    carry = -1  # the radius that decided the last decided n
     num_star, w_star, cap = 0, 1, far
     run = 1  # L, the most points the next try may decide
     nxt = bisect_left(idx, lo)
@@ -403,15 +409,21 @@ def frequency_values(
     members alone, so the output grows with the members, and a stretch
     far from the support costs a few runs, not a step per point.
 
-    When `_pool_size` allows more than one worker, at most one per 2048
-    points, the span is cut into chunks of max(2048, ceil(points / (8 *
-    workers))) points, one walk each, which run on a process pool; a
-    serial scan is one walk.  Sizing the chunks by the workers, not by the
-    threads asked for, keeps their count within 8 per CPU.  Each worker
-    gets the signal data once, when it starts, and each task only its
-    ends and the slope, so every start method gives the same rows; the
-    chunks come back in index order, so the output is identical for any
-    worker count.
+    When `_pool_size` allows W > 1 workers, at most one per 2048 points,
+    the span is cut into chunks of max(2048, ceil(points / (8 W))) points,
+    one walk each; a serial scan is one walk.  Sizing the chunks by the
+    workers, not by the threads asked for, keeps their count within 8 per
+    CPU.  The calling process walks every W-th chunk from the first
+    itself, and each of W - 1 child processes, started with the default
+    start method, walks every W-th chunk from its own and sends its
+    pieces back over a pipe; interleaved shares split the costly chunks
+    near the support between the workers.  A child gets the signal data once, as its
+    argument, so every start method gives the same rows.  A slope walk
+    seeds its carry with F at the chunk's first point, so a chunk costs
+    about what the same points cost inside one walk.  The pieces are
+    joined in index order, so the output is identical for any worker
+    count.  An exception in a child is raised again here, and no child
+    outlives the call.
 
     >>> delta = Signal.from_pairs([(0, 1)])
     >>> frequency_values(delta, IntegerInterval(-2, 2))
@@ -433,10 +445,28 @@ def frequency_values(
     chunk = max(2048, -(-span.length // (8 * workers)))
     tasks = [(lo, min(lo + chunk - 1, span.hi), p, q) for lo in range(span.lo, span.hi + 1, chunk)]
     import multiprocessing  # only pooled scans pay for its import
-    with multiprocessing.Pool(workers, _hold, data) as pool:
-        # imap hands the chunks back in order, one at a time, so each
-        # chunk's list is freed once it is copied out
-        return [row for piece in pool.imap(_pooled, tasks) for row in piece]
+    pieces, children = [None] * len(tasks), []
+    try:
+        for k in range(1, workers):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_share, args=(writer, data, tasks[k::workers]), daemon=True
+            )
+            child.start()
+            children.append((child, reader))
+            writer.close()  # the child holds the only writer, so its exit ends the pipe
+        pieces[0::workers] = [_frequencies(*data, *task) for task in tasks[0::workers]]
+        for k, (_, reader) in enumerate(children, 1):
+            share = reader.recv()
+            if isinstance(share, Exception):
+                raise share
+            pieces[k::workers] = share
+    finally:
+        for child, reader in children:
+            child.terminate()
+            child.join()
+            reader.close()
+    return [row for piece in pieces for row in piece]
 
 
 def checked_threads(threads: int) -> int:
@@ -451,23 +481,25 @@ def _frequencies(
     idx, sv, prefix, lo: int, hi: int, p: int, q: int
 ) -> list[int] | list[tuple[int, int]]:
     """The frequency at every n in [lo, hi], in order, or only the pairs
-    (n, F) with F <= |n| / (p/q) when p > 0: one walk."""
-    walk = _candidate_walk(idx, sv, prefix, lo, hi, p, q)
-    return list(walk) if p else [row[2][0] for row in walk]
+    (n, F) with F <= |n| / (p/q) when p > 0: one walk.  A slope walk
+    starts its carry at F(lo), from one walk at lo alone, as if the point
+    before lo had been decided at that radius."""
+    if not p:
+        return [row[2][0] for row in _candidate_walk(idx, sv, prefix, lo, hi)]
+    carry = next(_candidate_walk(idx, sv, prefix, lo, lo))[2][0]
+    return list(_candidate_walk(idx, sv, prefix, lo, hi, p, q, carry))
 
 
-_signal: tuple = ()  # a pool worker's (idx, sv, prefix), set by `_hold` when it starts
-
-
-def _hold(*data) -> None:
-    """Pool initializer: keep the signal data for every task of this worker."""
-    global _signal
-    _signal = data
-
-
-def _pooled(task) -> list[int] | list[tuple[int, int]]:
-    """One chunk of a pooled scan, task = (lo, hi, p, q), on the worker's signal."""
-    return _frequencies(*_signal, *task)
+def _share(writer, data, tasks) -> None:
+    """A pooled scan's child: walk `tasks` on the signal `data` and send
+    their pieces, in order, to the parent, or the exception that stopped
+    the walk in their place."""
+    try:
+        share = [_frequencies(*data, *task) for task in tasks]
+    except Exception as exc:
+        share = exc
+    writer.send(share)
+    writer.close()
 
 
 def _pool_size(threads: int, chunks: int) -> int:

@@ -13,7 +13,9 @@ Suites:
 
 * ``oracle``       candidate-radius analysis equals an exhaustive radius
                    sweep on random sparse signals, at every point of a
-                   fixed scan range.
+                   fixed scan range, and so do the members (n, F) with
+                   F <= |n| / C that a census scan of that range keeps,
+                   at a few slopes C.
 * ``variational``  the spike-pair family jumps by more than `size`
                    between n = 0 and n = 1, with its exact averages.
 * ``covering``     greedy disjoint selection is disjoint, keeps at least
@@ -50,6 +52,7 @@ from .maximal import (
     bilinear_analyze,
     bilinear_average,
     frequency_profile,
+    frequency_values,
     half_mass_radius,
 )
 from .signal import IntegerInterval, Record, Signal, dump_signal
@@ -68,8 +71,10 @@ class Check(Record):
 
 # Random signal values are +-p/q with 1 <= p, q <= _VALUE_TERM_BOUND.
 _VALUE_TERM_BOUND = 12
-# suite_oracle compares the two analyses at every n in [-_ORACLE_SPAN, _ORACLE_SPAN].
+# suite_oracle compares the two analyses at every n in [-_ORACLE_SPAN, _ORACLE_SPAN],
+# and the census scan over that span with the sweep's members at each slope C.
 _ORACLE_SPAN = 120
+_ORACLE_SLOPES = (Fraction(1, 2), Fraction(3, 2), Fraction(4))
 
 
 def random_signal(rng: random.Random, max_points: int = 30, index_span: int = 100) -> Signal:
@@ -102,17 +107,44 @@ def random_intervals(
 
 
 def suite_oracle(trials: int = 1000, seed: int = 1) -> list[Check]:
-    """Candidate-radius analysis against the exhaustive sweep."""
-    name = "analyze equals exhaustive radius sweep"
+    """Candidate-radius analysis and the census scan against the exhaustive sweep."""
+    span = IntegerInterval(-_ORACLE_SPAN, _ORACLE_SPAN)
+    points = trials * span.length
+    slopes = ", ".join(map(str, _ORACLE_SLOPES))
+    analyze_check = Check(
+        "analyze equals exhaustive radius sweep", True,
+        f"{trials} signals, {points} points, exact equality of (M, E, F)",
+    )
+    census_check = Check(
+        "census scan equals exhaustive radius sweep", True,
+        f"{trials} signals at slopes {slopes}, {points} points, "
+        "exact equality of the pairs (n, F) with F <= |n| / C",
+    )
     rng = random.Random(seed)
     for _ in range(trials):
         f = random_signal(rng)
-        for n in range(-_ORACLE_SPAN, _ORACLE_SPAN + 1):
-            if analyze(f, n) != analyze_brute_force(f, n):
-                replay = ("oracle.sig", dump_signal(f, [f"oracle mismatch at n={n}"]))
-                return [Check(name, False, f"mismatch at n={n}", replay=replay)]
-    points = trials * (2 * _ORACLE_SPAN + 1)
-    return [Check(name, True, f"{trials} signals, {points} points, exact equality of (M, E, F)")]
+        exact = [(n, analyze_brute_force(f, n)) for n in range(span.lo, span.hi + 1)]
+        if analyze_check.passed:
+            for n, res in exact:
+                if analyze(f, n) != res:
+                    replay = ("oracle.sig", dump_signal(f, [f"oracle mismatch at n={n}"]))
+                    analyze_check = Check(
+                        analyze_check.name, False, f"mismatch at n={n}", replay=replay
+                    )
+                    break
+        if census_check.passed:
+            for slope in _ORACLE_SLOPES:
+                members = [(n, res.frequency) for n, res in exact
+                           if res.frequency <= abs(n) / slope]
+                if frequency_values(f, span, slope=slope) != members:
+                    replay = ("census.sig", dump_signal(f, [f"census mismatch at slope {slope}"]))
+                    census_check = Check(
+                        census_check.name, False, f"mismatch at slope {slope}", replay=replay
+                    )
+                    break
+        if not (analyze_check.passed or census_check.passed):
+            break
+    return [analyze_check, census_check]
 
 
 def suite_variational(sizes: tuple[int, ...] = (100, 101, 150, 1000)) -> list[Check]:

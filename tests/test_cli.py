@@ -692,7 +692,7 @@ class TestVerify:
             (["fundamental"], "fde8493f7ca3b2611fc1f701c5d5f5ec99c70fcc4b487c8c38da18bf841a49c8"),
             (
                 ["oracle", "--trials", "20", "--seed", "3"],
-                "840d0c2a18af6ebbcd4dfa54e104ee7e7d1ede30b72f45697397ea9b62acd836",
+                "0883ec7666596e88199649f60e30981dce342e24ce426c8b7cef53a32593478f",
             ),
             (
                 ["covering", "--trials", "200", "--seed", "3"],

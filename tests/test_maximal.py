@@ -276,6 +276,40 @@ class TestFrequencyProfile:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True\n"
 
+    def test_a_failed_child_raises_in_the_parent_and_no_child_outlives_a_scan(self):
+        # forked children inherit the patched `_frequencies`, which raises
+        # in a child only; the span makes the chunks (-3000, -953),
+        # (-952, 1095) and (1096, 3000), and the child walks the second
+        code = (
+            "import multiprocessing, os\n"
+            "from fractions import Fraction\n"
+            "import freqlab.maximal as maximal\n"
+            "from freqlab.signal import IntegerInterval, Signal\n"
+            "multiprocessing.set_start_method('fork')\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "os.cpu_count = lambda: 2\n"
+            "f = Signal.from_pairs([(i * i, Fraction(1, i)) for i in range(1, 40)])\n"
+            "span, slope = IntegerInterval(-3000, 3000), Fraction(2)\n"
+            "serial = maximal.frequency_values(f, span, slope=slope)\n"
+            "print(maximal.frequency_values(f, span, threads=2, slope=slope) == serial)\n"
+            "print(multiprocessing.active_children())\n"
+            "parent, frequencies = os.getpid(), maximal._frequencies\n"
+            "def failing(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        raise ArithmeticError(f'chunk at {args[3]}')\n"
+            "    return frequencies(*args)\n"
+            "maximal._frequencies = failing\n"
+            "try:\n"
+            "    maximal.frequency_values(f, span, threads=2, slope=slope)\n"
+            "except ArithmeticError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+            "print(multiprocessing.active_children())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n[]\nArithmeticError chunk at -952\n[]\n"
+
     def test_far_span_costs_logarithmically_many_runs(self):
         # |n| <= 10^9 around a support in [1, 900]: the runs gallop, so the
         # scan makes O(log N) tries at runs of two or more points starting
@@ -301,54 +335,70 @@ class TestFrequencyProfile:
         assert sum(n1 - n0 + 1 for n0, n1 in runs) > 2 * 10**9 - 2000
 
 
-class FakePool:
-    """Stands in for multiprocessing.Pool: records its size and tasks, and
-    runs the initializer and every task in process."""
+class FakeProcess:
+    """Stands in for multiprocessing.Process: records each child's share
+    of the tasks and runs its target in process when it starts.  The
+    shares in these tests fit in a pipe's buffer, so the child's send
+    never waits for the parent's recv."""
 
-    sizes: list[int] = []
-    tasks: list = []
+    shares: list = []
 
-    def __init__(self, processes, initializer=None, initargs=()):
-        FakePool.sizes.append(processes)
-        if initializer is not None:
-            initializer(*initargs)
+    def __init__(self, target, args, daemon):
+        assert daemon
+        self.target, self.args = target, args
+        FakeProcess.shares.append(args[-1])
 
-    def __enter__(self):
-        return self
+    def start(self):
+        self.target(*self.args)
 
-    def __exit__(self, *exc):
-        return False
+    def terminate(self):
+        pass
 
-    def imap(self, func, tasks):
-        FakePool.tasks = list(tasks)
-        return map(func, FakePool.tasks)
+    def join(self):
+        pass
 
 
 class TestChunkRule:
     @pytest.fixture(autouse=True)
-    def fake_pool(self, monkeypatch):
+    def fake_process(self, monkeypatch):
         import multiprocessing
 
-        FakePool.sizes, FakePool.tasks = [], []
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        FakeProcess.shares, frequencies = [], maximal._frequencies
+        self.walked = []  # every chunk walked, by the parent or a child
+
+        def spy(idx, sv, prefix, *task):
+            self.walked.append(task)
+            return frequencies(idx, sv, prefix, *task)
+
+        monkeypatch.setattr(maximal, "_frequencies", spy)
+        monkeypatch.setattr(multiprocessing, "Process", FakeProcess)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     SIGNAL = Signal.from_pairs([(i * i, F(1, i)) for i in range(1, 40)])
 
+    def tasks(self):
+        """The chunks of the last pooled scan, in order; the child, beside
+        the parent, has walked every other one."""
+        tasks = sorted(self.walked)
+        assert FakeProcess.shares == [tasks[1::2]]
+        return tasks
+
     def test_one_chunk_starts_no_pool(self):
         span = IntegerInterval(-1024, 1023)
         assert span.length == 2048
         frequency_values(self.SIGNAL, span, threads=2)
-        assert FakePool.sizes == []
+        assert FakeProcess.shares == []
+        assert self.walked == [(-1024, 1023, 0, 1)]
 
     def test_two_chunks_ask_for_two_workers(self):
+        # the parent and one child
         span = IntegerInterval(-1024, 1024)
         assert span.length == 2049
         pooled = frequency_values(self.SIGNAL, span, threads=2)
-        assert FakePool.sizes == [2]
+        assert self.tasks() == [(-1024, 1023, 0, 1), (1024, 1024, 0, 1)]
         assert pooled == frequency_values(self.SIGNAL, span)
-        assert FakePool.sizes == [2]
+        assert len(FakeProcess.shares) == 1
 
     def test_tasks_are_contiguous_pieces_of_the_span(self):
         # 500 spikes, each with its own short stretch of members: the tasks
@@ -359,10 +409,10 @@ class TestChunkRule:
         chunk = -(-span.length // 16)
         assert chunk > 2048 and span.length % chunk
         pooled = frequency_values(f, span, threads=2, slope=slope)
-        assert FakePool.sizes == [2]
-        assert len(FakePool.tasks) == -(-span.length // chunk)
-        assert {task[2:] for task in FakePool.tasks} == {(slope.numerator, slope.denominator)}
-        pieces = [range(lo, hi + 1) for lo, hi, _, _ in FakePool.tasks]
+        tasks = self.tasks()
+        assert len(tasks) == -(-span.length // chunk)
+        assert {task[2:] for task in tasks} == {(slope.numerator, slope.denominator)}
+        pieces = [range(lo, hi + 1) for lo, hi, _, _ in tasks]
         assert [len(piece) for piece in pieces[:-1]] == [chunk] * (len(pieces) - 1)
         assert 0 < len(pieces[-1]) < chunk
         assert [n for piece in pieces for n in piece] == list(range(span.lo, span.hi + 1))
@@ -373,9 +423,22 @@ class TestChunkRule:
         # 2048 points of the 2,000,001
         span = IntegerInterval(-(10**6), 10**6)
         pooled = frequency_values(self.SIGNAL, span, threads=10**9, slope=F(2))
-        assert FakePool.sizes == [2]
-        assert len(FakePool.tasks) == 16
+        assert len(self.tasks()) == 16
         assert pooled == frequency_values(self.SIGNAL, span, slope=F(2))
+
+    def test_every_slope_chunk_seeds_its_carry_with_f_at_its_first_point(self):
+        # as if the point before the chunk had been decided at radius F(lo)
+        carries, walk = [], maximal._candidate_walk
+
+        def spy(idx, sv, prefix, lo, hi, p=0, q=1, carry=-1):
+            if p:
+                carries.append((lo, carry))
+            return walk(idx, sv, prefix, lo, hi, p, q, carry)
+
+        with patch.object(maximal, "_candidate_walk", spy):
+            frequency_values(self.SIGNAL, IntegerInterval(-3000, 3000), threads=2, slope=F(2))
+        tasks = self.tasks()
+        assert sorted(carries) == [(lo, analyze(self.SIGNAL, lo).frequency) for lo, *_ in tasks]
 
     def test_negative_half_of_a_positive_support_is_decided_by_window_free_runs(self):
         # every n < 0 is farther from the support [1, 1521] than |n| / 2;
@@ -391,13 +454,13 @@ class TestChunkRule:
 
         with patch.object(maximal, "_blocks_below", spy):
             pooled = frequency_values(self.SIGNAL, span, threads=2, slope=F(2))
-        assert FakePool.sizes == [2]
+        tasks = self.tasks()
         assert pooled == frequency_values(self.SIGNAL, span, slope=F(2))
         assert min(n for n, _ in pooled) == 1
         runs = [call for call in calls if call[0] < call[1] < 0 and call[-1]]
         assert all(a >= end and num == 0 for _, _, a, end, num, _ in runs)
         assert sum(n1 - n0 + 1 for n0, n1, *_ in runs) >= 2950
-        assert len(runs) <= 16 * len(FakePool.tasks)
+        assert len(runs) <= 16 * len(tasks)
 
 
 class TestPoolSize:

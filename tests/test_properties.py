@@ -16,6 +16,7 @@ from freqlab.maximal import (
     TAIL_STEPS,
     BilinearFrequencyResult,
     _candidate_walk,
+    _frequencies,
     analyze,
     analyze_brute_force,
     bilinear_analyze,
@@ -121,8 +122,18 @@ def first_try_at_step_one():
     return patch.object(maximal, "TAIL_STEPS", 1)
 
 
+def _data(f):
+    return f.indices, f.scaled_values, f.scaled_prefix
+
+
+def _pieces(lo, hi, cuts):
+    """The pieces (a, b) that the cut points in (lo, hi] split [lo, hi] into, in order."""
+    ends = sorted({lo, hi + 1, *cuts})
+    return [(a, b - 1) for a, b in zip(ends, ends[1:])]
+
+
 def _walk_span(f, lo, hi):
-    return list(_candidate_walk(f.indices, f.scaled_values, f.scaled_prefix, lo, hi))
+    return list(_candidate_walk(*_data(f), lo, hi))
 
 
 def _members_brute_force(f, ratio, n_max):
@@ -133,16 +144,14 @@ def _members_brute_force(f, ratio, n_max):
 
 def _walk_values(f, ratio, lo, hi):
     """The members (n, F) one walk over [lo, hi] with slope `ratio` yields."""
-    return list(_candidate_walk(
-        f.indices, f.scaled_values, f.scaled_prefix, lo, hi, ratio.numerator, ratio.denominator
-    ))
+    return list(_candidate_walk(*_data(f), lo, hi, ratio.numerator, ratio.denominator))
 
 
 @DETERMINISTIC
-@given(signals, centres, st.integers(0, 30), st.integers(0, 30))
-@example(PLATEAU, -3, 6, 3)  # radii (0, 1, 2) tie at n = 0
-@example(STEP, -1, 3, 1)  # radii (0, 1) tie at n = 0
-def test_kernel_over_span_matches_brute_force(f, lo, width, cut):
+@given(signals, centres, st.integers(0, 30), st.lists(st.integers(0, 30), max_size=4))
+@example(PLATEAU, -3, 6, [3])  # radii (0, 1, 2) tie at n = 0
+@example(STEP, -1, 3, [1])  # radii (0, 1) tie at n = 0
+def test_kernel_over_span_matches_brute_force(f, lo, width, cuts):
     hi = lo + width
     walked = _walk_span(f, lo, hi)
     assert len(walked) == width + 1
@@ -151,9 +160,11 @@ def test_kernel_over_span_matches_brute_force(f, lo, width, cut):
         assert Fraction(num, f.scale * w) == slow.maximal_value
         assert tuple(ties) == slow.extremal_radii
         assert analyze(f, n) == slow
-    # A scan walks its span in chunks; a split anywhere gives the same rows.
-    cut = lo + cut % (width + 1)
-    assert _walk_span(f, lo, cut - 1) + _walk_span(f, cut, hi) == walked
+    # A scan walks its span in chunks; splits anywhere give the same rows.
+    pieces = _pieces(lo, hi, [lo + cut % (width + 1) for cut in cuts])
+    assert [row for a, b in pieces for row in _walk_span(f, a, b)] == walked
+    frequencies = [fr for a, b in pieces for fr in _frequencies(*_data(f), a, b, 0, 1)]
+    assert frequencies == [ties[0] for *_, ties in walked]
 
 
 # Four times the draws, so that tie-heavy census signals with a try after
@@ -241,16 +252,21 @@ def test_frequency_values_with_a_slope_decide_exactly(f, ratio, n_max):
 
 
 def _spied_census(f, ratio, n_max, tail_steps):
-    """The members of a census scan over |n| <= n_max, and every
-    `_blocks_below` call of its walks as (n0, n1, a, end, num, w, passed)."""
+    """The members of a census walk over |n| <= n_max, its carry seeded
+    with F(-n_max) as a scan seeds it, and every `_blocks_below` call of
+    the walk as (n0, n1, a, end, num, w, passed)."""
     calls, blocks_below = [], maximal._blocks_below
 
     def spy(idx, prefix, n0, n1, a, end, num, w):
         calls.append((n0, n1, a, end, num, w, blocks_below(idx, prefix, n0, n1, a, end, num, w)))
         return calls[-1][-1]
 
+    carry = analyze_brute_force(f, -n_max).frequency
     with patch.object(maximal, "TAIL_STEPS", tail_steps), patch.object(maximal, "_blocks_below", spy):
-        members = frequency_values(f, IntegerInterval(-n_max, n_max), slope=ratio)
+        members = list(_candidate_walk(
+            *_data(f), -n_max, n_max, ratio.numerator, ratio.denominator, carry
+        ))
+    assert members == frequency_values(f, IntegerInterval(-n_max, n_max), slope=ratio)
     return members, calls
 
 
@@ -288,7 +304,8 @@ def _decisions(f, ratio, n_max, members, calls):
         by_n.setdefault(call[0], []).append(call)
     # the walk's distance to a side with no support point
     far = max(n_max, idx[-1]) - min(-n_max, idx[0]) + 1
-    decided, carry, run, n = {}, -1, 1, -n_max
+    decided, run, n = {}, 1, -n_max
+    carry = analyze_brute_force(f, n).frequency  # seeded as `_spied_census` seeds it
     while n <= n_max:
         own, mass = by_n.pop(n, []), f.scaled_value_at(n)
         nxt = min((s for s in idx if s > n), default=n_max + 1)
@@ -364,19 +381,35 @@ def test_runs_decide_exactly(f, ratio, n_max, tail_steps):
 
 
 @DETERMINISTIC
-@given(census_signals, slopes, centres, st.integers(0, 60), st.integers(0, 60))
-@example(GRID, Fraction(3), -14, 28, 1)
-@example(PLATEAU, Fraction(10**6), -60, 120, 60)  # the second walk starts at n = 0
-@example(SQUARES, Fraction(2), -200, 400, 300)
-@example(SQUARES, Fraction(2), -200, 400, 60)  # cuts the run [-169, -138] of the whole walk
-def test_frequency_values_with_a_slope_split_anywhere(f, ratio, lo, width, cut):
-    # Each walk carries its witness and its run length from point to point;
-    # a split anywhere, inside a run too, starts both afresh and still
-    # gives the same members.
+@given(
+    census_signals, slopes, centres, st.integers(0, 60), st.lists(st.integers(0, 60), max_size=6),
+    st.integers(0, 60), st.integers(0, 60),
+)
+@example(GRID, Fraction(3), -14, 28, [1], 0, 0)
+@example(PLATEAU, Fraction(10**6), -60, 120, [60], 0, 0)  # a piece starts at n = 0
+@example(SQUARES, Fraction(2), -200, 400, [300], 0, 0)
+@example(SQUARES, Fraction(2), -200, 400, [60], 0, 0)  # cuts the run [-169, -138] of the whole walk
+@example(SQUARES, Fraction(2), -200, 400, [], 7, 90)
+@example(SQUARES, Fraction(1001, 1000), -200, 400, [30, 199, 200, 201], 3, 5)
+def test_frequency_values_with_a_slope_split_anywhere(
+    f, ratio, lo, width, cuts, in_members, in_runs
+):
+    # Each walk carries its witness and its run length from point to point,
+    # and each chunk of a scan seeds its carry with F at its first point.
+    # The carry only picks a try's radius, so splits anywhere, always one
+    # inside a stretch of members and one inside a run of non-members
+    # where there are such, give the members of one unseeded walk.
     hi = lo + width
     whole = _walk_values(f, ratio, lo, hi)
-    cut = lo + cut % (width + 1)
-    assert _walk_values(f, ratio, lo, cut - 1) + _walk_values(f, ratio, cut, hi) == whole
+    members = {n for n, _ in whole}
+    stretches = [n for n in range(lo + 1, hi + 1) if {n - 1, n} <= members]
+    runs = [n for n in range(lo + 1, hi + 1) if not {n - 1, n} & members]
+    if f is SQUARES:
+        assert stretches and runs
+    inside = [seq[k % len(seq)] for seq, k in ((stretches, in_members), (runs, in_runs)) if seq]
+    pieces = _pieces(lo, hi, [*inside, *(lo + cut % (width + 1) for cut in cuts)])
+    p, q = ratio.numerator, ratio.denominator
+    assert [row for a, b in pieces for row in _frequencies(*_data(f), a, b, p, q)] == whole
     assert frequency_values(f, IntegerInterval(lo, hi), slope=ratio) == whole
 
 

@@ -110,9 +110,23 @@ class TestSabotagedReplays:
         broken = _bump_frequency(verify_mod.analyze, lambda f, n: n == 17)
         monkeypatch.setattr(verify_mod, "analyze", broken)
         checks = verify_mod.suite_oracle(trials=3, seed=1)
-        assert [c.passed for c in checks] == [False]
+        assert [c.passed for c in checks] == [False, True]
         assert _digest(checks) == (
-            "ba14c64d5a7b0b87c328471ef5a9e320dc304e67ebaec383ac2faa5ea46b5c31"
+            "b2bc8563851bada16faba4b4a45dd36a8dc6f2fa1dc31987bab4fbae922e230a"
+        )
+
+    def test_oracle_census(self, monkeypatch):
+        real = verify_mod.frequency_values
+
+        def broken(f, span, slope):
+            return [(n, fr + (n == 17)) for n, fr in real(f, span, slope=slope)]
+
+        monkeypatch.setattr(verify_mod, "frequency_values", broken)
+        checks = verify_mod.suite_oracle(trials=3, seed=1)
+        assert [c.passed for c in checks] == [True, False]
+        assert checks[1].detail == "mismatch at slope 1/2"
+        assert _digest(checks) == (
+            "d86b8e6bd5769e3b8e9b0734efa6010a5604a7997488fa0ce4f53df25cfd0c81"
         )
 
     def test_covering(self, monkeypatch):
