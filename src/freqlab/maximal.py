@@ -193,8 +193,7 @@ def _candidate_walk(idx, sv, prefix, lo: int, hi: int, p: int = 0, q: int = 1, c
     spans at most L points; a pass moves n to n1 and doubles L, and a
     failure halves L, down to 1, and steps at n with its own cap
     q*|n| // p, keeping the try's A as A* for the tail tries.  `carry` is
-    the radius that decided the point before lo, or -1 for none; it only
-    picks rho.
+    the radius that decided the point before lo; it only picks rho.
     Wherever F(n) <= cap no exit can pass, so the walk runs to the prune
     or to a certified tail and yields the exact result; a certified tail
     never decides a non-member, as its ties[0] is the radius of a strict
@@ -422,8 +421,9 @@ def frequency_values(
     seeds its carry with F at the chunk's first point, so a chunk costs
     about what the same points cost inside one walk.  The pieces are
     joined in index order, so the output is identical for any worker
-    count.  An exception in a child is raised again here, and no child
-    outlives the call.
+    count.  A child sends its whole share or nothing, and any share that
+    does not arrive is walked here: a failed or killed child leaves the
+    same rows, an error recurs in this walk, and no child outlives it.
 
     >>> delta = Signal.from_pairs([(0, 1)])
     >>> frequency_values(delta, IntegerInterval(-2, 2))
@@ -457,10 +457,10 @@ def frequency_values(
             writer.close()  # the child holds the only writer, so its exit ends the pipe
         pieces[0::workers] = [_frequencies(*data, *task) for task in tasks[0::workers]]
         for k, (_, reader) in enumerate(children, 1):
-            share = reader.recv()
-            if isinstance(share, Exception):
-                raise share
-            pieces[k::workers] = share
+            try:
+                pieces[k::workers] = reader.recv()
+            except (EOFError, OSError):  # no whole share came: walk it here
+                pieces[k::workers] = [_frequencies(*data, *task) for task in tasks[k::workers]]
     finally:
         for child, reader in children:
             child.terminate()
@@ -492,14 +492,12 @@ def _frequencies(
 
 def _share(writer, data, tasks) -> None:
     """A pooled scan's child: walk `tasks` on the signal `data` and send
-    their pieces, in order, to the parent, or the exception that stopped
-    the walk in their place."""
+    their pieces, in order, to the parent, or nothing if anything fails;
+    the parent then walks them itself."""
     try:
-        share = [_frequencies(*data, *task) for task in tasks]
-    except Exception as exc:
-        share = exc
-    writer.send(share)
-    writer.close()
+        writer.send([_frequencies(*data, *task) for task in tasks])
+    except Exception:
+        pass
 
 
 def _pool_size(threads: int, chunks: int) -> int:

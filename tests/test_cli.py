@@ -186,6 +186,32 @@ class TestLevelset:
                      "--C", "2/1", "--N-grid", "10"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("10,1,1,1,10,")
 
+    def test_pooled_census_survives_a_child_that_dies(self, spike_file):
+        # every forked child exits without sending its rows, so the command
+        # walks their shares itself: the same bytes as --threads 1, exit 0
+        # and nothing on stderr
+        code = (
+            "import multiprocessing, os, sys\n"
+            "import freqlab.cli, freqlab.maximal as maximal\n"
+            "multiprocessing.set_start_method('fork')\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "os.cpu_count = lambda: 2\n"
+            "parent, frequencies = os.getpid(), maximal._frequencies\n"
+            "def dying(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(9)\n"
+            "    return frequencies(*args)\n"
+            "maximal._frequencies = dying\n"
+            f"sys.exit(freqlab.cli.main(['levelset', '--signal', {spike_file!r}, '--C', '3/2',\n"
+            "                            '--N-grid', '10,100,1000,10000', '--threads', '2']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert hashlib.sha256(proc.stdout.encode("ascii")).hexdigest() == (
+            "5875b979f121a1542f0e6e808ed43b186323c4d2e42cf2dd922813f115544725"
+        )
+
 
 class TestCovering:
     def test_report(self, tmp_path, capsys):

@@ -228,38 +228,55 @@ class TestFrequencyProfile:
             TWO_POINT, span, slope=F(2)
         )
 
+    # Wraps `_frequencies` to record the first point of every chunk the
+    # calling process walks, so that a child that silently sends nothing,
+    # leaving its share to the caller, fails the tests below.  Forked
+    # children inherit the wrapper, so it records in the caller alone.
+    PARENT_WALKS = (
+        "parent, frequencies, walked = os.getpid(), maximal._frequencies, []\n"
+        "def spy(*args):\n"
+        "    if os.getpid() == parent:\n"
+        "        walked.append(args[3])\n"
+        "    return frequencies(*args)\n"
+        "maximal._frequencies = spy\n"
+    )
+
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_spawned_workers_match_serial(self, method):
-        # the pool takes the default start method, set here; spawn and
-        # forkserver workers share no memory with the parent and get the
-        # signal data once, when they start, and each task only its ranges;
-        # the 2,401 points make two chunks, so two workers run.  Pooled
-        # slope scans are covered by test_pooled_slope_scan_matches_serial
+        # the children take the default start method, set here; spawn and
+        # forkserver children share no memory with the parent and get the
+        # signal data once, as their argument, with the ends of their
+        # chunks; the 2,401 points make two chunks, and the caller walks
+        # the first.  Pooled slope scans are covered by
+        # test_pooled_slope_scan_matches_serial
         code = (
             "import multiprocessing, os\n"
             "from fractions import Fraction\n"
-            "from freqlab.maximal import frequency_values\n"
+            "import freqlab.maximal as maximal\n"
             "from freqlab.signal import IntegerInterval, Signal\n"
             f"multiprocessing.set_start_method({method!r})\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "os.cpu_count = lambda: 2\n"
             "f = Signal.from_pairs([(i * i, Fraction(1, i)) for i in range(1, 40)])\n"
             "span = IntegerInterval(-1200, 1200)\n"
-            "print(frequency_values(f, span, threads=2) == frequency_values(f, span))\n"
+            "serial = maximal.frequency_values(f, span)\n"
+            f"{self.PARENT_WALKS}"
+            "print(maximal.frequency_values(f, span, threads=2) == serial, walked)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True\n"
+        assert proc.stdout == "True [-1200]\n"
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver", "fork"])
     def test_pooled_slope_scan_matches_serial(self, method):
         # a mixed-sign support whose candidates on either side of 0 make
-        # three chunks, so the pool runs; each worker gets the signal once
+        # three chunks; the caller walks the first and the last, the child
+        # the one between, and no child outlives the scan
         code = (
             "import multiprocessing, os\n"
             "from fractions import Fraction\n"
-            "from freqlab.maximal import frequency_values\n"
+            "import freqlab.maximal as maximal\n"
             "from freqlab.signal import IntegerInterval, Signal\n"
             f"multiprocessing.set_start_method({method!r})\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -268,20 +285,25 @@ class TestFrequencyProfile:
             " for s in (-1, 1)])\n"
             "span = IntegerInterval(-3000, 3000)\n"
             "slope = Fraction(3, 2)\n"
-            "print(frequency_values(f, span, threads=2, slope=slope)"
-            " == frequency_values(f, span, slope=slope))\n"
+            "serial = maximal.frequency_values(f, span, slope=slope)\n"
+            f"{self.PARENT_WALKS}"
+            "print(maximal.frequency_values(f, span, threads=2, slope=slope) == serial, walked)\n"
+            "print(multiprocessing.active_children())\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True\n"
+        assert proc.stdout == "True [-3000, 1096]\n[]\n"
 
-    def test_a_failed_child_raises_in_the_parent_and_no_child_outlives_a_scan(self):
-        # forked children inherit the patched `_frequencies`, which raises
-        # in a child only; the span makes the chunks (-3000, -953),
-        # (-952, 1095) and (1096, 3000), and the child walks the second
+    def test_a_share_that_does_not_arrive_is_walked_by_the_caller(self):
+        # forked children inherit the patched `_frequencies` and `_share`;
+        # the span makes the chunks (-3000, -953), (-952, 1095) and
+        # (1096, 3000), and the child walks the second.  A child that
+        # raises, dies before sending or dies mid-send leaves its share to
+        # the caller, so the rows are the serial ones; an error that recurs
+        # in the caller's walk is raised there with its own type
         code = (
-            "import multiprocessing, os\n"
+            "import multiprocessing, os, struct\n"
             "from fractions import Fraction\n"
             "import freqlab.maximal as maximal\n"
             "from freqlab.signal import IntegerInterval, Signal\n"
@@ -291,24 +313,36 @@ class TestFrequencyProfile:
             "f = Signal.from_pairs([(i * i, Fraction(1, i)) for i in range(1, 40)])\n"
             "span, slope = IntegerInterval(-3000, 3000), Fraction(2)\n"
             "serial = maximal.frequency_values(f, span, slope=slope)\n"
-            "print(maximal.frequency_values(f, span, threads=2, slope=slope) == serial)\n"
-            "print(multiprocessing.active_children())\n"
-            "parent, frequencies = os.getpid(), maximal._frequencies\n"
-            "def failing(*args):\n"
+            "parent, frequencies, share = os.getpid(), maximal._frequencies, maximal._share\n"
+            "def in_child(*args):\n"
             "    if os.getpid() != parent:\n"
             "        raise ArithmeticError(f'chunk at {args[3]}')\n"
             "    return frequencies(*args)\n"
-            "maximal._frequencies = failing\n"
-            "try:\n"
-            "    maximal.frequency_values(f, span, threads=2, slope=slope)\n"
-            "except ArithmeticError as exc:\n"
-            "    print(type(exc).__name__, exc)\n"
-            "print(multiprocessing.active_children())\n"
+            "def at_chunk(*args):\n"
+            "    if args[3] == -952:\n"
+            "        raise ArithmeticError(f'chunk at {args[3]}')\n"
+            "    return frequencies(*args)\n"
+            "def dying(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(9)\n"
+            "    return frequencies(*args)\n"
+            "def dying_mid_send(writer, data, tasks):\n"
+            "    os.write(writer.fileno(), struct.pack('!i', 1000) + b'rows')\n"
+            "    os._exit(9)\n"
+            "cases = [(in_child, share), (at_chunk, share), (dying, share),\n"
+            "         (frequencies, dying_mid_send)]\n"
+            "for maximal._frequencies, maximal._share in cases:\n"
+            "    try:\n"
+            "        print(maximal.frequency_values(f, span, threads=2, slope=slope) == serial)\n"
+            "    except ArithmeticError as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+            "    print(multiprocessing.active_children())\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True\n[]\nArithmeticError chunk at -952\n[]\n"
+        assert proc.stdout == "True\n[]\nArithmeticError chunk at -952\n[]\n" + "True\n[]\n" * 2
+        assert proc.stderr == ""
 
     def test_far_span_costs_logarithmically_many_runs(self):
         # |n| <= 10^9 around a support in [1, 900]: the runs gallop, so the
