@@ -9,13 +9,13 @@ the union, and the widening triples the length.
 
 Length ties are broken by smaller left endpoint, then by input order,
 which makes the selection deterministic and testable.  Union sizes are
-computed by interval merging, never by point enumeration, so endpoints
-may be arbitrarily large integers.
+counted by one sweep in order of left end, never by point enumeration,
+so endpoints may be arbitrarily large integers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from .signal import IntegerInterval, Record, format_int, parse_strict_int
 
@@ -31,20 +31,15 @@ class CoveringSelection(Record):
 
 
 def merged_union_size(intervals: list[IntegerInterval]) -> int:
-    """Exact number of integers covered by the union of the intervals."""
+    """Exact number of integers in the union: a sweep by left end counts
+    each interval's integers past `reach`, the largest right end so far."""
     total = 0
-    cur_lo: int | None = None
-    cur_hi = 0
-    for iv in sorted(intervals, key=lambda iv: (iv.lo, iv.hi)):
-        if cur_lo is None:
-            cur_lo, cur_hi = iv.lo, iv.hi
-        elif iv.lo <= cur_hi + 1:
-            cur_hi = max(cur_hi, iv.hi)
-        else:
-            total += cur_hi - cur_lo + 1
-            cur_lo, cur_hi = iv.lo, iv.hi
-    if cur_lo is not None:
-        total += cur_hi - cur_lo + 1
+    reach: int | None = None
+    for iv in sorted(intervals, key=lambda iv: iv.lo):
+        if reach is None or iv.hi > reach:
+            lo = iv.lo if reach is None or iv.lo > reach else reach + 1
+            total += iv.hi - lo + 1
+            reach = iv.hi
     return total
 
 
@@ -52,9 +47,9 @@ def greedy_disjoint(intervals: list[IntegerInterval]) -> CoveringSelection:
     """Longest-first disjoint subcollection with the one-third guarantee.
 
     Processes intervals in order of (length desc, lo asc, input index
-    asc) and keeps each one that is disjoint from everything kept so
-    far; this reproduces "repeatedly pick the longest disjoint interval"
-    with deterministic tie-breaking.
+    asc) and keeps each one that lies in one gap between the intervals
+    kept so far; this reproduces "repeatedly pick the longest disjoint
+    interval" with deterministic tie-breaking.
 
     >>> sel = greedy_disjoint([IntegerInterval(0, 9), IntegerInterval(5, 14),
     ...                        IntegerInterval(10, 19)])
@@ -67,19 +62,18 @@ def greedy_disjoint(intervals: list[IntegerInterval]) -> CoveringSelection:
         range(len(intervals)),
         key=lambda k: (-intervals[k].length, intervals[k].lo, k),
     )
-    kept: list[tuple[int, int]] = []  # (lo, hi) of the kept intervals, sorted
+    ends: list[int] = []  # lo, hi, lo, hi, ... of the kept intervals, sorted
     chosen: list[int] = []
     length_sum = 0
     for k in order:
         iv = intervals[k]
-        pos = bisect_left(kept, (iv.lo,))
-        if pos > 0 and kept[pos - 1][1] >= iv.lo:
-            continue
-        if pos < len(kept) and kept[pos][0] <= iv.hi:
-            continue
-        kept.insert(pos, (iv.lo, iv.hi))
-        chosen.append(k)
-        length_sum += iv.length
+        # disjoint exactly when lo falls between kept intervals (an even
+        # count of ends lies below it) and no kept end lies in [lo, hi]
+        pos = bisect_left(ends, iv.lo)
+        if pos % 2 == 0 and pos == bisect_right(ends, iv.hi, pos):
+            ends[pos:pos] = iv.lo, iv.hi
+            chosen.append(k)
+            length_sum += iv.length
     return CoveringSelection(tuple(chosen), merged_union_size(intervals), length_sum)
 
 

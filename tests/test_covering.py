@@ -18,6 +18,15 @@ def iv(lo, hi):
     return IntegerInterval(lo, hi)
 
 
+def dense_intervals(rng):
+    """1-12 short intervals on [-20, 28], often touching, nested or repeated."""
+    out = []
+    for _ in range(rng.randint(1, 12)):
+        lo = rng.randint(-20, 20)
+        out.append(iv(lo, lo + rng.randint(0, 8)))
+    return out
+
+
 class TestGreedyDisjoint:
     def test_already_disjoint(self):
         sel = greedy_disjoint([iv(0, 4), iv(10, 14)])
@@ -77,6 +86,23 @@ class TestGreedyDisjoint:
             tripled = [triple(c) for c in chosen]
             assert merged_union_size(tripled + intervals) == merged_union_size(tripled)
 
+    def test_selection_by_definition(self):
+        # among the intervals disjoint from every one taken so far, take the
+        # least by (-length, lo, input index), until none is left
+        rng = random.Random(33)
+        for _ in range(2000):
+            intervals = dense_intervals(rng)
+            taken = []
+            while True:
+                free = [
+                    k for k, c in enumerate(intervals)
+                    if all(c.hi < intervals[t].lo or intervals[t].hi < c.lo for t in taken)
+                ]
+                if not free:
+                    break
+                taken.append(min(free, key=lambda k: (-intervals[k].length, intervals[k].lo, k)))
+            assert greedy_disjoint(intervals).chosen == tuple(taken)
+
     def test_deterministic(self):
         rng = random.Random(1)
         intervals = random_intervals(rng)
@@ -98,11 +124,15 @@ class TestUnionSize:
         assert merged_union_size([iv(0, 4), iv(3, 9)]) == 10
         assert merged_union_size([iv(0, 4), iv(5, 9)]) == 10
         assert merged_union_size([iv(0, 4), iv(6, 9)]) == 9
+        assert merged_union_size([]) == 0
 
     def test_against_point_enumeration(self):
         rng = random.Random(8)
-        for _ in range(100):
-            intervals = random_intervals(rng, max_count=10, coordinate_span=200)
+        batches = (
+            [random_intervals(rng, max_count=10, coordinate_span=200) for _ in range(100)]
+            + [dense_intervals(rng) for _ in range(1000)]
+        )
+        for intervals in batches:
             points = set()
             for i in intervals:
                 points.update(range(i.lo, i.hi + 1))
